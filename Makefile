@@ -76,7 +76,8 @@ bench:
 		| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge -cluster
 
 # bench-smoke compiles and single-steps every benchmark (-short skips the
-# full-size ones) so check catches benchmark bit-rot without paying
+# full-size matrix kernels; the full-size fits run, one step costs tens of
+# milliseconds) so check catches benchmark bit-rot without paying
 # measurement time.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...

@@ -56,11 +56,9 @@ func BenchmarkEstimateSmallStrictSigma(b *testing.B) {
 
 // BenchmarkEMFitLarge runs the full 1024-configuration leave-one-out fit —
 // the paper's §6.7 overhead workload and the headline number tracked in
-// BENCH_em.json across PRs.
+// BENCH_em.json across PRs. The cold fit runs in its data-subspace frame, so
+// a single step costs tens of milliseconds and even -short runs it.
 func BenchmarkEMFitLarge(b *testing.B) {
-	if testing.Short() {
-		b.Skip("full-size fit skipped in -short mode")
-	}
 	benchFit(b, platform.Paper(), 20, Options{})
 }
 

@@ -8,34 +8,41 @@ import (
 	"leo/internal/matrix"
 )
 
-// emWorkspace owns every scratch buffer the E- and M-steps need, sized once
-// per session. After the first iteration touches each buffer, eStep and mStep
-// perform zero heap allocations (verified by TestEMIterationAllocs); the only
-// exception is the goroutine fan-out inside the matrix kernels, which
-// allocates O(workers) when the operands are large enough to parallelize and
-// GOMAXPROCS > 1 — see DESIGN.md §7.
+// emWorkspace owns every scratch buffer the E- and M-steps need. After the
+// first iteration touches each buffer, eStep and mStep perform zero heap
+// allocations (verified by TestEMIterationAllocs); the only exception is the
+// goroutine fan-out inside the matrix kernels, which allocates O(workers)
+// when the operands are large enough to parallelize and GOMAXPROCS > 1 —
+// see DESIGN.md §7.
 //
-// Buffers that depend only on n and rows are allocated up front; the
-// observation-count-dependent ones (stride-k indexing) are sized by ensureObs
-// and resized exactly when k changes between fits.
+// The dense buffers are allocated the first time a path reads them, through
+// the accessors below: a session whose cold fits run in a data-subspace
+// frame (frame.go) and whose warm refits run frozen never allocates the
+// buffers only the dense cold path uses. The same type is a subspace
+// frame's d-dimensional workspace, whose dimension resize moves between
+// fits while every buffer keeps its high-water storage. The
+// observation-count-dependent buffers (stride-k indexing) are sized by
+// ensureObs and resized exactly when k changes between fits.
 type emWorkspace struct {
 	n, rows int
 	kcap    int // current width of the k-dependent buffers (-1 = unsized)
 
-	chS *matrix.Cholesky // n×n factor of Σ
-	chA *matrix.Cholesky // n×n factor of Σ+σ²I
-	chK *matrix.Cholesky // k×k factor of the observation kernel
+	// Allocated on first use; read them through the accessors.
+	chS      *matrix.Cholesky // n×n factor of Σ
+	chA      *matrix.Cholesky // n×n factor of Σ+σ²I
+	a        *matrix.Matrix   // n×n: Σ+σ²I
+	cFull    *matrix.Matrix   // n×n: shared posterior covariance
+	cTarget  *matrix.Matrix   // n×n: target posterior covariance
+	sw       *matrix.Matrix   // n×n: S K⁻¹ Sᵀ
+	rhsFull  *matrix.Matrix   // rows×n: E-step right-hand sides
+	zFull    *matrix.Matrix   // rows×n: posterior means, fully observed apps
+	dev      *matrix.Matrix   // n×(rows+1): one centered mean per column (M-step)
+	sigmaBak *matrix.Matrix   // n×n: start Σ of a non-frozen warm fit
 
-	a       *matrix.Matrix // n×n: Σ+σ²I
-	cFull   *matrix.Matrix // n×n: shared posterior covariance
-	cTarget *matrix.Matrix // n×n: target posterior covariance
-	sw      *matrix.Matrix // n×n: S K⁻¹ Sᵀ
-	s       *matrix.Matrix // n×k: Σ[:,Ω]
-	wT      *matrix.Matrix // n×k: S K⁻¹ (exact path) or S L_K⁻ᵀ (fast path)
-	kmat    *matrix.Matrix // k×k: σ²I + Σ[Ω,Ω]
-	rhsFull *matrix.Matrix // rows×n: E-step right-hand sides
-	zFull   *matrix.Matrix // rows×n: posterior means, fully observed apps
-	dev     *matrix.Matrix // n×(rows+1): one centered mean per column (M-step)
+	chK  *matrix.Cholesky // k×k factor of the observation kernel
+	s    *matrix.Matrix   // n×k: Σ[:,Ω]
+	wT   *matrix.Matrix   // n×k: S K⁻¹ (exact path) or S L_K⁻ᵀ (fast path)
+	kmat *matrix.Matrix   // k×k: σ²I + Σ[Ω,Ω]
 
 	sinvMu  []float64 // Σ⁻¹μ (exact path only)
 	rhs     []float64 // target right-hand side
@@ -46,13 +53,12 @@ type emWorkspace struct {
 	hd      []float64 // health watchdog: log-likelihood residual scratch
 	hs      []float64 // health watchdog: log-likelihood solve scratch
 
-	// Start-parameter backup for the watchdog's exact-path fallback: the
-	// retry must restart from the same μ/Σ/σ² the diverged attempt did.
+	// Start-parameter backup for the watchdog's exact-path fallback of a
+	// warm fit: the retry must restart from the same μ/Σ/σ² the diverged
+	// attempt did. (A cold fit's retry restarts from the prior instead.)
 	muBak     []float64
-	sigmaBak  *matrix.Matrix
 	sigmaBakd bool // sigmaBak holds this fit's start Σ (skipped for frozen fits)
 	sigma2Bak float64
-	freshBak  bool
 
 	// wc caches the frozen-parameter operators consecutive warm fits share;
 	// see warm.go.
@@ -63,35 +69,83 @@ type emWorkspace struct {
 
 func newEMWorkspace(n, rows int) *emWorkspace {
 	return &emWorkspace{
-		n:        n,
-		rows:     rows,
-		kcap:     -1,
-		chS:      matrix.NewCholeskyWorkspace(n),
-		chA:      matrix.NewCholeskyWorkspace(n),
-		chK:      matrix.NewCholeskyWorkspace(0),
-		a:        matrix.New(n, n),
-		cFull:    matrix.New(n, n),
-		cTarget:  matrix.New(n, n),
-		sw:       matrix.New(n, n),
-		s:        matrix.New(n, 0),
-		wT:       matrix.New(n, 0),
-		kmat:     matrix.New(0, 0),
-		rhsFull:  matrix.New(rows, n),
-		zFull:    matrix.New(rows, n),
-		dev:      matrix.New(n, rows+1),
-		sinvMu:   make([]float64, n),
-		rhs:      make([]float64, n),
-		zTarget:  make([]float64, n),
-		d:        make([]float64, n),
-		prev:     make([]float64, n),
-		hd:       make([]float64, n),
-		hs:       make([]float64, n),
-		muBak:    make([]float64, n),
-		sigmaBak: matrix.New(n, n),
+		n:       n,
+		rows:    rows,
+		kcap:    -1,
+		chK:     matrix.NewCholeskyWorkspace(0),
+		s:       matrix.New(n, 0),
+		wT:      matrix.New(n, 0),
+		kmat:    matrix.New(0, 0),
+		sinvMu:  make([]float64, n),
+		rhs:     make([]float64, n),
+		zTarget: make([]float64, n),
+		d:       make([]float64, n),
+		prev:    make([]float64, n),
+		hd:      make([]float64, n),
+		hs:      make([]float64, n),
+		muBak:   make([]float64, n),
 	}
 }
 
-// saveStart backs up the parameters a fit is about to start from, so a
+// Accessors for the dense buffers: each allocates its buffer the first time
+// a path reads it and otherwise reshapes it in place to the workspace's
+// current dimension (a no-op unless resize moved it). Callers overwrite the
+// contents before reading them.
+func (ws *emWorkspace) factorS() *matrix.Cholesky   { return sizedChol(&ws.chS, ws.n) }
+func (ws *emWorkspace) factorA() *matrix.Cholesky   { return sizedChol(&ws.chA, ws.n) }
+func (ws *emWorkspace) aBuf() *matrix.Matrix        { return sized(&ws.a, ws.n, ws.n) }
+func (ws *emWorkspace) cFullBuf() *matrix.Matrix    { return sized(&ws.cFull, ws.n, ws.n) }
+func (ws *emWorkspace) cTargetBuf() *matrix.Matrix  { return sized(&ws.cTarget, ws.n, ws.n) }
+func (ws *emWorkspace) swBuf() *matrix.Matrix       { return sized(&ws.sw, ws.n, ws.n) }
+func (ws *emWorkspace) rhsFullBuf() *matrix.Matrix  { return sized(&ws.rhsFull, ws.rows, ws.n) }
+func (ws *emWorkspace) zFullBuf() *matrix.Matrix    { return sized(&ws.zFull, ws.rows, ws.n) }
+func (ws *emWorkspace) devBuf() *matrix.Matrix      { return sized(&ws.dev, ws.n, ws.rows+1) }
+func (ws *emWorkspace) sigmaBakBuf() *matrix.Matrix { return sized(&ws.sigmaBak, ws.n, ws.n) }
+
+// sized returns *p shaped rows×cols, allocating it on first use and
+// otherwise reshaping it in place (grow-only storage).
+func sized(p **matrix.Matrix, rows, cols int) *matrix.Matrix {
+	m := *p
+	if m == nil {
+		m = matrix.New(rows, cols)
+		*p = m
+	} else if m.Rows != rows || m.Cols != cols {
+		m.Reshape(rows, cols)
+	}
+	return m
+}
+
+// sizedChol is sized for Cholesky workspaces.
+func sizedChol(p **matrix.Cholesky, n int) *matrix.Cholesky {
+	if *p == nil {
+		*p = matrix.NewCholeskyWorkspace(n)
+	} else {
+		(*p).Resize(n)
+	}
+	return *p
+}
+
+// growVec returns v re-sliced to length n, reallocating only past its
+// capacity.
+func growVec(v []float64, n int) []float64 {
+	if cap(v) < n {
+		return make([]float64, n)
+	}
+	return v[:n]
+}
+
+// resize re-dimensions the workspace for n-dimensional operands. Every
+// buffer keeps its high-water storage: the vectors re-slice here, the dense
+// buffers reshape on their next use, and the k-dependent ones on the next
+// ensureObs.
+func (ws *emWorkspace) resize(n int) {
+	ws.n, ws.kcap = n, -1
+	for _, v := range [...]*[]float64{&ws.sinvMu, &ws.rhs, &ws.zTarget, &ws.d, &ws.prev, &ws.hd, &ws.hs, &ws.muBak} {
+		*v = growVec(*v, n)
+	}
+}
+
+// saveStart backs up the parameters a warm fit is about to start from, so a
 // watchdog-tripped attempt can be re-run on the exact path from the same
 // point.
 func (ws *emWorkspace) saveStart(s *Session) {
@@ -100,20 +154,22 @@ func (ws *emWorkspace) saveStart(s *Session) {
 	// n² copy would back up a matrix the attempt cannot touch.
 	ws.sigmaBakd = !s.frozen
 	if ws.sigmaBakd {
-		matrix.CloneInto(ws.sigmaBak, s.sigma)
+		matrix.CloneInto(ws.sigmaBakBuf(), s.sigma)
 	}
 	ws.sigma2Bak = s.sigma2
-	ws.freshBak = s.freshSigma
 }
 
-// restoreStart undoes whatever a diverged attempt left in the parameters.
+// restoreStart undoes whatever a diverged warm attempt left in the
+// parameters.
 func (ws *emWorkspace) restoreStart(s *Session) {
 	copy(s.mu, ws.muBak)
 	if ws.sigmaBakd {
 		matrix.CloneInto(s.sigma, ws.sigmaBak)
 	}
 	s.sigma2 = ws.sigma2Bak
-	s.freshSigma = ws.freshBak
+	// A warm fit starts from a fitted posterior, never from Σ₀, so the exact
+	// retry must factorize it instead of reusing the prior's factor.
+	s.freshSigma = false
 }
 
 // ensureObs sizes the k-dependent buffers for exactly k observations. The
@@ -158,12 +214,26 @@ func newEMState(known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Optio
 	return s
 }
 
-// init chooses the starting parameters: μ from the offline mean (§5.5
-// reports this improves accuracy), Σ from the offline sample covariance plus
-// identity, and σ² at a small fraction of the data's variance. All three are
-// copied out of the prior, which precomputed them.
+// coldStart begins a cold fit. Fast-path fits run in the data-subspace
+// frame whenever it is smaller than the configuration space (frame.go); the
+// exact and naive ablations, and fits whose frame would be full, start in
+// the session's own coordinates (init).
+func (em *Session) coldStart() {
+	if em.opts.ExactEStep || em.opts.NaiveEStep || !em.initSubspace() {
+		em.init()
+	}
+}
+
+// init chooses the starting parameters in the session's own coordinates
+// (the identity frame): μ from the offline mean (§5.5 reports this improves
+// accuracy), Σ from the offline sample covariance plus identity, and σ² at a
+// small fraction of the data's variance. All three come from the prior,
+// which builds Σ₀ and its factor on first use.
 func (em *Session) init() {
 	p := em.prior
+	if em.sub != nil {
+		em.sub.active = false
+	}
 	switch {
 	case em.opts.InitMu != nil:
 		copy(em.mu, em.opts.InitMu)
@@ -174,9 +244,10 @@ func (em *Session) init() {
 	default:
 		copy(em.mu, p.colMean)
 	}
-	matrix.CloneInto(em.sigma, p.sigma0)
+	sigma0, chol0 := p.coldSigma()
+	matrix.CloneInto(em.sigma, sigma0)
 	em.sigma2 = em.initialNoise()
-	em.freshSigma = p.chol0 != nil && !em.opts.NaiveEStep
+	em.freshSigma = chol0 != nil && !em.opts.NaiveEStep
 	em.ws.ensureObs(em.n, len(em.obsIdx))
 }
 
@@ -241,7 +312,7 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 			}
 			prevLL, haveLL = e.ll, true
 		}
-		zM = e.zTarget
+		zM = em.lift(e.zTarget)
 		if err := em.mStep(ctx, e); err != nil {
 			return nil, err
 		}
@@ -285,12 +356,21 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 	if !converged {
 		mEMUnconverged.Inc()
 	}
+	estimate := matrix.CloneVec(em.lift(e.zTarget))
 	variance := make([]float64, em.n)
-	for i := range variance {
-		variance[i] = e.cTarget.At(i, i)
+	if sp := em.sub; sp != nil && sp.active {
+		// Back to the session's own coordinates: the result, warm refits,
+		// State and FrozenOps all read the dense μ and Σ.
+		sp.variance(variance, e)
+		sp.materialize(em.mu, em.sigma)
+		sp.active = false
+	} else {
+		for i := range variance {
+			variance[i] = e.cTarget.At(i, i)
+		}
 	}
 	res := &Result{
-		Estimate:   matrix.CloneVec(e.zTarget),
+		Estimate:   estimate,
 		Variance:   variance,
 		Noise:      math.Sqrt(em.sigma2),
 		Iterations: iters,
@@ -321,8 +401,9 @@ func relChange(a, b []float64) float64 {
 	return worst
 }
 
-// eResult holds the E-step posteriors (Eq. 3). On the fast path the fields
-// alias emWorkspace buffers that the next eStep overwrites.
+// eResult holds the E-step posteriors (Eq. 3), in the coordinates of the
+// frame the E-step ran in. On the fast path the fields alias emWorkspace
+// buffers that the next eStep overwrites.
 type eResult struct {
 	zFull     *matrix.Matrix // (M−1)×n posterior means of fully observed apps
 	cFull     *matrix.Matrix // shared posterior covariance of fully observed apps
@@ -330,6 +411,10 @@ type eResult struct {
 	cTarget   *matrix.Matrix // posterior covariance of the target app
 	sinvMu    []float64      // Σ^{-1} μ, reused by both branches
 	targetObs int
+
+	// compFull and compTarget are Ĉ's and Ĉ_M's eigenvalue on a subspace
+	// frame's complement (zero in the identity frame, which has none).
+	compFull, compTarget float64
 
 	// ll is the observed-data log-likelihood of the parameters this E-step
 	// evaluated (same quantity as LogLikelihood, computed from the factors
@@ -371,7 +456,7 @@ func (em *Session) eStep(ctx context.Context) (*eResult, error) {
 	if em.frozen {
 		return em.eStepWarm()
 	}
-	return em.eStepFast()
+	return em.eStepFast(em.frame())
 }
 
 // ln2pi is the Gaussian normalization constant log(2π).
@@ -379,33 +464,41 @@ var ln2pi = math.Log(2 * math.Pi)
 
 // llRows accumulates the fully observed applications' share of the
 // observed-data log-likelihood: each row contributes −½(quadᵢ + log|A| +
-// n·log 2π) with A = Σ+σ²I, whose factor must already sit in ws.chA. It runs
-// entirely in the hd/hs scratch vectors — zero allocations.
-func (em *Session) llRows() float64 {
-	ws, n := em.ws, em.n
+// n·log 2π) with A = Σ+σ²I, whose factor in frame f must already sit in
+// f.ws.chA. A subspace frame adds log(α+σ²) per complement direction to
+// log|A|; the quadratic needs nothing, because yᵢ−μ lies in the frame. It
+// runs entirely in the hd/hs scratch vectors — zero allocations.
+func (em *Session) llRows(f *frame) float64 {
+	ws, n := f.ws, f.n
 	logDet := ws.chA.LogDet()
+	if c := f.comp(); c > 0 {
+		logDet += float64(c) * math.Log(f.alpha+em.sigma2)
+	}
 	total := 0.0
-	for i := 0; i < em.known.Rows; i++ {
-		row := em.known.RowView(i)
+	for i := 0; i < f.known.Rows; i++ {
+		row := f.known.RowView(i)
 		for j := 0; j < n; j++ {
-			ws.hd[j] = row[j] - em.mu[j]
+			ws.hd[j] = row[j] - f.mu[j]
 		}
 		ws.chA.SolveVecInto(ws.hs, ws.hd)
-		total += -0.5 * (matrix.Dot(ws.hd, ws.hs) + logDet + float64(n)*ln2pi)
+		total += -0.5 * (matrix.Dot(ws.hd, ws.hs) + logDet + float64(f.full)*ln2pi)
 	}
 	return total
 }
 
 // llTarget is the target application's share: −½(quad + log|K| + k·log 2π)
-// with K = σ²I + Σ[Ω,Ω]. diff must hold y_Ω − μ_Ω and solved K⁻¹(y_Ω − μ_Ω);
-// both are already produced by the E-step's Woodbury work.
-func (em *Session) llTarget(diff, solved []float64) float64 {
+// with K = σ²I + Σ[Ω,Ω] factored in chK. diff must hold y_Ω − μ_Ω and
+// solved K⁻¹(y_Ω − μ_Ω); both are already produced by the E-step's Woodbury
+// work.
+func llTarget(chK *matrix.Cholesky, diff, solved []float64) float64 {
 	k := len(diff)
-	return -0.5 * (matrix.Dot(diff, solved) + em.ws.chK.LogDet() + float64(k)*ln2pi)
+	return -0.5 * (matrix.Dot(diff, solved) + chK.LogDet() + float64(k)*ln2pi)
 }
 
-// eStepFast is the production E-step. Beyond sharing the fully observed
-// posterior, it does only the symmetric half of the work:
+// eStepFast is the production E-step, run in frame f (the session's own
+// coordinates, or a cold fit's data subspace — see frame.go). Beyond
+// sharing the fully observed posterior, it does only the symmetric half of
+// the work:
 //
 //   - Ĉ = σ²(I − σ²(Σ+σ²I)⁻¹) via Cholesky.InverseInto — ~2n³/3 flops where
 //     the exact path's n-right-hand-side solve costs 2n³ — and never
@@ -418,63 +511,72 @@ func (em *Session) llTarget(diff, solved []float64) float64 {
 //
 // Every matrix it produces is exactly symmetric by construction (the
 // symmetric kernels mirror bits), so the exact path's Symmetrize passes
-// disappear. Everything runs in the session's workspace; after the first
+// disappear. Everything runs in the frame's workspace; after the first
 // iteration it allocates nothing.
-func (em *Session) eStepFast() (*eResult, error) {
-	n, ws := em.n, em.ws
+func (em *Session) eStepFast(f *frame) (*eResult, error) {
+	n, ws := f.n, f.ws
 	out := &ws.e
-	*out = eResult{targetObs: len(em.obsIdx)}
+	*out = eResult{targetObs: len(f.obsIdx)}
 	s2 := em.sigma2
+	if f.comp() > 0 {
+		// Σ acts as α on the complement, so Ĉ acts as σ²α/(α+σ²) and Ĉ_M,
+		// which no observation touches there, as α.
+		out.compFull = s2 * f.alpha / (f.alpha + s2)
+		out.compTarget = f.alpha
+	}
 
 	// Shared covariance and means for the fully observed applications.
-	if em.known.Rows > 0 {
-		matrix.CloneInto(ws.a, em.sigma).AddDiagonal(s2)
-		if err := ws.chA.Factorize(ws.a); err != nil {
+	zFull := ws.zFullBuf()
+	if f.known.Rows > 0 {
+		a, chA, cFull, rhsFull := ws.aBuf(), ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
+		matrix.CloneInto(a, f.sigma).AddDiagonal(s2)
+		if err := chA.Factorize(a); err != nil {
 			return nil, fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 		}
-		ws.chA.InverseInto(ws.cFull)
-		out.cFull = ws.cFull.ScaleInPlace(-s2 * s2).AddDiagonal(s2)
+		chA.InverseInto(cFull)
+		out.cFull = cFull.ScaleInPlace(-s2 * s2).AddDiagonal(s2)
 
 		inv := 1 / s2
-		for i := 0; i < em.known.Rows; i++ {
-			row := em.known.RowView(i)
-			rhs := ws.rhsFull.RowView(i)
+		for i := 0; i < f.known.Rows; i++ {
+			row := f.known.RowView(i)
+			rhs := rhsFull.RowView(i)
 			for j := range rhs {
-				rhs[j] = (row[j] - em.mu[j]) * inv
+				rhs[j] = (row[j] - f.mu[j]) * inv
 			}
 		}
 		// ẑ_i = μ + Ĉ rhs_i for every app at once; Ĉ is symmetric so the
 		// transposed-B kernel applies it directly.
-		matrix.MulTransBInto(ws.zFull, ws.rhsFull, out.cFull)
-		for i := 0; i < em.known.Rows; i++ {
-			matrix.AxpyInPlace(1, em.mu, ws.zFull.RowView(i))
+		matrix.MulTransBInto(zFull, rhsFull, out.cFull)
+		for i := 0; i < f.known.Rows; i++ {
+			matrix.AxpyInPlace(1, f.mu, zFull.RowView(i))
 		}
 		if !em.opts.DisableHealthChecks {
 			// chA still holds the factor of Σ+σ²I (InverseInto leaves it
 			// intact), which is exactly the marginal the likelihood needs.
-			out.ll += em.llRows()
+			out.ll += em.llRows(f)
 			out.llValid = true
 		}
 	}
-	out.zFull = ws.zFull
+	out.zFull = zFull
 
 	// Target application via Woodbury on the observed coordinates.
-	k := len(em.obsIdx)
+	k := len(f.obsIdx)
+	cTarget := ws.cTargetBuf()
 	if k == 0 {
-		out.cTarget = matrix.CloneInto(ws.cTarget, em.sigma)
-		copy(ws.zTarget, em.mu)
+		out.cTarget = matrix.CloneInto(cTarget, f.sigma)
+		copy(ws.zTarget, f.mu)
 		out.zTarget = ws.zTarget
 		return out, nil
 	}
 	// S = Σ[:, Ω] (n×k), K = σ²I_k + Σ[Ω, Ω].
-	for col, idx := range em.obsIdx {
+	for col, idx := range f.obsIdx {
 		for r := 0; r < n; r++ {
-			ws.s.Data[r*k+col] = em.sigma.Data[r*n+idx]
+			ws.s.Data[r*k+col] = f.sigma.Data[r*n+idx]
 		}
 	}
-	for a, ia := range em.obsIdx {
-		for b, ib := range em.obsIdx {
-			ws.kmat.Data[a*k+b] = em.sigma.Data[ia*n+ib]
+	for a, ia := range f.obsIdx {
+		for b, ib := range f.obsIdx {
+			ws.kmat.Data[a*k+b] = f.sigma.Data[ia*n+ib]
 		}
 	}
 	ws.kmat.AddDiagonal(s2)
@@ -488,12 +590,12 @@ func (em *Session) eStepFast() (*eResult, error) {
 	// correction S K⁻¹ Sᵀ = wT·wTᵀ lands as one symmetric rank-k product —
 	// exactly symmetric, like Σ, so their difference needs no Symmetrize.
 	ws.chK.ForwardSolveTInto(ws.wT, ws.s)
-	matrix.SyrkInto(ws.sw, 1, ws.wT)
-	out.cTarget = matrix.SubInto(ws.cTarget, em.sigma, ws.sw)
+	sw := matrix.SyrkInto(ws.swBuf(), 1, ws.wT)
+	out.cTarget = matrix.SubInto(cTarget, f.sigma, sw)
 
 	// GP-form posterior mean: ẑ_M = μ + S K⁻¹ (y_Ω − μ_Ω).
-	for i, idx := range em.obsIdx {
-		ws.tObs[i] = em.obsVal[i] - em.mu[idx]
+	for i, idx := range f.obsIdx {
+		ws.tObs[i] = f.obsVal[i] - f.mu[idx]
 	}
 	health := !em.opts.DisableHealthChecks
 	if health {
@@ -503,11 +605,11 @@ func (em *Session) eStepFast() (*eResult, error) {
 	if health {
 		// The solved residual K⁻¹(y_Ω − μ_Ω) is the likelihood's quadratic
 		// term — the watchdog's input comes free with the Woodbury work.
-		out.ll += em.llTarget(ws.hd[:k], ws.tObs)
+		out.ll += llTarget(ws.chK, ws.hd[:k], ws.tObs)
 		out.llValid = true
 	}
 	matrix.MulVecInto(ws.zTarget, ws.s, ws.tObs)
-	matrix.AxpyInPlace(1, em.mu, ws.zTarget)
+	matrix.AxpyInPlace(1, f.mu, ws.zTarget)
 	out.zTarget = ws.zTarget
 	return out, nil
 }
@@ -522,54 +624,59 @@ func (em *Session) eStepExact() (*eResult, error) {
 	out := &ws.e
 	*out = eResult{targetObs: len(em.obsIdx)}
 
+	chS := ws.factorS()
 	if em.freshSigma {
-		// Cold start: Σ is exactly the prior's Σ₀, whose factor was computed
-		// at NewPrior time — copy it instead of refactorizing.
-		ws.chS.CopyFrom(em.prior.chol0)
+		// Cold start: Σ is exactly the prior's Σ₀, whose factor the prior
+		// already computed — copy it instead of refactorizing.
+		_, chol0 := em.prior.coldSigma()
+		chS.CopyFrom(chol0)
 		em.freshSigma = false
 	} else {
-		applied, err := ws.chS.FactorizeJitter(em.sigma, matrix.DefaultJitter, matrix.DefaultJitterTries)
+		applied, err := chS.FactorizeJitter(em.sigma, matrix.DefaultJitter, matrix.DefaultJitterTries)
 		if err != nil {
 			return nil, fmt.Errorf("core: Σ not factorable: %w", err)
 		}
 		em.noteJitter(applied)
 	}
-	out.sinvMu = ws.chS.SolveVecInto(ws.sinvMu, em.mu)
+	out.sinvMu = chS.SolveVecInto(ws.sinvMu, em.mu)
 
 	// Shared covariance for fully observed applications.
+	zFull := ws.zFullBuf()
 	if em.known.Rows > 0 {
-		matrix.CloneInto(ws.a, em.sigma).AddDiagonal(em.sigma2)
-		if err := ws.chA.Factorize(ws.a); err != nil {
+		a, chA, cFull, rhsFull := ws.aBuf(), ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
+		matrix.CloneInto(a, em.sigma).AddDiagonal(em.sigma2)
+		if err := chA.Factorize(a); err != nil {
 			return nil, fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 		}
 		// SolveTInto yields Σ(Σ+σ²I)⁻¹ transposed relative to the textbook
 		// order; symmetrizing erases the distinction exactly.
-		ws.chA.SolveTInto(ws.cFull, em.sigma)
-		out.cFull = ws.cFull.ScaleInPlace(em.sigma2).Symmetrize()
+		chA.SolveTInto(cFull, em.sigma)
+		out.cFull = cFull.ScaleInPlace(em.sigma2).Symmetrize()
 
 		inv := 1 / em.sigma2
 		for i := 0; i < em.known.Rows; i++ {
 			row := em.known.RowView(i)
-			rhs := ws.rhsFull.RowView(i)
+			rhs := rhsFull.RowView(i)
 			for j := range rhs {
 				rhs[j] = row[j]*inv + out.sinvMu[j]
 			}
 		}
 		// ẑ_i = Ĉ rhs_i for every app at once; Ĉ is symmetric so the
 		// transposed-B kernel applies it directly.
-		out.zFull = matrix.MulTransBInto(ws.zFull, ws.rhsFull, out.cFull)
+		out.zFull = matrix.MulTransBInto(zFull, rhsFull, out.cFull)
 		if !em.opts.DisableHealthChecks {
-			out.ll += em.llRows()
+			out.ll += em.llRows(em.frame())
 			out.llValid = true
 		}
 	} else {
-		out.zFull = ws.zFull // 0×n
+		out.zFull = zFull // 0×n
 	}
 
 	// Target application via Woodbury on the observed coordinates.
 	k := len(em.obsIdx)
+	cTarget := ws.cTargetBuf()
 	if k == 0 {
-		out.cTarget = matrix.CloneInto(ws.cTarget, em.sigma)
+		out.cTarget = matrix.CloneInto(cTarget, em.sigma)
 		copy(ws.zTarget, em.mu)
 		out.zTarget = ws.zTarget
 		return out, nil
@@ -595,14 +702,14 @@ func (em *Session) eStepExact() (*eResult, error) {
 	// Each row of S is one right-hand side: wT = S K⁻¹ (n×k), and the
 	// Woodbury correction S K⁻¹ Sᵀ is then a single transposed-B GEMM.
 	ws.chK.SolveTInto(ws.wT, ws.s)
-	matrix.MulTransBInto(ws.sw, ws.wT, ws.s)
-	out.cTarget = matrix.SubInto(ws.cTarget, em.sigma, ws.sw).Symmetrize()
+	sw := matrix.MulTransBInto(ws.swBuf(), ws.wT, ws.s)
+	out.cTarget = matrix.SubInto(cTarget, em.sigma, sw).Symmetrize()
 	if !em.opts.DisableHealthChecks {
 		for i, idx := range em.obsIdx {
 			ws.hd[i] = em.obsVal[i] - em.mu[idx]
 		}
 		ws.chK.SolveVecInto(ws.hs[:k], ws.hd[:k])
-		out.ll += em.llTarget(ws.hd[:k], ws.hs[:k])
+		out.ll += llTarget(ws.chK, ws.hd[:k], ws.hs[:k])
 		out.llValid = true
 	}
 
@@ -672,10 +779,10 @@ func (em *Session) eStepNaive() (*eResult, error) {
 }
 
 // mStep applies Eq. (4): closed-form updates of μ, Σ and σ² given the
-// E-step posteriors. It writes μ and Σ in place — the E-step result it
-// consumes lives in separate workspace buffers, so nothing it reads can
-// alias what it writes. A canceled context aborts before any parameter is
-// touched, leaving the session consistent.
+// E-step posteriors, in the frame the E-step ran in. It writes μ and Σ in
+// place — the E-step result it consumes lives in separate workspace
+// buffers, so nothing it reads can alias what it writes. A canceled context
+// aborts before any parameter is touched, leaving the session consistent.
 //
 // The Σ and σ² updates have a fast and an exact form. The fast form batches
 // the M+1 centered outer products into one symmetric rank-(M+1) kernel and
@@ -687,11 +794,12 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 	if err := ctx.Err(); err != nil {
 		return canceled(err)
 	}
+	f := em.frame()
 	mf := float64(em.m)
 	rows := e.zFull.Rows
 
 	// μ = (Σ_i ẑ_i) / (M + π).
-	mu := em.mu
+	mu := f.mu
 	for i := range mu {
 		mu[i] = 0
 	}
@@ -713,7 +821,7 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 
 	// Σ update: sum of posterior covariances and centered outer products,
 	// plus the NIW prior terms πμμ' and Ψ = I.
-	sigma := em.sigma
+	sigma := f.sigma
 	if e.cFull != nil && rows > 0 {
 		rf := float64(rows)
 		for i, v := range e.cFull.Data {
@@ -740,8 +848,8 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 		// One batched symmetric rank-(M+1) update over the centered means
 		// (one per column of dev, so Σ += dev·devᵀ) replaces M+1
 		// full-square rank-1 passes.
-		dev, w := em.ws.dev, rows+1
-		n := em.n
+		dev, w := f.ws.devBuf(), rows+1
+		n := f.n
 		for i := 0; i < rows; i++ {
 			z := e.zFull.RowView(i)
 			for j := 0; j < n; j++ {
@@ -764,6 +872,19 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 		sigma.AddDiagonal(1) // Ψ = I
 		sigma.ScaleInPlace(norm)
 	}
+	if f.comp() > 0 {
+		// Σ on the complement takes the same update, to which every outer
+		// product (each lies in the frame) contributes nothing.
+		a := e.compTarget
+		if rows > 0 {
+			a = e.compFull*float64(rows) + e.compTarget
+		}
+		if em.opts.StrictPaperSigma {
+			f.alpha = a*norm + 1
+		} else {
+			f.alpha = (a + 1) * norm
+		}
+	}
 	if exact {
 		// The rank-1 updates above round asymmetrically; the fast path's
 		// symmetric kernels make this pass unnecessary.
@@ -780,17 +901,23 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 //
 // Every fully observed application contributes the same tr(Ĉ) term; the
 // fast form accumulates it once as tr(Ĉ)·(M−1) instead of re-adding it per
-// application, while the exact form keeps the historical order.
+// application, while the exact form keeps the historical order. In a
+// subspace frame tr(Ĉ) gains Ĉ's eigenvalue once per complement direction;
+// the residuals need nothing, because ẑᵢ−yᵢ lies in the frame.
 func (em *Session) mStepSigma2(e *eResult, rows int, exact bool) float64 {
-	n := em.n
+	f := em.frame()
+	n := f.n
 	num := 0.0
 	if rows > 0 {
 		trFull := e.cFull.Trace()
+		if c := f.comp(); c > 0 {
+			trFull += float64(c) * e.compFull
+		}
 		if !exact {
 			num = trFull * float64(rows)
 		}
 		for i := 0; i < rows; i++ {
-			row := em.known.RowView(i)
+			row := f.known.RowView(i)
 			z := e.zFull.RowView(i)
 			if exact {
 				num += trFull
@@ -801,11 +928,11 @@ func (em *Session) mStepSigma2(e *eResult, rows int, exact bool) float64 {
 			}
 		}
 	}
-	for i, idx := range em.obsIdx {
-		d := e.zTarget[idx] - em.obsVal[i]
+	for i, idx := range f.obsIdx {
+		d := e.zTarget[idx] - f.obsVal[i]
 		num += e.cTarget.At(idx, idx) + d*d
 	}
-	den := float64(rows*n + len(em.obsIdx))
+	den := float64(rows*f.full + len(f.obsIdx))
 	sigma2 := em.opts.SigmaFloor
 	if den > 0 {
 		if s := num / den; s > sigma2 {

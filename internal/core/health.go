@@ -101,19 +101,22 @@ func (em *Session) checkLL(ll, prev float64, havePrev bool, iter int) error {
 }
 
 // scanPosterior is the per-iteration non-finite scan: the target posterior
-// mean and variance, the population parameters μ and diag(Σ), and σ² must
-// all stay finite. O(n) per iteration and allocation-free, so the scan runs
-// unconditionally inside the 0 allocs/iteration contract.
+// mean and variance, the population parameters μ and diag(Σ) (with a
+// subspace frame's complement eigenvalue α), and σ² must all stay finite,
+// in the coordinates of the frame the fit runs in. O(n) per iteration and
+// allocation-free, so the scan runs unconditionally inside the 0
+// allocs/iteration contract.
 func (em *Session) scanPosterior(e *eResult, iter int) error {
+	f := em.frame()
 	bad := ""
 	switch {
 	case !finiteVec(e.zTarget):
 		bad = "target posterior mean"
-	case !finiteVec(em.mu):
+	case !finiteVec(f.mu):
 		bad = "population mean"
 	case !finiteDiag(e.cTarget):
 		bad = "target posterior variance"
-	case !finiteDiag(em.sigma):
+	case !finiteDiag(f.sigma) || math.IsNaN(f.alpha) || math.IsInf(f.alpha, 0):
 		bad = "population covariance diagonal"
 	case math.IsNaN(em.sigma2) || math.IsInf(em.sigma2, 0) || em.sigma2 <= 0:
 		bad = "noise variance"

@@ -52,7 +52,9 @@ func TestHealthCleanFit(t *testing.T) {
 // TestHealthNonFiniteFallback: poisoning μ with a NaN mid-fit trips the
 // non-finite scan on the fast path; Session.Fit restores the start
 // parameters and silently re-runs the fit on the exact E-step, producing a
-// usable (finite) estimate and accounting the rescue in Health.
+// usable (finite) estimate and accounting the rescue in Health. The poison
+// goes into the frame the fit runs in — a cold fit's data-subspace frame
+// here — since that is where the in-flight μ lives.
 func TestHealthNonFiniteFallback(t *testing.T) {
 	s := healthSession(t, Options{})
 	poisoned := false
@@ -60,8 +62,11 @@ func TestHealthNonFiniteFallback(t *testing.T) {
 		// Poison only the fast-path attempt: the rescue re-run (fallbackExact)
 		// must be allowed to proceed cleanly.
 		if iter == 1 && !em.fallbackExact && !poisoned {
+			if em.frame() == &em.own {
+				t.Error("cold fast-path fit did not run in a subspace frame")
+			}
 			poisoned = true
-			em.mu[0] = math.NaN()
+			em.frame().mu[0] = math.NaN()
 		}
 	}
 	defer func() { healthTestHook = nil }()
@@ -98,7 +103,7 @@ func TestHealthFallbackMatchesExact(t *testing.T) {
 	rescued := healthSession(t, Options{})
 	healthTestHook = func(em *Session, iter int) {
 		if iter == 0 && !em.fallbackExact {
-			em.mu[0] = math.NaN()
+			em.frame().mu[0] = math.NaN()
 		}
 	}
 	got, err := rescued.Fit(context.Background())
@@ -150,7 +155,7 @@ func TestHealthDisabled(t *testing.T) {
 	s := healthSession(t, Options{DisableHealthChecks: true})
 	healthTestHook = func(em *Session, iter int) {
 		if iter == 0 {
-			em.mu[0] = math.NaN()
+			em.frame().mu[0] = math.NaN()
 		}
 	}
 	defer func() { healthTestHook = nil }()

@@ -27,25 +27,31 @@ func canceled(cause error) error {
 
 // Prior is the offline half of the hierarchical model (§3's "big data"
 // learner): everything that depends only on the fully observed application
-// database, computed once and shared. It holds the column means, the initial
-// covariance Σ₀ = I + sample covariance, its Cholesky factor, and the running
-// sum of squares that seeds σ² — the state every cold EM fit would otherwise
-// recompute from scratch.
+// database, computed once and shared. It holds the column means, the running
+// sum of squares that seeds σ², and — built on first use — the initial
+// covariance Σ₀ = I + sample covariance with its Cholesky factor: the state
+// every cold EM fit would otherwise recompute from scratch.
 //
-// A Prior's model is immutable after NewPrior returns and the whole object is
-// safe for concurrent use: any number of goroutines may call NewSession and
-// run the resulting sessions in parallel. The only mutable state is the
-// session free list, which has its own lock.
+// A Prior's model is immutable once built and the whole object is safe for
+// concurrent use: any number of goroutines may call NewSession and run the
+// resulting sessions in parallel. The only mutable state is the session free
+// list, which has its own lock, and the lazily built Σ₀, which sigma0Once
+// guards.
 type Prior struct {
 	opts  Options
 	known *matrix.Matrix // private clone of the (M−1)×n database
 	n     int
 
-	colMean []float64        // offline column means (nil when no rows)
-	sigma0  *matrix.Matrix   // initial Σ: identity + sample covariance
-	chol0   *matrix.Cholesky // factor of sigma0 (nil if not factorable)
-	sumSq   float64          // Σ v² over the database, in row-major order
-	count   int              // number of database entries
+	colMean []float64 // offline column means (nil when no rows)
+	sumSq   float64   // Σ v² over the database, in row-major order
+	count   int       // number of database entries
+
+	// Σ₀ and its factor, read through coldSigma. Only cold starts in a
+	// session's own coordinates need them (frame.go), so a prior whose fits
+	// all run in data-subspace frames never builds the n×n pair.
+	sigma0Once sync.Once
+	sigma0     *matrix.Matrix   // initial Σ: identity + sample covariance
+	chol0      *matrix.Cholesky // factor of sigma0 (nil if not factorable)
 
 	// Session free list (see Session.Release). A session's EM workspace is a
 	// few n×n matrices — recycling it turns admission in a churning fleet
@@ -81,29 +87,40 @@ func NewPrior(known *matrix.Matrix, opts Options) (*Prior, error) {
 	if p.known.Rows > 0 {
 		p.colMean = stats.ColumnMeans(p.known)
 	}
-	// Initial Σ exactly as the EM cold start defines it (§5.5): identity plus
-	// the offline sample covariance, symmetrized.
-	p.sigma0 = matrix.Identity(n)
-	if p.known.Rows > 0 {
-		scale := 1 / float64(p.known.Rows)
-		for i := 0; i < p.known.Rows; i++ {
-			d := matrix.SubVec(p.known.RowView(i), p.colMean)
-			p.sigma0.AddScaledOuter(scale, d, d)
-		}
-		p.sigma0.Symmetrize()
-	}
 	for _, v := range p.known.Data {
 		p.sumSq += v * v
 		p.count++
 	}
-	// Pre-factor Σ₀ so a cold session's first E-step can skip its
-	// factorization. A failure here is not fatal: the session falls back to
-	// factorizing (with jitter) itself.
-	ch := matrix.NewCholeskyWorkspace(n)
-	if _, err := ch.FactorizeJitter(p.sigma0, matrix.DefaultJitter, matrix.DefaultJitterTries); err == nil {
-		p.chol0 = ch
-	}
 	return p, nil
+}
+
+// coldSigma returns Σ₀ and its Cholesky factor (nil when Σ₀ is not
+// factorable), building both on the first call. Only cold starts in a
+// session's own coordinates read them: identity-frame fits, the exact and
+// naive ablations, and the watchdog's rescue of a cold fit.
+func (p *Prior) coldSigma() (*matrix.Matrix, *matrix.Cholesky) {
+	p.sigma0Once.Do(func() {
+		// Initial Σ exactly as the EM cold start defines it (§5.5): identity
+		// plus the offline sample covariance, symmetrized.
+		n := p.n
+		p.sigma0 = matrix.Identity(n)
+		if p.known.Rows > 0 {
+			scale := 1 / float64(p.known.Rows)
+			for i := 0; i < p.known.Rows; i++ {
+				d := matrix.SubVec(p.known.RowView(i), p.colMean)
+				p.sigma0.AddScaledOuter(scale, d, d)
+			}
+			p.sigma0.Symmetrize()
+		}
+		// Pre-factor Σ₀ so a cold session's first exact E-step can skip its
+		// factorization. A failure here is not fatal: the session falls back
+		// to factorizing (with jitter) itself.
+		ch := matrix.NewCholeskyWorkspace(n)
+		if _, err := ch.FactorizeJitter(p.sigma0, matrix.DefaultJitter, matrix.DefaultJitterTries); err == nil {
+			p.chol0 = ch
+		}
+	})
+	return p.sigma0, p.chol0
 }
 
 // Configurations returns n, the width of the configuration space.
@@ -152,9 +169,10 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 }
 
 // NewSession creates an independent fitting session over this prior. Sessions
-// are cheap relative to a fit (they allocate the EM workspace but compute
-// nothing) and are not safe for concurrent use with themselves — use one per
-// goroutine; the shared Prior is. When the free list holds a released
+// are cheap relative to a fit (they allocate Σ and the EM workspace's
+// vectors, leaving its dense buffers to the first path that reads them, and
+// compute nothing) and are not safe for concurrent use with themselves — use
+// one per goroutine; the shared Prior is. When the free list holds a released
 // session it is recycled instead, which skips the workspace allocation
 // entirely; a recycled session is indistinguishable from a fresh one (every
 // fit path fully rewrites the parameters before reading them).
@@ -238,6 +256,12 @@ type Session struct {
 	// freshSigma marks that sigma is exactly the prior's Σ₀, so the first
 	// E-step may copy the pre-computed factor instead of refactorizing.
 	freshSigma bool
+
+	// sub is the data-subspace frame a cold fit runs in (frame.go),
+	// allocated on the session's first frame fit; own is the identity frame
+	// over the session's own parameters, refreshed by frame().
+	sub *subspace
+	own frame
 
 	// fallbackExact forces the exact E-step for the remainder of the current
 	// Fit: set (once, by Fit itself) when a numerical-health watchdog trips
@@ -324,14 +348,19 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 	if s.known.Rows == 0 && len(s.obsIdx) == 0 {
 		return nil, ErrNoData
 	}
+	if s.sub != nil {
+		// A frame lives for one fit; whatever the last fit left is stale.
+		s.sub.active = false
+	}
 	maxIter := s.opts.MaxIter
 	warmStart := s.warm
 	if s.warm {
 		// Incremental update: the parameters already sit near the fixed
 		// point, so a couple of iterations propagate the new observations.
 		maxIter = s.opts.WarmMaxIter
+		s.ws.ensureObs(s.n, len(s.obsIdx))
 	} else {
-		s.init()
+		s.coldStart()
 	}
 	// A warm refit against a populated database freezes Σ/σ² and runs from
 	// the operator cache (warm.go); every other shape of fit may rewrite
@@ -342,19 +371,23 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		s.ws.wc.invalidate()
 	}
 	s.ws.wc.fitPrepared = false
-	s.ws.ensureObs(s.n, len(s.obsIdx))
 	// The watchdogs can rescue a diverged fast-path fit by re-running it on
 	// the exact E-step, but only from the exact parameters this fit started
-	// with — back them up before the first attempt can corrupt them.
+	// with. A cold fit's are the prior's, which init reproduces; a warm fit's
+	// must be backed up before the first attempt can corrupt them.
 	canFallback := !s.opts.DisableHealthChecks && !s.opts.ExactEStep && !s.opts.NaiveEStep
-	if canFallback {
+	if canFallback && warmStart {
 		s.ws.saveStart(s)
 	}
 	res, err := s.run(ctx, maxIter)
 	if canFallback && IsNumericalHealth(err) {
 		s.health.Fallbacks++
 		mHealthFallbacks.Inc()
-		s.ws.restoreStart(s)
+		if warmStart {
+			s.ws.restoreStart(s)
+		} else {
+			s.init()
+		}
 		// The retry runs the exact E-step with full M-step updates: Σ/σ²
 		// will move and the exact path reuses the cached factor workspaces,
 		// so the frozen-fit cache cannot survive it.

@@ -150,43 +150,46 @@ func TestSessionNoData(t *testing.T) {
 
 // TestPriorConcurrentSessions: one Prior shared across goroutines, each with
 // its own Session, must produce identical results with no data races (run
-// under -race in CI).
+// under -race in CI). The ExactEStep prior's sessions cold-start from Σ₀,
+// so their first fits race to build it lazily.
 func TestPriorConcurrentSessions(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
-	prior, err := NewPrior(known, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	results := make([]*Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := prior.NewSession()
-			for i, idx := range obsIdx {
-				if err := s.Add(idx, obsVal[i]); err != nil {
+	for _, opts := range []Options{{}, {ExactEStep: true}} {
+		prior, err := NewPrior(known, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers = 8
+		results := make([]*Result, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				s := prior.NewSession()
+				for i, idx := range obsIdx {
+					if err := s.Add(idx, obsVal[i]); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				res, err := s.Fit(context.Background())
+				if err != nil {
 					t.Error(err)
 					return
 				}
-			}
-			res, err := s.Fit(context.Background())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[w] = res
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		if results[w] == nil || results[0] == nil {
-			t.Fatal("missing result")
+				results[w] = res
+			}(w)
 		}
-		for i := range results[0].Estimate {
-			if results[w].Estimate[i] != results[0].Estimate[i] {
-				t.Fatalf("worker %d diverged at estimate[%d]", w, i)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if results[w] == nil || results[0] == nil {
+				t.Fatal("missing result")
+			}
+			for i := range results[0].Estimate {
+				if results[w].Estimate[i] != results[0].Estimate[i] {
+					t.Fatalf("exact=%v: worker %d diverged at estimate[%d]", opts.ExactEStep, w, i)
+				}
 			}
 		}
 	}

@@ -113,8 +113,8 @@ func (em *Session) buildA() error {
 		q:    make([]float64, rows),
 	}
 	s2 := em.sigma2
-	matrix.CloneInto(ws.a, em.sigma).AddDiagonal(s2)
-	if err := ops.chA.Factorize(ws.a); err != nil {
+	a := matrix.CloneInto(ws.aBuf(), em.sigma).AddDiagonal(s2)
+	if err := ops.chA.Factorize(a); err != nil {
 		return fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 	}
 	// Same operation sequence as eStepFast, so Ĉ carries the same bits a
@@ -124,14 +124,15 @@ func (em *Session) buildA() error {
 	ops.logDetA = ops.chA.LogDet()
 
 	inv := 1 / s2
+	rhsFull := ws.rhsFullBuf()
 	for i := 0; i < rows; i++ {
 		row := em.known.RowView(i)
-		rhs := ws.rhsFull.RowView(i)
+		rhs := rhsFull.RowView(i)
 		for j := range rhs {
 			rhs[j] = row[j] * inv
 		}
 	}
-	matrix.MulTransBInto(ops.cy, ws.rhsFull, ops.cHat)
+	matrix.MulTransBInto(ops.cy, rhsFull, ops.cHat)
 	ops.chA.SolveTInto(ops.ay, em.known)
 	for i := 0; i < rows; i++ {
 		ops.q[i] = matrix.Dot(em.known.RowView(i), ops.ay.RowView(i))
@@ -253,8 +254,8 @@ func (em *Session) prepareTarget() error {
 		}
 	}
 	ws.chK.ForwardSolveTInto(ws.wT, ws.s)
-	matrix.SyrkInto(ws.sw, 1, ws.wT)
-	matrix.SubInto(ws.cTarget, em.sigma, ws.sw)
+	sw := matrix.SyrkInto(ws.swBuf(), 1, ws.wT)
+	matrix.SubInto(ws.cTargetBuf(), em.sigma, sw)
 	wc.fitPrepared = true
 	return nil
 }
@@ -303,14 +304,15 @@ func (em *Session) eStepWarm() (*eResult, error) {
 	for j := range wc.cmu {
 		wc.cmu[j] *= inv
 	}
+	zFull := ws.zFullBuf()
 	for i := 0; i < rows; i++ {
-		z := ws.zFull.RowView(i)
+		z := zFull.RowView(i)
 		cyi := ops.cy.RowView(i)
 		for j := 0; j < n; j++ {
 			z[j] = em.mu[j] + cyi[j] - wc.cmu[j]
 		}
 	}
-	out.zFull = ws.zFull
+	out.zFull = zFull
 	out.cFull = ops.cHat
 
 	if health {
@@ -327,7 +329,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 
 	k := len(em.obsIdx)
 	if k == 0 {
-		out.cTarget = matrix.CloneInto(ws.cTarget, em.sigma)
+		out.cTarget = matrix.CloneInto(ws.cTargetBuf(), em.sigma)
 		copy(ws.zTarget, em.mu)
 		out.zTarget = ws.zTarget
 		return out, nil
@@ -337,7 +339,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 			return nil, err
 		}
 	}
-	out.cTarget = ws.cTarget
+	out.cTarget = ws.cTargetBuf()
 
 	// GP-form posterior mean: ẑ_M = μ + S K⁻¹ (y_Ω − μ_Ω).
 	for i, idx := range em.obsIdx {
@@ -348,7 +350,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 	}
 	ws.chK.SolveVecInto(ws.tObs, ws.tObs)
 	if health {
-		out.ll += em.llTarget(ws.hd[:k], ws.tObs)
+		out.ll += llTarget(ws.chK, ws.hd[:k], ws.tObs)
 		out.llValid = true
 	}
 	matrix.MulVecInto(ws.zTarget, ws.s, ws.tObs)

@@ -40,6 +40,29 @@ func TestSyrkIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSymmetricProductIntoMatchesGEMM: for a = P·G with G symmetric the
+// product a·Pᵀ is symmetric, and the lower-triangle kernel must match the
+// full GEMM to round-off while coming out exactly symmetric.
+func TestSymmetricProductIntoMatchesGEMM(t *testing.T) {
+	rng := rand.New(rand.NewSource(206))
+	for _, m := range blockedSizes {
+		for _, k := range []int{0, 1, 3, 25} {
+			p := randomMatrix(rng, m, k)
+			g := randomMatrix(rng, k, k)
+			g = g.Add(g.Transpose())
+			a := p.Mul(g)
+			got := SymmetricProductInto(New(m, m), 0.5, a, p)
+			want := MulTransBInto(New(m, m), a, p).Scale(0.5)
+			if d := maxAbsDiff(got, want); d > kernelTol {
+				t.Errorf("SymmetricProductInto m=%d k=%d: max diff %g", m, k, d)
+			}
+			if !got.IsSymmetric(0) {
+				t.Errorf("SymmetricProductInto m=%d k=%d: not exactly symmetric", m, k)
+			}
+		}
+	}
+}
+
 func TestSyrkAccumIntoMatchesRank1Loop(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	for _, m := range []int{1, 2, 5, 64, 97} {
@@ -126,10 +149,12 @@ func TestSymmetricKernelsBitIdenticalAcrossWorkers(t *testing.T) {
 	a := randomMatrix(rng, n, 40)
 	rhs := randomMatrix(rng, n, n)
 	base := randomSPD(rng, n)
+	ra := rhs.Mul(a)
 
 	run := func() [][]float64 {
 		return [][]float64{
 			SyrkInto(New(n, n), 1.25, a).Data,
+			SymmetricProductInto(New(n, n), 0.75, ra, a).Data,
 			SyrkAccumInto(base.Clone(), 0.5, a).Data,
 			ch.InverseInto(New(n, n)).Data,
 			ch.ForwardSolveTInto(New(n, n), rhs).Data,
@@ -154,8 +179,8 @@ func TestParallelRangeWeightedCoversExactly(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
 	weights := []func(i int) float64{
-		func(i int) float64 { return float64(i + 1) },         // triangular
-		func(i int) float64 { return 0 },                      // degenerate: even split
+		func(i int) float64 { return float64(i + 1) },              // triangular
+		func(i int) float64 { return 0 },                           // degenerate: even split
 		func(i int) float64 { return float64(int(1) << (i % 20)) }, // wildly skewed
 	}
 	for wi, weight := range weights {
