@@ -9,8 +9,8 @@
 // The record keeps every parsed benchmark (ns/op, B/op, allocs/op and any
 // custom ReportMetric columns) plus a headline block with the numbers the
 // perf work tracks across PRs: the full-size EM fit, the full-size Cholesky
-// factorization, the steady-state E-step allocation count, and the warm
-// refit pair.
+// factorization, the steady-state E-step allocation count, the warm refit
+// pair, and one steady-state warm window at the paper's n = 1024.
 //
 // With -merge, benchjson instead reads the existing record at -out and adds
 // (or replaces) one multi-worker column keyed by -matrix-workers: the
@@ -121,7 +121,29 @@ var headlineKeys = map[string]struct{ key, field string }{
 	"BenchmarkEStepOnly":               {"estep_allocs_per_op", "allocs"},
 	"BenchmarkMultiWindowCold":         {"multi_window_cold_ms", "ns"},
 	"BenchmarkMultiWindowWarm":         {"multi_window_warm_ms", "ns"},
+	"BenchmarkMultiWindowWarmLarge":    {"multi_window_warm_large_ms", "ns"},
 	"BenchmarkWarmRefitAppend":         {"warm_refit_append_ms", "ns"},
+}
+
+// headline picks the headline metrics out of a parsed run: milliseconds per
+// op, or allocations per op, keyed as headlineKeys says.
+func headline(results []result) map[string]float64 {
+	out := map[string]float64{}
+	for _, r := range results {
+		h, ok := headlineKeys[r.Name]
+		if !ok {
+			continue
+		}
+		switch h.field {
+		case "ns":
+			out[h.key] = r.NsPerOp / 1e6
+		case "allocs":
+			if r.AllocsPerOp != nil {
+				out[h.key] = *r.AllocsPerOp
+			}
+		}
+	}
+	return out
 }
 
 // workerKeys names the parallel kernels the multi-worker sweep re-measures.
@@ -285,22 +307,8 @@ func main() {
 			CPUsPresent:   cpusPresent(),
 			GoMaxProcs:    runtime.GOMAXPROCS(0),
 			MatrixWorkers: *matrixWorkers,
-			Headline:      map[string]float64{},
+			Headline:      headline(results),
 			Benchmarks:    results,
-		}
-		for _, r := range results {
-			h, ok := headlineKeys[r.Name]
-			if !ok {
-				continue
-			}
-			switch h.field {
-			case "ns":
-				rec.Headline[h.key] = r.NsPerOp / 1e6
-			case "allocs":
-				if r.AllocsPerOp != nil {
-					rec.Headline[h.key] = *r.AllocsPerOp
-				}
-			}
 		}
 	}
 

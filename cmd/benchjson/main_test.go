@@ -34,6 +34,16 @@ BenchmarkMul512Parallel-4  	      10	  5000000 ns/op
 PASS
 `
 
+// Core bench fixture: the small and paper-size warm windows share a name
+// prefix and must land on separate headline keys.
+const coreBenchOutput = `goos: linux
+pkg: leo/internal/core
+BenchmarkMultiWindowWarm-2        	    3000	    412345 ns/op	    2200 B/op	       9 allocs/op
+BenchmarkMultiWindowWarmLarge-2   	     200	   5123456 ns/op	   17000 B/op	       9 allocs/op
+BenchmarkEStepOnly-2              	     500	   2000000 ns/op	       0 B/op	       0 allocs/op
+PASS
+`
+
 func parseFixture(t *testing.T, out string) []result {
 	t.Helper()
 	tmp := filepath.Join(t.TempDir(), "bench.txt")
@@ -182,5 +192,22 @@ func TestWorkerColumnAnnotatesNarrowMachine(t *testing.T) {
 	}
 	if _, ok := col["cpus_present_insufficient"]; ok {
 		t.Error("column annotated insufficient with an unknown CPU count")
+	}
+}
+
+func TestHeadline(t *testing.T) {
+	h := headline(parseFixture(t, coreBenchOutput))
+	want := map[string]float64{
+		"multi_window_warm_ms":       0.412345,
+		"multi_window_warm_large_ms": 5.123456,
+		"estep_allocs_per_op":        0,
+	}
+	if len(h) != len(want) {
+		t.Fatalf("headline has %d keys, want %d: %v", len(h), len(want), h)
+	}
+	for k, v := range want {
+		if got, ok := h[k]; !ok || got != v {
+			t.Errorf("%s = %v (present %v), want %v", k, got, ok, v)
+		}
 	}
 }

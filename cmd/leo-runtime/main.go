@@ -347,8 +347,9 @@ func serveFleet(ctx context.Context, space leo.Space, db *leo.Database, addr str
 		if err != nil {
 			fatal(err)
 		}
-		// Serving only ever reads Result.Estimate; lean results skip the
-		// per-fit Σ/μ clones, the dominant allocation on the refit hot path.
+		// Serving only ever reads Result.Estimate. Session refits never copy
+		// μ/Σ into their results; lean results keep any one-shot fit over
+		// these priors from handing them over too.
 		perfPrior, err := leo.NewModelPrior(rest.Perf, leo.ModelOptions{LeanResults: true})
 		if err != nil {
 			fatal(err)

@@ -120,7 +120,19 @@ func BenchmarkMultiWindowCold(b *testing.B) {
 // all 8 windows per op, cold start included; the headline is per warm window
 // now.)
 func BenchmarkMultiWindowWarm(b *testing.B) {
-	rest, obsIdx, obsVal := benchWindows(b, platform.Small(), benchWindowCount, 20)
+	benchWarmWindow(b, platform.Small())
+}
+
+// BenchmarkMultiWindowWarmLarge is BenchmarkMultiWindowWarm at the paper's
+// n = 1024: one steady-state frozen window per op, after an untimed cold
+// fit and first warm fit (the one-time O(n³) operator build).
+func BenchmarkMultiWindowWarmLarge(b *testing.B) {
+	benchWarmWindow(b, platform.Paper())
+}
+
+// benchWarmWindow times one steady-state warm window per op over space.
+func benchWarmWindow(b *testing.B, space platform.Space) {
+	rest, obsIdx, obsVal := benchWindows(b, space, benchWindowCount, 20)
 	prior, err := NewPrior(rest.Perf, Options{})
 	if err != nil {
 		b.Fatal(err)

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"leo/internal/matrix"
 )
@@ -128,13 +127,14 @@ type Options struct {
 	// estimate regardless (§5.5), so the capped estimate is the product, not
 	// an error.
 	StrictConvergence bool
-	// LeanResults leaves Result.Mu and Result.Sigma nil, skipping their
-	// per-fit deep copies (Σ alone is n² floats — the dominant per-fit
-	// allocation for a serving path that only reads Result.Estimate). The
-	// fit itself is untouched: every other Result field carries the same
-	// bits, sessions evolve identically, and the option is deliberately
-	// excluded from Prior.Digest so lean and full deployments can exchange
-	// persisted state.
+	// LeanResults makes the one-shot entry points (Estimate,
+	// EstimateContext, Prior.Estimate) leave Result.Mu and Result.Sigma nil
+	// instead of handing over their discarded session's parameters.
+	// Session.Fit never fills them either way: it copies nothing per fit,
+	// and a live session's parameters are read with Session.State. The fit
+	// itself is untouched: every other Result field carries the same bits,
+	// and the option is deliberately excluded from Prior.Digest so lean and
+	// full deployments can exchange persisted state.
 	LeanResults bool
 }
 
@@ -172,7 +172,12 @@ type Result struct {
 	// variance. The paper's CALOREE follow-on uses exactly this signal to
 	// decide when estimates are trustworthy.
 	Variance []float64
-	// Mu and Sigma are the fitted population mean and covariance.
+	// Mu and Sigma are the fitted population mean and covariance, set only
+	// by the one-shot entry points (Estimate, EstimateContext,
+	// Prior.Estimate), which hand over their discarded session's own
+	// parameters rather than copies, and not under LeanResults. A
+	// Session.Fit result leaves them nil; Session.State returns a live
+	// session's parameters.
 	Mu    []float64
 	Sigma *matrix.Matrix
 	// Noise is the fitted measurement standard deviation σ.
@@ -203,52 +208,9 @@ func Estimate(known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Options
 // iterations once ctx is done, returning an error wrapping ErrCanceled and
 // ctx.Err().
 func EstimateContext(ctx context.Context, known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	n := known.Cols
-	if n == 0 {
-		return nil, fmt.Errorf("core: zero-width data matrix")
-	}
-	if len(obsIdx) != len(obsVal) {
-		return nil, fmt.Errorf("core: %d observation indices but %d values", len(obsIdx), len(obsVal))
-	}
-	if known.Rows == 0 && len(obsIdx) == 0 {
-		return nil, ErrNoData
-	}
-	seen := make(map[int]bool, len(obsIdx))
-	for _, idx := range obsIdx {
-		if idx < 0 || idx >= n {
-			return nil, fmt.Errorf("core: observation index %d out of range [0,%d)", idx, n)
-		}
-		if seen[idx] {
-			return nil, fmt.Errorf("core: duplicate observation index %d", idx)
-		}
-		seen[idx] = true
-	}
-	if opts.InitMu != nil && len(opts.InitMu) != n {
-		return nil, fmt.Errorf("core: InitMu length %d != %d configurations", len(opts.InitMu), n)
-	}
-	for _, v := range obsVal {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: non-finite observation %g", v)
-		}
-	}
-	for _, v := range known.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("core: non-finite offline datum %g", v)
-		}
-	}
-
 	prior, err := NewPrior(known, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := prior.NewSession()
-	for i, idx := range obsIdx {
-		if err := s.Add(idx, obsVal[i]); err != nil {
-			return nil, err
-		}
-	}
-	// Session.Fit applies the same soft-convergence masking Estimate always
-	// had: non-convergence surfaces as an error only under StrictConvergence.
-	return s.Fit(ctx)
+	return prior.Estimate(ctx, obsIdx, obsVal)
 }

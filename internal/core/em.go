@@ -30,7 +30,6 @@ type emWorkspace struct {
 	// Allocated on first use; read them through the accessors.
 	chS      *matrix.Cholesky // n×n factor of Σ
 	chA      *matrix.Cholesky // n×n factor of Σ+σ²I
-	a        *matrix.Matrix   // n×n: Σ+σ²I
 	cFull    *matrix.Matrix   // n×n: shared posterior covariance
 	cTarget  *matrix.Matrix   // n×n: target posterior covariance
 	sw       *matrix.Matrix   // n×n: S K⁻¹ Sᵀ
@@ -47,6 +46,7 @@ type emWorkspace struct {
 	sinvMu  []float64 // Σ⁻¹μ (exact path only)
 	rhs     []float64 // target right-hand side
 	zTarget []float64 // target posterior mean
+	vTarget []float64 // diag(Ĉ_M) of a frozen fit, which forms no cTarget
 	tObs    []float64 // k: observed-coordinate residual / K⁻¹ solve scratch
 	d       []float64 // centered-difference scratch (M-step, exact path)
 	prev    []float64 // previous estimate (convergence check)
@@ -79,6 +79,7 @@ func newEMWorkspace(n, rows int) *emWorkspace {
 		sinvMu:  make([]float64, n),
 		rhs:     make([]float64, n),
 		zTarget: make([]float64, n),
+		vTarget: make([]float64, n),
 		d:       make([]float64, n),
 		prev:    make([]float64, n),
 		hd:      make([]float64, n),
@@ -93,7 +94,6 @@ func newEMWorkspace(n, rows int) *emWorkspace {
 // contents before reading them.
 func (ws *emWorkspace) factorS() *matrix.Cholesky   { return sizedChol(&ws.chS, ws.n) }
 func (ws *emWorkspace) factorA() *matrix.Cholesky   { return sizedChol(&ws.chA, ws.n) }
-func (ws *emWorkspace) aBuf() *matrix.Matrix        { return sized(&ws.a, ws.n, ws.n) }
 func (ws *emWorkspace) cFullBuf() *matrix.Matrix    { return sized(&ws.cFull, ws.n, ws.n) }
 func (ws *emWorkspace) cTargetBuf() *matrix.Matrix  { return sized(&ws.cTarget, ws.n, ws.n) }
 func (ws *emWorkspace) swBuf() *matrix.Matrix       { return sized(&ws.sw, ws.n, ws.n) }
@@ -140,7 +140,7 @@ func growVec(v []float64, n int) []float64 {
 // ensureObs.
 func (ws *emWorkspace) resize(n int) {
 	ws.n, ws.kcap = n, -1
-	for _, v := range [...]*[]float64{&ws.sinvMu, &ws.rhs, &ws.zTarget, &ws.d, &ws.prev, &ws.hd, &ws.hs, &ws.muBak} {
+	for _, v := range [...]*[]float64{&ws.sinvMu, &ws.rhs, &ws.zTarget, &ws.vTarget, &ws.d, &ws.prev, &ws.hd, &ws.hs, &ws.muBak} {
 		*v = growVec(*v, n)
 	}
 }
@@ -358,27 +358,29 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 	}
 	estimate := matrix.CloneVec(em.lift(e.zTarget))
 	variance := make([]float64, em.n)
-	if sp := em.sub; sp != nil && sp.active {
-		// Back to the session's own coordinates: the result, warm refits,
-		// State and FrozenOps all read the dense μ and Σ.
+	switch sp := em.sub; {
+	case sp != nil && sp.active:
+		// Back to the session's own coordinates: warm refits, State,
+		// FrozenOps and the one-shot entry points' results all read the
+		// dense μ and Σ.
 		sp.variance(variance, e)
 		sp.materialize(em.mu, em.sigma)
 		sp.active = false
-	} else {
+	case e.cTarget == nil:
+		copy(variance, e.vTarget)
+	default:
 		for i := range variance {
 			variance[i] = e.cTarget.At(i, i)
 		}
 	}
+	// μ and Σ stay with the session (Session.State copies them out); the
+	// one-shot entry points, which discard theirs, hand them over.
 	res := &Result{
 		Estimate:   estimate,
 		Variance:   variance,
 		Noise:      math.Sqrt(em.sigma2),
 		Iterations: iters,
 		Converged:  converged,
-	}
-	if !em.opts.LeanResults {
-		res.Mu = matrix.CloneVec(em.mu)
-		res.Sigma = em.sigma.Clone()
 	}
 	if !converged {
 		return res, &ErrNotConverged{Iterations: iters, Change: lastChange, Tol: em.opts.Tol}
@@ -408,7 +410,8 @@ type eResult struct {
 	zFull     *matrix.Matrix // (M−1)×n posterior means of fully observed apps
 	cFull     *matrix.Matrix // shared posterior covariance of fully observed apps
 	zTarget   []float64      // posterior mean of the target app
-	cTarget   *matrix.Matrix // posterior covariance of the target app
+	cTarget   *matrix.Matrix // posterior covariance of the target app (nil when frozen)
+	vTarget   []float64      // a frozen E-step's diag(Ĉ_M), in place of cTarget
 	sinvMu    []float64      // Σ^{-1} μ, reused by both branches
 	targetObs int
 
@@ -528,9 +531,8 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 	// Shared covariance and means for the fully observed applications.
 	zFull := ws.zFullBuf()
 	if f.known.Rows > 0 {
-		a, chA, cFull, rhsFull := ws.aBuf(), ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
-		matrix.CloneInto(a, f.sigma).AddDiagonal(s2)
-		if err := chA.Factorize(a); err != nil {
+		chA, cFull, rhsFull := ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
+		if err := chA.FactorizeShift(f.sigma, s2); err != nil {
 			return nil, fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 		}
 		chA.InverseInto(cFull)
@@ -643,9 +645,8 @@ func (em *Session) eStepExact() (*eResult, error) {
 	// Shared covariance for fully observed applications.
 	zFull := ws.zFullBuf()
 	if em.known.Rows > 0 {
-		a, chA, cFull, rhsFull := ws.aBuf(), ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
-		matrix.CloneInto(a, em.sigma).AddDiagonal(em.sigma2)
-		if err := chA.Factorize(a); err != nil {
+		chA, cFull, rhsFull := ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
+		if err := chA.FactorizeShift(em.sigma, em.sigma2); err != nil {
 			return nil, fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 		}
 		// SolveTInto yields Σ(Σ+σ²I)⁻¹ transposed relative to the textbook
@@ -862,13 +863,15 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 		matrix.SyrkAccumInto(sigma, 1, dev)
 	}
 
+	// πμμᵀ goes through the symmetric rank-1 update: each product lands in
+	// both mirrored entries, so Σ stays exactly symmetric for any π.
 	norm := 1 / (mf + 1)
 	if em.opts.StrictPaperSigma {
 		sigma.ScaleInPlace(norm)
-		sigma.AddScaledOuter(em.opts.Pi, mu, mu)
+		sigma.AddScaledSymOuter(em.opts.Pi, mu)
 		sigma.AddDiagonal(1)
 	} else {
-		sigma.AddScaledOuter(em.opts.Pi, mu, mu)
+		sigma.AddScaledSymOuter(em.opts.Pi, mu)
 		sigma.AddDiagonal(1) // Ψ = I
 		sigma.ScaleInPlace(norm)
 	}

@@ -87,10 +87,12 @@ func observe(rng *rand.Rand, truth []float64, k int) ([]int, []float64) {
 // the option ablations that change the cold start or the M-step) through
 // frame fits and the dense ExactEStep oracle. Random databases are
 // generic, so the frame is d = k + min(rows, n−k) (+1 for InitMu) wide.
+// Thirty more shapes run with a π that is not a power of two, under which Σ
+// must still come out exactly symmetric.
 func TestFrameFitMatchesExactProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	subspace := 0
-	for trial := 0; trial < 60; trial++ {
+	run := func(trial int, pi float64) {
 		n := 2 + rng.Intn(39)
 		rows := rng.Intn(9)
 		k := rng.Intn(n + 1)
@@ -113,6 +115,10 @@ func TestFrameFitMatchesExactProperty(t *testing.T) {
 			c.opts.StrictPaperSigma = true
 		}
 		c.name = fmt.Sprintf("n=%d/rows=%d/k=%d/opt=%d", n, rows, k, trial%4)
+		if pi != 0 {
+			c.opts.Pi = pi
+			c.name += fmt.Sprintf("/pi=%g", pi)
+		}
 		t.Run(c.name, func(t *testing.T) {
 			d := frameDim(t, c)
 			if want := min(k+c.rank, n); d != want {
@@ -124,8 +130,14 @@ func TestFrameFitMatchesExactProperty(t *testing.T) {
 			fitFrameVsExact(t, c)
 		})
 	}
+	for trial := 0; trial < 60; trial++ {
+		run(trial, 0)
+	}
 	if subspace < 30 {
 		t.Fatalf("only %d of 60 trials ran in a subspace frame", subspace)
+	}
+	for trial := 60; trial < 90; trial++ {
+		run(trial, [...]float64{0.3, 3.7}[trial%2])
 	}
 }
 
@@ -191,6 +203,10 @@ func TestFrameDegenerateInputs(t *testing.T) {
 		{name: "ZeroInit", known: base, obsIdx: idx, obsVal: vals, opts: Options{ZeroInit: true}, rank: rows},
 		{name: "StrictPaperSigma", known: base, obsIdx: idx, obsVal: vals,
 			opts: Options{StrictPaperSigma: true}, rank: rows},
+		{name: "Pi=0.3", known: base, obsIdx: idx, obsVal: vals, opts: Options{Pi: 0.3}, rank: rows},
+		{name: "k=n Pi=0.3", known: base, obsIdx: all, obsVal: allVals, opts: Options{Pi: 0.3}, rank: 0},
+		{name: "k=n Pi=3.7 StrictPaperSigma", known: base, obsIdx: all, obsVal: allVals,
+			opts: Options{Pi: 3.7, StrictPaperSigma: true}, rank: 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -236,9 +252,11 @@ func TestFrameInLoopLLMatchesReference(t *testing.T) {
 
 // TestFrameFitLeavesDenseBuffersUnallocated pins the lazy-allocation
 // contract: a cold fit in a subspace frame touches no n×n workspace buffer
-// (Σ aside) and never builds the prior's Σ₀; a restored session's frozen
-// refits allocate only what the frozen path reads; and the dense cold
-// start (here the ExactEStep ablation) builds Σ₀ on first use.
+// (Σ aside) and never builds the prior's Σ₀; frozen refits, after that cold
+// fit or after a restore, allocate only what the frozen path reads, which
+// excludes the target posterior covariance and its Woodbury product; and
+// the dense cold start (here the ExactEStep ablation) builds Σ₀ on first
+// use.
 func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
 	prior, err := NewPrior(known, Options{})
@@ -255,7 +273,7 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := s.ws
-	for name, m := range map[string]*matrix.Matrix{"a": ws.a, "cFull": ws.cFull, "cTarget": ws.cTarget,
+	for name, m := range map[string]*matrix.Matrix{"cFull": ws.cFull, "cTarget": ws.cTarget,
 		"sw": ws.sw, "rhsFull": ws.rhsFull, "zFull": ws.zFull, "dev": ws.dev, "sigmaBak": ws.sigmaBak} {
 		if m != nil {
 			t.Errorf("frame cold fit allocated the dense %s buffer", name)
@@ -267,6 +285,24 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	if prior.sigma0 != nil || prior.chol0 != nil {
 		t.Error("frame cold fit built the prior's Σ₀")
 	}
+	// Frozen refits on the same session: one with the same observations,
+	// one with the first dropped (a fresh kernel factorization).
+	for w := 0; w < 2; w++ {
+		if w == 1 {
+			s.ClearObservations()
+			for i, idx := range obsIdx[1:] {
+				if err := s.Add(idx, obsVal[i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := s.Fit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ws.cTarget != nil || ws.sw != nil {
+		t.Error("frozen refits formed the dense target posterior covariance")
+	}
 
 	restored := prior.NewSession()
 	if err := restored.Restore(s.State()); err != nil {
@@ -276,8 +312,9 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	rw := restored.ws
-	if rw.chS != nil || rw.chA != nil || rw.cFull != nil || rw.dev != nil || rw.sigmaBak != nil {
-		t.Error("frozen refit allocated buffers only the cold path reads")
+	if rw.chS != nil || rw.chA != nil || rw.cFull != nil || rw.dev != nil || rw.sigmaBak != nil ||
+		rw.cTarget != nil || rw.sw != nil {
+		t.Error("frozen refit allocated buffers only the dense paths read")
 	}
 
 	exact, err := NewPrior(known, Options{ExactEStep: true})

@@ -114,7 +114,7 @@ func (em *Session) scanPosterior(e *eResult, iter int) error {
 		bad = "target posterior mean"
 	case !finiteVec(f.mu):
 		bad = "population mean"
-	case !finiteDiag(e.cTarget):
+	case !finiteVec(e.vTarget) || e.cTarget != nil && !finiteDiag(e.cTarget):
 		bad = "target posterior variance"
 	case !finiteDiag(f.sigma) || math.IsNaN(f.alpha) || math.IsInf(f.alpha, 0):
 		bad = "population covariance diagonal"

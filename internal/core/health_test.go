@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -213,34 +214,58 @@ func TestHealthLLRegressionDisabled(t *testing.T) {
 // TestHealthInLoopLLMatchesReference: the alloc-free in-loop log-likelihood
 // must agree with the standalone LogLikelihood evaluation of the same
 // parameters — same quantity, different factorization path, so agreement is
-// to round-off rather than bit-exact.
+// to round-off rather than bit-exact. That covers the dense fast and exact
+// E-steps and the frozen warm E-step, which takes each database row's
+// quadratic from its posterior mean instead of a solve against Σ+σ²I.
 func TestHealthInLoopLLMatchesReference(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
-	for _, exact := range []bool{false, true} {
-		s := newEMState(known, obsIdx, obsVal, Options{ExactEStep: exact}.withDefaults())
-		s.init()
-		s.ws.ensureObs(s.n, len(obsIdx))
+	ctx := context.Background()
+	check := func(label string, s *Session) {
+		t.Helper()
 		for iter := 0; iter < 4; iter++ {
-			e, err := s.eStep(context.Background())
+			e, err := s.eStep(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !e.llValid {
-				t.Fatal("fast/exact paths must compute the in-loop log-likelihood")
+				t.Fatalf("%s: the E-step must compute the in-loop log-likelihood", label)
 			}
 			ref, err := LogLikelihood(s.known, s.obsIdx, s.obsVal, s.mu, s.sigma, math.Sqrt(s.sigma2))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rel := math.Abs(e.ll-ref) / (1 + math.Abs(ref)); rel > 1e-8 {
-				t.Fatalf("exact=%v iter=%d: in-loop ll %.12g vs reference %.12g (rel %g)",
-					exact, iter, e.ll, ref, rel)
+				t.Fatalf("%s iter=%d: in-loop ll %.12g vs reference %.12g (rel %g)",
+					label, iter, e.ll, ref, rel)
 			}
-			if err := s.mStep(context.Background(), e); err != nil {
+			if err := s.mStep(ctx, e); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
+	for _, exact := range []bool{false, true} {
+		s := newEMState(known, obsIdx, obsVal, Options{ExactEStep: exact}.withDefaults())
+		s.init()
+		s.ws.ensureObs(s.n, len(obsIdx))
+		check(fmt.Sprintf("exact=%v", exact), s)
+	}
+
+	// Frozen: a cold fit, then a new window set up the way Fit sets up a
+	// warm refit.
+	s := newEMState(known, obsIdx, obsVal, Options{}.withDefaults())
+	if _, err := s.Fit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.ClearObservations()
+	for i, idx := range obsIdx[:12] {
+		if err := s.Add(idx, 1.05*obsVal[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.frozen = true
+	s.ws.ensureObs(s.n, len(s.obsIdx))
+	s.ws.wc.fitPrepared = false
+	check("frozen", s)
 }
 
 // TestHealthJitterAccounting: a session whose Σ factorization needs the

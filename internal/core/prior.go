@@ -136,7 +136,10 @@ func (p *Prior) Options() Options { return p.opts }
 // Estimate runs one cold fit over this prior: the exact computation of the
 // package-level Estimate, minus rebuilding the offline model. Validation
 // matches Estimate too — mismatched lengths, duplicate or out-of-range
-// indices and non-finite values are rejected with the same errors.
+// indices and non-finite values are rejected with the same errors. The fit
+// runs in a session that is discarded afterwards, so unless LeanResults is
+// set the Result's Mu and Sigma are that session's own parameters, not
+// copies.
 func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*Result, error) {
 	if len(obsIdx) != len(obsVal) {
 		return nil, fmt.Errorf("core: %d observation indices but %d values", len(obsIdx), len(obsVal))
@@ -165,7 +168,11 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 			return nil, err
 		}
 	}
-	return s.Fit(ctx)
+	res, err := s.Fit(ctx)
+	if res != nil && !p.opts.LeanResults {
+		res.Mu, res.Sigma = s.mu, s.sigma
+	}
+	return res, err
 }
 
 // NewSession creates an independent fitting session over this prior. Sessions

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"leo/internal/matrix"
@@ -84,4 +87,75 @@ func TestEstimateScaleRobustAccuracy(t *testing.T) {
 			t.Fatalf("scale %g: accuracy %g", c, acc)
 		}
 	}
+}
+
+// TestFrozenVarianceMatchesDense: a frozen refit forms only the diagonal of
+// the target posterior covariance, as Σ_rr minus a squared row norm of
+// S L_K⁻ᵀ. It must agree with the dense Woodbury form
+// diag(Σ − Σ[:,Ω] K⁻¹ Σ[Ω,:]), K = σ²I + Σ[Ω,Ω], at the pinned parameters
+// — including k = 0, where the variance is diag(Σ) itself.
+func TestFrozenVarianceMatchesDense(t *testing.T) {
+	prior, truth := warmTestSetup(t)
+	n := prior.Configurations()
+	rng := rand.New(rand.NewSource(47))
+	ctx := context.Background()
+	s := prior.NewSession()
+	for _, k := range []int{20, 20, 0, 5} {
+		s.ClearObservations()
+		for _, idx := range profile.RandomMask(n, k, rng) {
+			if err := s.Add(idx, truth[idx]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm := s.warm
+		res, err := s.Fit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !warm {
+			continue // the cold fit only pins the parameters
+		}
+		if !s.frozen {
+			t.Fatal("warm refit did not run frozen")
+		}
+		st := s.State()
+		want := denseTargetVariance(t, st.Sigma, st.Sigma2, st.ObsIdx)
+		for r, v := range res.Variance {
+			if d := math.Abs(v - want[r]); d > 1e-10*(1+math.Abs(want[r])) {
+				t.Fatalf("k=%d: variance[%d] %.17g vs dense %.17g", k, r, v, want[r])
+			}
+		}
+	}
+}
+
+// denseTargetVariance evaluates diag(Σ − Σ[:,Ω] K⁻¹ Σ[Ω,:]) one row at a
+// time with K = σ²I + Σ[Ω,Ω].
+func denseTargetVariance(t *testing.T, sigma *matrix.Matrix, sigma2 float64, obs []int) []float64 {
+	t.Helper()
+	n, k := sigma.Rows, len(obs)
+	out := make([]float64, n)
+	for r := range out {
+		out[r] = sigma.At(r, r)
+	}
+	if k == 0 {
+		return out
+	}
+	kmat := matrix.New(k, k)
+	for a, ia := range obs {
+		for b, ib := range obs {
+			kmat.Set(a, b, sigma.At(ia, ib))
+		}
+	}
+	ch, err := matrix.NewCholesky(kmat.AddDiagonal(sigma2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, k)
+	for r := range out {
+		for a, ia := range obs {
+			row[a] = sigma.At(r, ia)
+		}
+		out[r] -= matrix.Dot(row, ch.SolveVec(row))
+	}
+	return out
 }

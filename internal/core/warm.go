@@ -11,13 +11,16 @@ import (
 //
 // Across consecutive warm fits the session freezes Σ and σ² (the M-step
 // updates μ only — see mStep), which makes every expensive operator of the
-// E-step a constant of the fit sequence: the factor of A = Σ+σ²I, the shared
-// posterior covariance Ĉ = σ²(I−σ²A⁻¹), the per-application products Ĉyᵢ/σ²
-// and A⁻¹yᵢ, and log|A|. eStepWarm computes them once (buildA) and then runs
-// each EM iteration in O(n²): one Ĉμ matvec, one A⁻¹μ solve, and O(k²)
-// target work — against the O(n³) factorize+invert of the general path. This
-// is the factor-level warm start of ISSUE 7: a warm refit is sublinear in
-// the work of a cold one.
+// E-step a constant of the fit sequence: the shared posterior covariance
+// Ĉ = σ²(I−σ²A⁻¹) with A = Σ+σ²I, the per-application products Ĉyᵢ/σ², and
+// log|A|. eStepWarm computes them once (buildA) and then runs each EM
+// iteration with one n² matvec (Ĉμ) and O(rows·n) work on the database
+// rows, plus O(nk² + k³) target work once per fit — against the O(n³)
+// factorize+invert of the general path. The likelihood watchdog needs no
+// solve against A: A⁻¹(yᵢ−μ) = (yᵢ−ẑᵢ)/σ², and ẑᵢ is already in hand. The
+// target posterior covariance Ĉ_M is formed only by its diagonal, because
+// a frozen fit reads nothing else of it (Result.Variance and the
+// non-finite scan; the M-step stops before the Σ and σ² updates).
 //
 // The target kernel K = σ²I+Σ[Ω,Ω] depends only on the observation index
 // set Ω (not the values), so it too is reused: unchanged Ω skips the
@@ -40,7 +43,6 @@ type warmCache struct {
 	ops *frozenOps
 
 	cmu []float64 // per-iteration: Ĉ μ / σ²
-	amu []float64 // per-iteration: A⁻¹ μ
 
 	// K-side bookkeeping: the observation index set ws.chK is factored for,
 	// and the jitter that factorization needed (appends require 0).
@@ -49,24 +51,22 @@ type warmCache struct {
 	kJitter float64
 	krow    []float64 // bordered-row assembly scratch
 
-	// fitPrepared marks the per-fit target quantities (chK, S, wT, cTarget)
-	// as current for this Fit's observation set; reset at every Fit entry.
+	// fitPrepared marks the per-fit target quantities (chK, S, wT and the
+	// workspace's vTarget) as current for this Fit's observation set; reset
+	// at every Fit entry.
 	fitPrepared bool
 }
 
 // frozenOps is the A-side operator set of a frozen warm fit: every quantity
 // that depends only on the pinned (Σ, σ²) and the prior's database. Never
-// written after buildA publishes it (the per-iteration solves read the
-// factor without touching it), so any number of sessions over the same
-// parameters may hold the same instance. paramsDigest fingerprints the
+// written after buildA publishes it, so any number of sessions over the
+// same parameters may hold the same instance. The factor of A is not kept:
+// nothing after buildA solves against it. paramsDigest fingerprints the
 // exact parameters it was built at.
 type frozenOps struct {
-	chA     *matrix.Cholesky // factor of A = Σ+σ²I
-	cHat    *matrix.Matrix   // n×n: shared posterior covariance Ĉ
-	cy      *matrix.Matrix   // rows×n: Ĉ yᵢ / σ²
-	ay      *matrix.Matrix   // rows×n: A⁻¹ yᵢ
-	q       []float64        // rows: yᵢᵀ A⁻¹ yᵢ (likelihood quadratic, constant part)
-	logDetA float64
+	cHat    *matrix.Matrix // n×n: shared posterior covariance Ĉ
+	cy      *matrix.Matrix // rows×n: Ĉ yᵢ / σ²
+	logDetA float64        // log|Σ+σ²I|
 
 	paramsDigest uint64 // FNV over (prior digest, σ², Σ bits)
 }
@@ -101,27 +101,20 @@ func (em *Session) frozenParamsDigest() uint64 {
 func (em *Session) buildA() error {
 	ws, wc, n := em.ws, &em.ws.wc, em.n
 	rows := em.known.Rows
-	if wc.cmu == nil {
-		wc.cmu = make([]float64, n)
-		wc.amu = make([]float64, n)
-	}
 	ops := &frozenOps{
-		chA:  matrix.NewCholeskyWorkspace(n),
 		cHat: matrix.New(n, n),
 		cy:   matrix.New(rows, n),
-		ay:   matrix.New(rows, n),
-		q:    make([]float64, rows),
 	}
 	s2 := em.sigma2
-	a := matrix.CloneInto(ws.aBuf(), em.sigma).AddDiagonal(s2)
-	if err := ops.chA.Factorize(a); err != nil {
+	chA := matrix.NewCholeskyWorkspace(n)
+	if err := chA.FactorizeShift(em.sigma, s2); err != nil {
 		return fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 	}
 	// Same operation sequence as eStepFast, so Ĉ carries the same bits a
 	// non-cached evaluation at these parameters would.
-	ops.chA.InverseInto(ops.cHat)
+	chA.InverseInto(ops.cHat)
 	ops.cHat.ScaleInPlace(-s2 * s2).AddDiagonal(s2)
-	ops.logDetA = ops.chA.LogDet()
+	ops.logDetA = chA.LogDet()
 
 	inv := 1 / s2
 	rhsFull := ws.rhsFullBuf()
@@ -133,10 +126,6 @@ func (em *Session) buildA() error {
 		}
 	}
 	matrix.MulTransBInto(ops.cy, rhsFull, ops.cHat)
-	ops.chA.SolveTInto(ops.ay, em.known)
-	for i := 0; i < rows; i++ {
-		ops.q[i] = matrix.Dot(em.known.RowView(i), ops.ay.RowView(i))
-	}
 	ops.paramsDigest = em.frozenParamsDigest()
 	wc.ops = ops
 	return nil
@@ -184,10 +173,6 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 		return false
 	}
 	if wc := &s.ws.wc; wc.ops == nil {
-		if wc.cmu == nil {
-			wc.cmu = make([]float64, s.n)
-			wc.amu = make([]float64, s.n)
-		}
 		wc.ops = o.ops
 	}
 	return true
@@ -196,7 +181,8 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 // prepareTarget readies the per-fit target quantities for the current
 // observation set: the factor of K = σ²I+Σ[Ω,Ω] (reused, appended, or
 // rebuilt), the cross covariance S = Σ[:,Ω], the half-solve Vᵀ = S L_K⁻ᵀ and
-// the posterior covariance Ĉ_M = Σ − VᵀV.
+// the diagonal of the posterior covariance Ĉ_M = Σ − VᵀV, whose entry r is
+// Σ_rr − ‖row r of Vᵀ‖²: O(nk) where forming Ĉ_M costs O(n²k).
 func (em *Session) prepareTarget() error {
 	ws, wc, n := em.ws, &em.ws.wc, em.n
 	k := len(em.obsIdx)
@@ -254,8 +240,10 @@ func (em *Session) prepareTarget() error {
 		}
 	}
 	ws.chK.ForwardSolveTInto(ws.wT, ws.s)
-	sw := matrix.SyrkInto(ws.swBuf(), 1, ws.wT)
-	matrix.SubInto(ws.cTargetBuf(), em.sigma, sw)
+	for r := 0; r < n; r++ {
+		v := ws.wT.RowView(r)
+		ws.vTarget[r] = em.sigma.Data[r*n+r] - matrix.Dot(v, v)
+	}
 	wc.fitPrepared = true
 	return nil
 }
@@ -279,10 +267,11 @@ func prefixEqual(prefix, full []int) bool {
 
 // eStepWarm is the frozen-parameter E-step: with Σ and σ² pinned, every
 // O(n³) operator comes from the cache and one iteration costs one n² matvec
-// (Ĉμ), one n² solve (A⁻¹μ, likelihood only) and O(nk+k²) target work.
-// Posteriors, means and the log-likelihood are the same quantities the
-// general path evaluates — the health watchdogs run the same per-iteration
-// scans over them.
+// (Ĉμ), O(rows·n) for the database rows' means and likelihood, and O(nk+k²)
+// target work. Posterior means and the log-likelihood are the same
+// quantities the general path evaluates, and the target posterior variance
+// is Ĉ_M's diagonal (vTarget, with no cTarget) — the health watchdogs run
+// the same per-iteration scans over them.
 func (em *Session) eStepWarm() (*eResult, error) {
 	ws, wc, n := em.ws, &em.ws.wc, em.n
 	out := &ws.e
@@ -299,6 +288,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 
 	// ẑᵢ = μ + Ĉ(yᵢ−μ)/σ² = μ + (Ĉyᵢ/σ²) − (Ĉμ/σ²): the cached per-app
 	// product plus one shared matvec.
+	wc.cmu = growVec(wc.cmu, n)
 	matrix.MulVecInto(wc.cmu, ops.cHat, em.mu)
 	inv := 1 / s2
 	for j := range wc.cmu {
@@ -311,25 +301,26 @@ func (em *Session) eStepWarm() (*eResult, error) {
 		for j := 0; j < n; j++ {
 			z[j] = em.mu[j] + cyi[j] - wc.cmu[j]
 		}
+		if health {
+			// Row i's likelihood quadratic dᵢᵀA⁻¹dᵢ with dᵢ = yᵢ−μ: ẑᵢ−μ =
+			// (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and no solve is needed.
+			quad := 0.0
+			for j, y := range em.known.RowView(i) {
+				quad += (y - em.mu[j]) * (y - z[j])
+			}
+			out.ll += -0.5 * (quad*inv + ops.logDetA + float64(n)*ln2pi)
+		}
 	}
 	out.zFull = zFull
 	out.cFull = ops.cHat
-
-	if health {
-		// Row i's likelihood quadratic dᵢᵀA⁻¹dᵢ expands around the cached
-		// pieces: yᵢᵀA⁻¹yᵢ − 2yᵢᵀA⁻¹μ + μᵀA⁻¹μ — one solve for all rows.
-		ops.chA.SolveVecInto(wc.amu, em.mu)
-		muAmu := matrix.Dot(em.mu, wc.amu)
-		for i := 0; i < rows; i++ {
-			quad := ops.q[i] - 2*matrix.Dot(ops.ay.RowView(i), em.mu) + muAmu
-			out.ll += -0.5 * (quad + ops.logDetA + float64(n)*ln2pi)
-		}
-		out.llValid = true
-	}
+	out.llValid = health
+	out.vTarget = ws.vTarget
 
 	k := len(em.obsIdx)
 	if k == 0 {
-		out.cTarget = matrix.CloneInto(ws.cTargetBuf(), em.sigma)
+		for i := range ws.vTarget {
+			ws.vTarget[i] = em.sigma.Data[i*n+i]
+		}
 		copy(ws.zTarget, em.mu)
 		out.zTarget = ws.zTarget
 		return out, nil
@@ -339,7 +330,6 @@ func (em *Session) eStepWarm() (*eResult, error) {
 			return nil, err
 		}
 	}
-	out.cTarget = ws.cTargetBuf()
 
 	// GP-form posterior mean: ẑ_M = μ + S K⁻¹ (y_Ω − μ_Ω).
 	for i, idx := range em.obsIdx {

@@ -36,7 +36,9 @@ func warmTestSetup(t testing.TB) (*Prior, []float64) {
 	return prior, truth
 }
 
-func sameResult(t *testing.T, what string, a, b *Result) {
+// sameResult requires two fits' Results, and the session parameters each
+// left behind (Session.State after the fit), to be bit-identical.
+func sameResult(t *testing.T, what string, a, b *Result, sa, sb *SessionState) {
 	t.Helper()
 	if len(a.Estimate) != len(b.Estimate) {
 		t.Fatalf("%s: estimate lengths %d vs %d", what, len(a.Estimate), len(b.Estimate))
@@ -46,14 +48,14 @@ func sameResult(t *testing.T, what string, a, b *Result) {
 			t.Fatalf("%s: estimate[%d] %v != %v", what, i, a.Estimate[i], b.Estimate[i])
 		}
 	}
-	for i := range a.Mu {
-		if a.Mu[i] != b.Mu[i] {
-			t.Fatalf("%s: mu[%d] %v != %v", what, i, a.Mu[i], b.Mu[i])
+	for i := range sa.Mu {
+		if sa.Mu[i] != sb.Mu[i] {
+			t.Fatalf("%s: mu[%d] %v != %v", what, i, sa.Mu[i], sb.Mu[i])
 		}
 	}
-	for i := range a.Sigma.Data {
-		if a.Sigma.Data[i] != b.Sigma.Data[i] {
-			t.Fatalf("%s: sigma[%d] %v != %v", what, i, a.Sigma.Data[i], b.Sigma.Data[i])
+	for i := range sa.Sigma.Data {
+		if sa.Sigma.Data[i] != sb.Sigma.Data[i] {
+			t.Fatalf("%s: sigma[%d] %v != %v", what, i, sa.Sigma.Data[i], sb.Sigma.Data[i])
 		}
 	}
 	if a.Noise != b.Noise {
@@ -85,6 +87,7 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coldSt := s.State()
 	mask2 := profile.RandomMask(prior.Configurations(), 20, rng)
 	s.ClearObservations()
 	for _, idx := range mask2 {
@@ -96,17 +99,18 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range warm.Sigma.Data {
-		if warm.Sigma.Data[i] != cold.Sigma.Data[i] {
-			t.Fatalf("warm fit moved Σ[%d]: %v -> %v", i, cold.Sigma.Data[i], warm.Sigma.Data[i])
+	warmSt := s.State()
+	for i := range warmSt.Sigma.Data {
+		if warmSt.Sigma.Data[i] != coldSt.Sigma.Data[i] {
+			t.Fatalf("warm fit moved Σ[%d]: %v -> %v", i, coldSt.Sigma.Data[i], warmSt.Sigma.Data[i])
 		}
 	}
 	if warm.Noise != cold.Noise {
 		t.Fatalf("warm fit moved σ: %v -> %v", cold.Noise, warm.Noise)
 	}
 	muMoved := false
-	for i := range warm.Mu {
-		if warm.Mu[i] != cold.Mu[i] {
+	for i := range warmSt.Mu {
+		if warmSt.Mu[i] != coldSt.Mu[i] {
 			muMoved = true
 			break
 		}
@@ -120,10 +124,10 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 // refits in two shapes — an accumulate phase (one new observation per fit,
 // exercising the factor Append path) and a clear-per-window phase (the
 // controller's DropObservations pattern, exercising the fresh-rebuild
-// fallback) — and returns every Result. When fresh is true the warm operator
-// cache is invalidated before each fit, forcing the fresh-factorization path
-// the incremental one must reproduce.
-func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) []*Result {
+// fallback) — and returns every Result with the session state after it.
+// When fresh is true the warm operator cache is invalidated before each fit,
+// forcing the fresh-factorization path the incremental one must reproduce.
+func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([]*Result, []*SessionState) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
@@ -131,6 +135,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) []
 	n := prior.Configurations()
 	perm := rng.Perm(n)
 	var out []*Result
+	var states []*SessionState
 
 	fit := func() {
 		t.Helper()
@@ -142,6 +147,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) []
 			t.Fatal(err)
 		}
 		out = append(out, res)
+		states = append(states, s.State())
 	}
 
 	// Accumulate: start from 5 observations (cold), then one more per fit.
@@ -174,7 +180,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) []
 		}
 		fit()
 	}
-	return out
+	return out, states
 }
 
 // TestWarmIncrementalMatchesFresh is the tentpole property test: every warm
@@ -185,13 +191,13 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) []
 // single-panel factorization bits (matrix.Cholesky.Append).
 func TestWarmIncrementalMatchesFresh(t *testing.T) {
 	prior, truth := warmTestSetup(t)
-	inc := runWarmSequence(t, prior, truth, false)
-	ref := runWarmSequence(t, prior, truth, true)
+	inc, incSt := runWarmSequence(t, prior, truth, false)
+	ref, refSt := runWarmSequence(t, prior, truth, true)
 	if len(inc) != len(ref) {
 		t.Fatalf("sequence lengths differ: %d vs %d", len(inc), len(ref))
 	}
 	for i := range inc {
-		sameResult(t, "fit "+string(rune('0'+i%10)), inc[i], ref[i])
+		sameResult(t, "fit "+string(rune('0'+i%10)), inc[i], ref[i], incSt[i], refSt[i])
 	}
 }
 
@@ -243,7 +249,7 @@ func TestWarmRestoreBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, "restored fit", a, b)
+		sameResult(t, "restored fit", a, b, live.State(), restored.State())
 	}
 }
 
@@ -339,5 +345,63 @@ func TestWarmFitAllocBudget(t *testing.T) {
 	const budget = 16
 	if allocs > budget {
 		t.Fatalf("warm Fit allocated %v times, budget %d", allocs, budget)
+	}
+}
+
+// TestFitBytesBudget pins what one Session.Fit allocates in bytes, measured
+// with runtime.MemStats.TotalAlloc over several fits: a cold fit on a
+// recycled session and a steady-state frozen refit each stay below one n×n
+// matrix (8·n² bytes). Neither may copy Σ into its Result, and the frozen
+// refit forms no n×n target posterior covariance.
+func TestFitBytesBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prior, truth := warmTestSetup(t)
+	n := prior.Configurations()
+	rng := rand.New(rand.NewSource(46))
+	ctx := context.Background()
+	masks := make([][]int, 4)
+	for i := range masks {
+		masks[i] = profile.RandomMask(n, 20, rng)
+	}
+	fit := func(s *Session, mask []int) {
+		t.Helper()
+		s.ClearObservations()
+		for _, idx := range mask {
+			if err := s.Add(idx, truth[idx]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Fit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const fits = 8
+	bytesPerFit := func(one func(i int)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < fits; i++ {
+			one(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / fits
+	}
+	budget := uint64(8 * n * n)
+
+	s := prior.NewSession()
+	fit(s, masks[0]) // sizes the session's frame workspace
+	cold := bytesPerFit(func(i int) {
+		s.Release()
+		s = prior.NewSession()
+		fit(s, masks[i%len(masks)])
+	})
+	if cold >= budget {
+		t.Errorf("cold fit on a recycled session allocated %d bytes, budget %d", cold, budget)
+	}
+
+	fit(s, masks[1]) // first warm refit: builds the operator cache
+	frozen := bytesPerFit(func(i int) { fit(s, masks[i%len(masks)]) })
+	t.Logf("n=%d: cold %d B/fit, frozen %d B/fit, budget %d B", n, cold, frozen, budget)
+	if frozen >= budget {
+		t.Errorf("frozen refit allocated %d bytes, budget %d", frozen, budget)
 	}
 }

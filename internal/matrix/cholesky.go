@@ -62,15 +62,19 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 // Factorize overwrites the receiver with the factorization of a (which must
 // match the workspace size and is not modified). On failure the workspace
 // contents are undefined but the workspace remains reusable.
-func (c *Cholesky) Factorize(a *Matrix) error { return c.factorize(a, 0) }
+func (c *Cholesky) Factorize(a *Matrix) error { return c.FactorizeShift(a, 0) }
 
-// factorize copies a (plus shift·I) into the workspace and runs the blocked
+// FactorizeShift is Factorize of a + shift·I without forming it: the copy
+// into the workspace adds shift to each diagonal entry, so the factor
+// carries the same bits as factorizing a shifted copy of a.
+//
+// It copies a (plus shift·I) into the workspace and runs the blocked
 // right-looking algorithm: factor a cholTile-wide diagonal block, solve the
 // panel below it, then apply the rank-cholTile update to the trailing
 // submatrix with rows fanned out across goroutines. Each element of the
 // trailing matrix accumulates its panel contribution in a fixed order, so
 // the result is bit-identical for every worker count.
-func (c *Cholesky) factorize(a *Matrix, shift float64) error {
+func (c *Cholesky) FactorizeShift(a *Matrix, shift float64) error {
 	if a.Rows != c.n || a.Cols != c.n {
 		panic(fmt.Sprintf("matrix: Factorize got %dx%d for workspace size %d", a.Rows, a.Cols, c.n))
 	}
@@ -303,7 +307,7 @@ func jitterLadder(try func(shift float64) error, jitter float64, maxTries int) (
 // Factorize it allocates nothing: every attempt re-copies a into the
 // workspace.
 func (c *Cholesky) FactorizeJitter(a *Matrix, jitter float64, maxTries int) (float64, error) {
-	return jitterLadder(func(shift float64) error { return c.factorize(a, shift) }, jitter, maxTries)
+	return jitterLadder(func(shift float64) error { return c.FactorizeShift(a, shift) }, jitter, maxTries)
 }
 
 // NewCholeskyJitter factors a, adding progressively larger multiples of the

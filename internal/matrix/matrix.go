@@ -233,6 +233,30 @@ func (m *Matrix) AddScaledOuter(s float64, x, y []float64) *Matrix {
 	return m
 }
 
+// AddScaledSymOuter adds s * x*x' to the square matrix m in place. Each
+// product (s·x_i)·x_j is computed once, for i ≥ j, and added to both m[i,j]
+// and m[j,i], so an exactly symmetric m stays exactly symmetric for any s.
+// AddScaledOuter rounds the two mirrored products separately when s is not
+// a power of two. At s = 1 both forms add the same bits.
+func (m *Matrix) AddScaledSymOuter(s float64, x []float64) *Matrix {
+	m.checkSquare("AddScaledSymOuter")
+	n := m.Rows
+	if len(x) != n {
+		panic(fmt.Sprintf("matrix: AddScaledSymOuter got %d for %dx%d", len(x), n, n))
+	}
+	for i, xv := range x {
+		f := s * xv
+		row := m.Data[i*n : i*n+i+1]
+		for j, yv := range x[:i] {
+			t := f * yv
+			row[j] += t
+			m.Data[j*n+i] += t
+		}
+		row[i] += f * xv
+	}
+	return m
+}
+
 // Symmetrize sets m = (m + m')/2 in place (square matrices only).
 func (m *Matrix) Symmetrize() *Matrix {
 	m.checkSquare("Symmetrize")

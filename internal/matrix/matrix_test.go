@@ -225,6 +225,34 @@ func TestAddScaledOuter(t *testing.T) {
 	}
 }
 
+// TestAddScaledSymOuter: the symmetric rank-1 update keeps a symmetric
+// matrix exactly symmetric at scales that are not powers of two (where
+// AddScaledOuter rounds the mirrored products apart), agrees with
+// AddScaledOuter to round-off, and adds the same bits at s = 1.
+func TestAddScaledSymOuter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 24
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	base := Identity(n)
+	base.AddScaledOuter(1, x, x)
+	for _, s := range []float64{0.3, 3.7, 1} {
+		sym := base.Clone().AddScaledSymOuter(s, x)
+		ref := base.Clone().AddScaledOuter(s, x, x)
+		if !sym.IsSymmetric(0) {
+			t.Errorf("s=%g: result not exactly symmetric", s)
+		}
+		if !sym.Equal(ref, 1e-14) {
+			t.Errorf("s=%g: differs from AddScaledOuter by %g", s, sym.MaxAbsDiff(ref))
+		}
+		if s == 1 && sym.MaxAbsDiff(ref) != 0 {
+			t.Error("s=1: bits differ from AddScaledOuter")
+		}
+	}
+}
+
 func TestSymmetrize(t *testing.T) {
 	m := NewFromRows([][]float64{{1, 2}, {4, 3}})
 	m.Symmetrize()

@@ -154,8 +154,12 @@ type (
 	Estimator = baseline.Estimator
 	// ModelOptions configures LEO's EM fit.
 	ModelOptions = core.Options
-	// ModelResult is the full output of one EM fit (estimate plus fitted
-	// parameters).
+	// ModelResult is the output of one EM fit: the estimate, its posterior
+	// variance, the noise level and convergence facts. FitModel and
+	// FitModelContext also return the fitted population parameters (Mu,
+	// Sigma), handing over their discarded session's own rather than
+	// copies, unless ModelOptions.LeanResults is set. A ModelSession's fits
+	// leave Mu and Sigma nil; read its parameters with State.
 	ModelResult = core.Result
 )
 
@@ -199,7 +203,9 @@ type (
 	// ModelPrior is the immutable offline model shared across sessions.
 	ModelPrior = core.Prior
 	// ModelSession is one incremental estimation session over a ModelPrior.
-	// Not safe for concurrent use; open one per goroutine.
+	// Its Fit results carry no copy of the fitted μ and Σ; State returns
+	// them (a deep copy). Not safe for concurrent use; open one per
+	// goroutine.
 	ModelSession = core.Session
 	// EstimatorSession is the estimator-level session interface
 	// (Estimator.NewSession); trivial estimators adapt their one-shot
