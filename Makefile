@@ -1,6 +1,10 @@
 GO ?= go
 
-.PHONY: build vet test race check faults bench bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+.PHONY: fmt build vet test race check faults bench bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+
+# fmt fails when gofmt would rewrite any Go file, and lists those files.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -14,11 +18,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the PR gate: everything builds, vet is clean, the full test suite
-# passes under the race detector, every benchmark still compiles and
-# single-steps, and the crash-safety and serve-mode contracts hold against
-# the real binary.
-check: build vet race bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+# check is the PR gate: every file is gofmt-clean, everything builds, vet is
+# clean, the full test suite passes under the race detector, every benchmark
+# still compiles and single-steps, and the crash-safety and serve-mode
+# contracts hold against the real binary.
+check: fmt build vet race bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
 
 # restart-smoke kills the leo-runtime binary between calibration windows,
 # restarts it from its state directory, corrupts the snapshot and tears the
@@ -49,20 +53,20 @@ cluster-smoke:
 # bench measures the perf-tracked benchmarks (the full-size EM fit and
 # Cholesky factorization, the symmetric-inverse and SYRK kernels behind the
 # symmetry-aware E-step, the §6.7 overhead fit, the allocation-free E-step,
-# the warm-vs-cold multi-window recalibration pair plus the append-path warm
-# refit, one steady-state frozen window at the paper's n = 1024, and the metrics-on/off EM iteration pair that pins the observability
-# overhead) and records them in BENCH_em.json so future PRs have a
-# trajectory. A second pass re-measures the parallel kernels at 2/4/8 workers
-# (GOMAXPROCS raised to match, -matrix-workers capping the pool — results are
-# bit-identical at any width, only the wall clock moves) and merges each
-# column into the same record. A final pass replays the synthetic fleet
-# against the estimation server over real HTTP and merges the service column
-# (windows refit per second, p99 plan latency), then runs the cluster
-# coordinator benchmark and merges the cluster column (node-epochs per
-# second, cap-violation rate, J/beat).
+# the warm-vs-cold multi-window recalibration pair, one steady-state frozen
+# window at the paper's n = 1024, and the metrics-on/off EM iteration pair
+# that pins the observability overhead) and records them in BENCH_em.json so
+# later changes have a trajectory. A second pass re-measures the parallel
+# kernels at 2/4/8 workers (GOMAXPROCS raised to match, -matrix-workers
+# capping the pool — results are bit-identical at any width, only the wall
+# clock moves) and merges each column into the same record. A final pass
+# replays the synthetic fleet against the estimation server over real HTTP and
+# merges the service column (windows refit per second, p99 plan latency), then
+# runs the cluster coordinator benchmark and merges the cluster column
+# (node-epochs per second, cap-violation rate, J/beat).
 WORKER_BENCH = 'BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkMul512Parallel'
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkWarmRefitAppend|BenchmarkEMIterationMetrics' \
+	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkEMIterationMetrics' \
 		-benchmem -timeout=60m . ./internal/core ./internal/matrix \
 		| $(GO) run ./cmd/benchjson -out BENCH_em.json
 	for w in 2 4 8; do \

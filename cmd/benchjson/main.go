@@ -122,7 +122,6 @@ var headlineKeys = map[string]struct{ key, field string }{
 	"BenchmarkMultiWindowCold":         {"multi_window_cold_ms", "ns"},
 	"BenchmarkMultiWindowWarm":         {"multi_window_warm_ms", "ns"},
 	"BenchmarkMultiWindowWarmLarge":    {"multi_window_warm_large_ms", "ns"},
-	"BenchmarkWarmRefitAppend":         {"warm_refit_append_ms", "ns"},
 }
 
 // headline picks the headline metrics out of a parsed run: milliseconds per

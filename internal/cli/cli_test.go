@@ -47,8 +47,8 @@ func TestListen(t *testing.T) {
 		wantErr bool
 	}{
 		{in: "", wantErr: true},
-		{in: "localhost", wantErr: true},      // no port
-		{in: "8080", wantErr: true},           // bare port, not host:port
+		{in: "localhost", wantErr: true}, // no port
+		{in: "8080", wantErr: true},      // bare port, not host:port
 		{in: "host:port:extra", wantErr: true},
 		{in: "localhost:8080"},
 		{in: ":0"}, // all interfaces, kernel-assigned port

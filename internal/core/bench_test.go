@@ -159,52 +159,6 @@ func benchWarmWindow(b *testing.B, space platform.Space) {
 	}
 }
 
-// BenchmarkWarmRefitAppend times the accumulate pattern instead: every op
-// adds one new observation to the existing set and refits, so the kernel
-// factor grows through Cholesky.Append rather than being rebuilt. The
-// session is re-seeded (untimed) whenever the window fills.
-func BenchmarkWarmRefitAppend(b *testing.B) {
-	rest, obsIdx, obsVal := benchWindows(b, platform.Small(), 1, 60)
-	prior, err := NewPrior(rest.Perf, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	s := prior.NewSession()
-	idx, val := obsIdx[0], obsVal[0]
-	const base = 8 // observations the re-seeded session starts from
-	reseed := func() {
-		s.ClearObservations()
-		for j := 0; j < base; j++ {
-			if err := s.Add(idx[j], val[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := s.Fit(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reseed() // cold
-	reseed() // warm: builds the operator cache
-	b.ReportAllocs()
-	b.ResetTimer()
-	span := len(idx) - base
-	for i := 0; i < b.N; i++ {
-		at := i % span
-		if at == 0 {
-			b.StopTimer()
-			reseed()
-			b.StartTimer()
-		}
-		if err := s.Add(idx[base+at], val[base+at]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Fit(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // eStepBenchState builds the initialized EM state the iteration benchmarks
 // step through.
 func eStepBenchState(b *testing.B) *Session {

@@ -184,9 +184,7 @@ func (ws *emWorkspace) ensureObs(n, k int) {
 		return
 	}
 	ws.kcap = k
-	// ws.chK is deliberately not resized here: the warm path grows it
-	// incrementally (Append) and the fresh-factorization sites resize it
-	// themselves just before factorizing.
+	ws.chK.Resize(k)
 	ws.s.Reshape(n, k)
 	ws.wT.Reshape(n, k)
 	ws.kmat.Reshape(k, k)
@@ -517,7 +515,7 @@ func llTarget(chK *matrix.Cholesky, diff, solved []float64) float64 {
 // disappear. Everything runs in the frame's workspace; after the first
 // iteration it allocates nothing.
 func (em *Session) eStepFast(f *frame) (*eResult, error) {
-	n, ws := f.n, f.ws
+	ws := f.ws
 	out := &ws.e
 	*out = eResult{targetObs: len(f.obsIdx)}
 	s2 := em.sigma2
@@ -570,24 +568,9 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 		out.zTarget = ws.zTarget
 		return out, nil
 	}
-	// S = Σ[:, Ω] (n×k), K = σ²I_k + Σ[Ω, Ω].
-	for col, idx := range f.obsIdx {
-		for r := 0; r < n; r++ {
-			ws.s.Data[r*k+col] = f.sigma.Data[r*n+idx]
-		}
+	if err := em.factorTarget(f); err != nil {
+		return nil, err
 	}
-	for a, ia := range f.obsIdx {
-		for b, ib := range f.obsIdx {
-			ws.kmat.Data[a*k+b] = f.sigma.Data[ia*n+ib]
-		}
-	}
-	ws.kmat.AddDiagonal(s2)
-	ws.chK.Resize(k)
-	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
-	if err != nil {
-		return nil, fmt.Errorf("core: observation kernel not factorable: %w", err)
-	}
-	em.noteJitter(applied)
 	// Row r of wT is L_K⁻¹ S[r,:], i.e. wT = S L_K⁻ᵀ, so the Woodbury
 	// correction S K⁻¹ Sᵀ = wT·wTᵀ lands as one symmetric rank-k product —
 	// exactly symmetric, like Σ, so their difference needs no Symmetrize.
@@ -614,6 +597,32 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 	matrix.AxpyInPlace(1, f.mu, ws.zTarget)
 	out.zTarget = ws.zTarget
 	return out, nil
+}
+
+// factorTarget builds the target's Woodbury operands in frame f: S =
+// Σ[:,Ω] (n×k) in ws.s and the factor of K = σ²I_k + Σ[Ω,Ω] in ws.chK.
+// eStepFast calls it every iteration, eStepWarm once per fit. eStepExact
+// keeps its own copy, because it is the reference the fast paths are
+// tested against.
+func (em *Session) factorTarget(f *frame) error {
+	n, k, ws := f.n, len(f.obsIdx), f.ws
+	for col, idx := range f.obsIdx {
+		for r := 0; r < n; r++ {
+			ws.s.Data[r*k+col] = f.sigma.Data[r*n+idx]
+		}
+	}
+	for a, ia := range f.obsIdx {
+		for b, ib := range f.obsIdx {
+			ws.kmat.Data[a*k+b] = f.sigma.Data[ia*n+ib]
+		}
+	}
+	ws.kmat.AddDiagonal(em.sigma2)
+	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
+	if err != nil {
+		return fmt.Errorf("core: observation kernel not factorable: %w", err)
+	}
+	em.noteJitter(applied)
+	return nil
 }
 
 // eStepExact is the pre-symmetry-aware evaluation of Eq. (3), selected by
@@ -694,7 +703,6 @@ func (em *Session) eStepExact() (*eResult, error) {
 		}
 	}
 	ws.kmat.AddDiagonal(em.sigma2)
-	ws.chK.Resize(k)
 	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
 	if err != nil {
 		return nil, fmt.Errorf("core: observation kernel not factorable: %w", err)

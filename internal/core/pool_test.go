@@ -121,7 +121,7 @@ func TestSessionPoolRecycles(t *testing.T) {
 	if r.warm || len(r.obsIdx) != 0 || len(r.obsPos) != 0 || r.health != (Health{}) {
 		t.Fatalf("recycled session not reset: warm=%v obs=%d health=%+v", r.warm, len(r.obsIdx), r.health)
 	}
-	if r.ws.wc.ops != nil || r.ws.wc.kValid || r.ws.wc.fitPrepared {
+	if r.ws.wc.ops != nil || r.ws.wc.fitPrepared {
 		t.Fatalf("recycled session kept a warm operator cache")
 	}
 	// A second NewSession with an empty pool allocates fresh.

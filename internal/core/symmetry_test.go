@@ -175,12 +175,10 @@ func TestEnsureObsReusesBuffers(t *testing.T) {
 	}
 
 	ws.ensureObs(n, 5)
-	// chK is exempt: the warm path grows it incrementally via Append, so
-	// only the fresh-factorization sites resize it.
 	if ws.s.Rows != n || ws.s.Cols != 5 || ws.wT.Cols != 5 || ws.kmat.Rows != 5 ||
-		len(ws.tObs) != 5 {
-		t.Fatalf("buffers not sized to k=5 after resize: s %dx%d wT cols %d kmat %d tObs %d",
-			ws.s.Rows, ws.s.Cols, ws.wT.Cols, ws.kmat.Rows, len(ws.tObs))
+		len(ws.tObs) != 5 || ws.chK.Size() != 5 {
+		t.Fatalf("buffers not sized to k=5 after resize: s %dx%d wT cols %d kmat %d tObs %d chK %d",
+			ws.s.Rows, ws.s.Cols, ws.wT.Cols, ws.kmat.Rows, len(ws.tObs), ws.chK.Size())
 	}
 }
 

@@ -22,14 +22,11 @@ import (
 // a frozen fit reads nothing else of it (Result.Variance and the
 // non-finite scan; the M-step stops before the Σ and σ² updates).
 //
-// The target kernel K = σ²I+Σ[Ω,Ω] depends only on the observation index
-// set Ω (not the values), so it too is reused: unchanged Ω skips the
-// factorization entirely, an Ω extended by new indices grows the factor via
-// Cholesky.Append — bit-identical to a fresh factorization while the factor
-// stays within one tile and jitter-free, which keeps restored-from-snapshot
-// sessions bit-identical to live ones — and any other change (drops,
-// reorders, jitter, past one tile) rebuilds fresh, counted by
-// matrix.NoteUpdownFallback.
+// The target kernel K = σ²I+Σ[Ω,Ω] is factored once per fit and reused
+// across that fit's iterations. At a calibration window's ~20 observations
+// that factorization costs a few thousand multiply-adds, against the three
+// n² matvecs the rest of a steady window costs, so nothing carries it from
+// one fit to the next.
 //
 // Everything cached is a pure function of (Σ, σ², prior database), so a
 // rebuild from scratch reproduces the same bits; the cache is invalidated
@@ -43,13 +40,6 @@ type warmCache struct {
 	ops *frozenOps
 
 	cmu []float64 // per-iteration: Ĉ μ / σ²
-
-	// K-side bookkeeping: the observation index set ws.chK is factored for,
-	// and the jitter that factorization needed (appends require 0).
-	kValid  bool
-	kObs    []int
-	kJitter float64
-	krow    []float64 // bordered-row assembly scratch
 
 	// fitPrepared marks the per-fit target quantities (chK, S, wT and the
 	// workspace's vTarget) as current for this Fit's observation set; reset
@@ -74,14 +64,8 @@ type frozenOps struct {
 // invalidate drops everything: the next frozen fit rebuilds from scratch.
 func (wc *warmCache) invalidate() {
 	wc.ops = nil
-	wc.kValid = false
 	wc.fitPrepared = false
 }
-
-// warmAppendMax is the largest factor size eligible for incremental appends:
-// one factorization tile, within which Append is bit-identical to a fresh
-// factorization (see matrix.Cholesky.Append).
-const warmAppendMax = 64
 
 // frozenParamsDigest fingerprints the exact parameters a frozenOps set is a
 // function of: the prior's digest, σ², and every bit of Σ.
@@ -178,93 +162,6 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 	return true
 }
 
-// prepareTarget readies the per-fit target quantities for the current
-// observation set: the factor of K = σ²I+Σ[Ω,Ω] (reused, appended, or
-// rebuilt), the cross covariance S = Σ[:,Ω], the half-solve Vᵀ = S L_K⁻ᵀ and
-// the diagonal of the posterior covariance Ĉ_M = Σ − VᵀV, whose entry r is
-// Σ_rr − ‖row r of Vᵀ‖²: O(nk) where forming Ĉ_M costs O(n²k).
-func (em *Session) prepareTarget() error {
-	ws, wc, n := em.ws, &em.ws.wc, em.n
-	k := len(em.obsIdx)
-
-	fresh := true
-	if wc.kValid && wc.kJitter == 0 && len(wc.kObs) <= k && k <= warmAppendMax {
-		if prefixEqual(wc.kObs, em.obsIdx) {
-			// Ω only grew (or is unchanged): border the factor out one new
-			// index at a time. K does not depend on the observed values, so
-			// latest-wins replacements reuse the factor outright.
-			fresh = false
-			for c := len(wc.kObs); c < k; c++ {
-				row := wc.ensureKrow(c + 1)
-				ic := em.obsIdx[c]
-				for j := 0; j < c; j++ {
-					row[j] = em.sigma.Data[em.obsIdx[j]*n+ic]
-				}
-				row[c] = em.sigma.Data[ic*n+ic] + em.sigma2
-				if err := ws.chK.Append(row); err != nil {
-					// Bordered pivot went non-positive: abandon the
-					// incremental factor and rebuild below.
-					matrix.NoteUpdownFallback()
-					fresh = true
-					break
-				}
-			}
-		}
-	}
-	if fresh {
-		if wc.kValid {
-			// A cached factor existed but the delta (drop, reorder, overflow
-			// past the append window) fell outside the incremental path.
-			matrix.NoteUpdownFallback()
-		}
-		for a, ia := range em.obsIdx {
-			for b, ib := range em.obsIdx {
-				ws.kmat.Data[a*k+b] = em.sigma.Data[ia*n+ib]
-			}
-		}
-		ws.kmat.AddDiagonal(em.sigma2)
-		ws.chK.Resize(k)
-		applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
-		if err != nil {
-			return fmt.Errorf("core: observation kernel not factorable: %w", err)
-		}
-		em.noteJitter(applied)
-		wc.kJitter = applied
-	}
-	wc.kObs = append(wc.kObs[:0], em.obsIdx...)
-	wc.kValid = true
-
-	for col, idx := range em.obsIdx {
-		for r := 0; r < n; r++ {
-			ws.s.Data[r*k+col] = em.sigma.Data[r*n+idx]
-		}
-	}
-	ws.chK.ForwardSolveTInto(ws.wT, ws.s)
-	for r := 0; r < n; r++ {
-		v := ws.wT.RowView(r)
-		ws.vTarget[r] = em.sigma.Data[r*n+r] - matrix.Dot(v, v)
-	}
-	wc.fitPrepared = true
-	return nil
-}
-
-func (wc *warmCache) ensureKrow(k int) []float64 {
-	if cap(wc.krow) < k {
-		wc.krow = make([]float64, k)
-	}
-	wc.krow = wc.krow[:k]
-	return wc.krow
-}
-
-func prefixEqual(prefix, full []int) bool {
-	for i, v := range prefix {
-		if full[i] != v {
-			return false
-		}
-	}
-	return true
-}
-
 // eStepWarm is the frozen-parameter E-step: with Σ and σ² pinned, every
 // O(n³) operator comes from the cache and one iteration costs one n² matvec
 // (Ĉμ), O(rows·n) for the database rows' means and likelihood, and O(nk+k²)
@@ -326,9 +223,18 @@ func (em *Session) eStepWarm() (*eResult, error) {
 		return out, nil
 	}
 	if !wc.fitPrepared {
-		if err := em.prepareTarget(); err != nil {
+		// Once per fit: S, the factor of K, the half-solve Vᵀ = S L_K⁻ᵀ and
+		// the diagonal of Ĉ_M = Σ − VᵀV, whose entry r is Σ_rr − ‖row r of
+		// Vᵀ‖² — O(nk) where forming Ĉ_M costs O(n²k).
+		if err := em.factorTarget(em.frame()); err != nil {
 			return nil, err
 		}
+		ws.chK.ForwardSolveTInto(ws.wT, ws.s)
+		for r := 0; r < n; r++ {
+			v := ws.wT.RowView(r)
+			ws.vTarget[r] = em.sigma.Data[r*n+r] - matrix.Dot(v, v)
+		}
+		wc.fitPrepared = true
 	}
 
 	// GP-form posterior mean: ẑ_M = μ + S K⁻¹ (y_Ω − μ_Ω).

@@ -121,12 +121,11 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 }
 
 // runWarmSequence drives one session through a cold fit followed by warm
-// refits in two shapes — an accumulate phase (one new observation per fit,
-// exercising the factor Append path) and a clear-per-window phase (the
-// controller's DropObservations pattern, exercising the fresh-rebuild
-// fallback) — and returns every Result with the session state after it.
-// When fresh is true the warm operator cache is invalidated before each fit,
-// forcing the fresh-factorization path the incremental one must reproduce.
+// refits in two shapes — an accumulate phase (one new observation per fit)
+// and a clear-per-window phase (the controller's DropObservations pattern)
+// — and returns every Result with the session state after it. When fresh
+// is true the warm operator cache is invalidated before each fit, forcing
+// the operator rebuild the cached path must reproduce.
 func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([]*Result, []*SessionState) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -163,8 +162,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([
 		}
 		fit()
 	}
-	// Latest-wins replacement: same index set, new value — the kernel factor
-	// must be reused as-is on the incremental path.
+	// Latest-wins replacement: same index set, new value.
 	if err := s.Add(perm[7], truth[perm[7]]*1.01); err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +182,9 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([
 }
 
 // TestWarmIncrementalMatchesFresh is the tentpole property test: every warm
-// refit served from the operator cache and the incrementally grown kernel
-// factor must be bit-identical to the same refit computed with fresh
-// factorizations — not merely within 1e-8, identical, because the cache is a
-// pure function of the frozen parameters and Append reproduces the
-// single-panel factorization bits (matrix.Cholesky.Append).
+// refit served from the operator cache must be bit-identical to the same
+// refit computed with the cache rebuilt — not merely within 1e-8,
+// identical, because the cache is a pure function of the frozen parameters.
 func TestWarmIncrementalMatchesFresh(t *testing.T) {
 	prior, truth := warmTestSetup(t)
 	inc, incSt := runWarmSequence(t, prior, truth, false)
@@ -203,8 +199,8 @@ func TestWarmIncrementalMatchesFresh(t *testing.T) {
 
 // TestWarmRestoreBitIdentity extends the PR-6 restore contract across the
 // incremental warm path: a session restored from a snapshot rebuilds its
-// factors from scratch, while the live session keeps appending to cached
-// ones — their subsequent fits must still be bit-identical.
+// operators from scratch, while the live session keeps its cached ones —
+// their subsequent fits must still be bit-identical.
 func TestWarmRestoreBitIdentity(t *testing.T) {
 	prior, truth := warmTestSetup(t)
 	rng := rand.New(rand.NewSource(43))
@@ -307,12 +303,12 @@ func TestWarmEstimateAccuracy(t *testing.T) {
 }
 
 // TestWarmFitAllocBudget pins the warm-refit allocation budget: with the
-// operator cache warm and the kernel factor reused (latest-wins replacement
-// pattern), one Session.Fit may allocate only the Result it hands back plus
-// the soft non-convergence error — not per-window scratch. The exact figure
-// is pinned so the incremental path can't silently regress toward the old
-// 126 allocs/op. GOMAXPROCS(1) forces the inline kernel path, as in
-// TestEMIterationAllocs — parallel fan-out allocates goroutines.
+// operator cache warm (latest-wins replacement pattern), one Session.Fit may
+// allocate only the Result it hands back plus the soft non-convergence error
+// — not per-window scratch. The exact figure is pinned so the frozen path
+// can't silently regress toward the old 126 allocs/op. GOMAXPROCS(1) forces
+// the inline kernel path, as in TestEMIterationAllocs — parallel fan-out
+// allocates goroutines.
 func TestWarmFitAllocBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prior, truth := warmTestSetup(t)

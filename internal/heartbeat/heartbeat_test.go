@@ -166,34 +166,38 @@ func TestOutOfOrderClamped(t *testing.T) {
 // patterns a faulty transport produces and asserts every windowed rate stays
 // finite and non-negative.
 func TestEdgeBatches(t *testing.T) {
+	type beat struct {
+		t float64
+		n int64
+	}
 	cases := []struct {
 		name      string
-		beats     []struct{ t float64; n int64 }
+		beats     []beat
 		wantRate  float64 // -1 ⇒ only assert finite and non-negative
 		reordered int64
 	}{
 		{
 			name:  "zero elapsed pair",
-			beats: []struct{ t float64; n int64 }{{3, 1}, {3, 1}},
+			beats: []beat{{3, 1}, {3, 1}},
 		},
 		{
 			name:  "all beats at one instant",
-			beats: []struct{ t float64; n int64 }{{2, 4}, {2, 4}, {2, 4}},
+			beats: []beat{{2, 4}, {2, 4}, {2, 4}},
 		},
 		{
 			name:      "out of order then forward",
-			beats:     []struct{ t float64; n int64 }{{10, 1}, {8, 1}, {12, 2}},
+			beats:     []beat{{10, 1}, {8, 1}, {12, 2}},
 			wantRate:  1.5, // 3 beats after the window start over [10,12]
 			reordered: 1,
 		},
 		{
 			name:      "strictly decreasing times",
-			beats:     []struct{ t float64; n int64 }{{9, 1}, {7, 1}, {5, 1}},
+			beats:     []beat{{9, 1}, {7, 1}, {5, 1}},
 			reordered: 2,
 		},
 		{
 			name:      "zero elapsed after reorder",
-			beats:     []struct{ t float64; n int64 }{{4, 1}, {4, 1}, {1, 1}},
+			beats:     []beat{{4, 1}, {4, 1}, {1, 1}},
 			reordered: 1,
 		},
 	}

@@ -30,11 +30,6 @@ type Cholesky struct {
 	// a steady-state loop calling InverseInto every iteration allocates
 	// nothing.
 	inv *Matrix
-
-	// upd is the rotation-sweep scratch for UpdateRankK / DowndateRankK /
-	// Append (one consumed vector at a time). Grow-only, same discipline
-	// as inv.
-	upd []float64
 }
 
 // NewCholeskyWorkspace returns an unfactored Cholesky with storage for n×n

@@ -346,8 +346,28 @@ func MulVecInto(dst []float64, m *Matrix, x []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("matrix: MulVecInto dst length %d != rows %d", len(dst), m.Rows))
 	}
-	for r := 0; r < m.Rows; r++ {
-		dst[r] = dotUnchecked(m.Data[r*m.Cols:(r+1)*m.Cols], x)
+	// Four rows per pass. Each row keeps its own single accumulator walking
+	// the columns ascending — dotUnchecked's order — so every output keeps
+	// its bits. A one-row loop is one serial add chain whose speed moved
+	// with where the linker placed it; four independent chains do not.
+	k := m.Cols
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		a0 := m.Data[r*k : (r+1)*k][:len(x)]
+		a1 := m.Data[(r+1)*k : (r+2)*k][:len(x)]
+		a2 := m.Data[(r+2)*k : (r+3)*k][:len(x)]
+		a3 := m.Data[(r+3)*k : (r+4)*k][:len(x)]
+		var s0, s1, s2, s3 float64
+		for t, v := range x {
+			s0 += a0[t] * v
+			s1 += a1[t] * v
+			s2 += a2[t] * v
+			s3 += a3[t] * v
+		}
+		dst[r], dst[r+1], dst[r+2], dst[r+3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
+		dst[r] = dotUnchecked(m.Data[r*k:(r+1)*k], x)
 	}
 	return dst
 }

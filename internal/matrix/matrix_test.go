@@ -282,6 +282,29 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
+// TestMulVecIntoBitIdentical pins MulVecInto's four-rows-per-pass loop to
+// the per-row dot product: every remainder of the row count and several
+// widths must land on dotUnchecked's bits exactly.
+func TestMulVecIntoBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for rows := 0; rows <= 9; rows++ {
+		for _, cols := range []int{0, 1, 3, 4, 17, 64, 129} {
+			m := randomMatrix(rng, rows, cols)
+			x := make([]float64, cols)
+			for i := range x {
+				x[i] = rng.NormFloat64() * 1e3
+			}
+			got := MulVecInto(make([]float64, rows), m, x)
+			for r := 0; r < rows; r++ {
+				want := dotUnchecked(m.RowView(r), x)
+				if math.Float64bits(got[r]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d row %d: MulVecInto %v, dot %v", rows, cols, r, got[r], want)
+				}
+			}
+		}
+	}
+}
+
 func TestMulSmall(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	b := NewFromRows([][]float64{{5, 6}, {7, 8}})

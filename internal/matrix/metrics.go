@@ -39,31 +39,7 @@ var (
 		"DPOTRI-style symmetric inverse invocations against a Cholesky factor")
 	mInverseNs = metrics.NewCounter("leo_matrix_inverse_ns_total",
 		"cumulative nanoseconds inside the symmetric inverse kernel")
-	mUpdateCalls = metrics.NewCounter("leo_matrix_update_calls_total",
-		"rank-k Cholesky update (A+VVᵀ) invocations")
-	mUpdateNs = metrics.NewCounter("leo_matrix_update_ns_total",
-		"cumulative nanoseconds inside the rank-k update kernel")
-	mDowndateCalls = metrics.NewCounter("leo_matrix_downdate_calls_total",
-		"rank-k Cholesky downdate (A−VVᵀ) attempts, rejected ones included")
-	mDowndateNs = metrics.NewCounter("leo_matrix_downdate_ns_total",
-		"cumulative nanoseconds inside the rank-k downdate kernel")
-	mDowndateRejects = metrics.NewCounter("leo_matrix_downdate_rejects_total",
-		"downdates rejected because a hyperbolic pivot went non-positive")
-	mAppendCalls = metrics.NewCounter("leo_matrix_append_calls_total",
-		"bordered Cholesky appends (factor grown by one row/column)")
-	mAppendNs = metrics.NewCounter("leo_matrix_append_ns_total",
-		"cumulative nanoseconds inside the bordered append")
-	mUpdownFallbacks = metrics.NewCounter("leo_matrix_updown_fallbacks_total",
-		"incremental factor maintenance abandoned for a fresh factorization")
 )
-
-// NoteUpdownFallback records that a caller abandoned incremental factor
-// maintenance (update/downdate/append) and refactorized from scratch —
-// either because a kernel rejected the operation or because the delta fell
-// outside the incremental path's guarantees.
-func NoteUpdownFallback() {
-	mUpdownFallbacks.Inc()
-}
 
 // kernelClock returns the kernel start time, or the zero Time when metrics
 // are disabled (kernelDone then skips the second clock read too).

@@ -332,9 +332,9 @@ func TestLoadSheddingServesDegradedRung(t *testing.T) {
 func TestTrafficGeneratorDeterministic(t *testing.T) {
 	f := newFixture(t)
 	cfg := TrafficConfig{
-		Seed:    7,
-		Tenants: 5,
-		Classes: []TrafficClass{{Name: "kmeans", PerfTruth: f.truePerf, PowerTruth: f.truePower}},
+		Seed:     7,
+		Tenants:  5,
+		Classes:  []TrafficClass{{Name: "kmeans", PerfTruth: f.truePerf, PowerTruth: f.truePower}},
 		MeanRate: 2, Duration: 3, ProbesPerWindow: 8,
 		DiurnalAmplitude: 0.5, DiurnalPeriod: 2, Noise: 0.01,
 	}

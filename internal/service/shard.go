@@ -982,7 +982,10 @@ func (sh *shard) snapshot() error {
 func (sh *shard) recover() error {
 	snap, err := sh.store.LoadSnapshot()
 	if err != nil {
-		return err
+		// Both generations unusable: the journal is never truncated, so
+		// replaying it from the start recovers every window — the same
+		// fallback as Controller.AttachStateStore.
+		snap = nil
 	}
 	if snap != nil {
 		for _, se := range snap.Sessions {
