@@ -122,6 +122,7 @@ var headlineKeys = map[string]struct{ key, field string }{
 	"BenchmarkMultiWindowCold":         {"multi_window_cold_ms", "ns"},
 	"BenchmarkMultiWindowWarm":         {"multi_window_warm_ms", "ns"},
 	"BenchmarkMultiWindowWarmLarge":    {"multi_window_warm_large_ms", "ns"},
+	"BenchmarkFirstFrozenRefitLarge":   {"first_frozen_refit_large_ms", "ns"},
 }
 
 // headline picks the headline metrics out of a parsed run: milliseconds per

@@ -40,6 +40,7 @@ const coreBenchOutput = `goos: linux
 pkg: leo/internal/core
 BenchmarkMultiWindowWarm-2        	    3000	    412345 ns/op	    2200 B/op	       9 allocs/op
 BenchmarkMultiWindowWarmLarge-2   	     200	   5123456 ns/op	   17000 B/op	       9 allocs/op
+BenchmarkFirstFrozenRefitLarge-2  	     300	   3750000 ns/op	  273000 B/op	      35 allocs/op
 BenchmarkEStepOnly-2              	     500	   2000000 ns/op	       0 B/op	       0 allocs/op
 PASS
 `
@@ -198,9 +199,10 @@ func TestWorkerColumnAnnotatesNarrowMachine(t *testing.T) {
 func TestHeadline(t *testing.T) {
 	h := headline(parseFixture(t, coreBenchOutput))
 	want := map[string]float64{
-		"multi_window_warm_ms":       0.412345,
-		"multi_window_warm_large_ms": 5.123456,
-		"estep_allocs_per_op":        0,
+		"multi_window_warm_ms":        0.412345,
+		"multi_window_warm_large_ms":  5.123456,
+		"first_frozen_refit_large_ms": 3.75,
+		"estep_allocs_per_op":         0,
 	}
 	if len(h) != len(want) {
 		t.Fatalf("headline has %d keys, want %d: %v", len(h), len(want), h)

@@ -130,6 +130,40 @@ func BenchmarkMultiWindowWarmLarge(b *testing.B) {
 	benchWarmWindow(b, platform.Paper())
 }
 
+// BenchmarkFirstFrozenRefitLarge times the first warm refit after a cold fit
+// at the paper's n = 1024: the refit that builds the frozen-parameter
+// operators (buildA) before its EM iterations. Each op runs an untimed cold
+// fit first, so every timed refit starts from a fresh posterior.
+func BenchmarkFirstFrozenRefitLarge(b *testing.B) {
+	rest, obsIdx, obsVal := benchWindows(b, platform.Paper(), 2, 20)
+	prior, err := NewPrior(rest.Perf, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	s := prior.NewSession()
+	window := func(w int) {
+		s.ClearObservations()
+		for j, idx := range obsIdx[w] {
+			if err := s.Add(idx, obsVal[w][j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := s.Fit(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.ForgetPosterior()
+		window(0) // cold fit
+		b.StartTimer()
+		window(1) // first frozen refit
+	}
+}
+
 // benchWarmWindow times one steady-state warm window per op over space.
 func benchWarmWindow(b *testing.B, space platform.Space) {
 	rest, obsIdx, obsVal := benchWindows(b, space, benchWindowCount, 20)

@@ -230,7 +230,7 @@ func (em *Session) coldStart() {
 func (em *Session) init() {
 	p := em.prior
 	if em.sub != nil {
-		em.sub.active = false
+		em.sub.active, em.sub.held = false, false
 	}
 	switch {
 	case em.opts.InitMu != nil:
@@ -243,7 +243,7 @@ func (em *Session) init() {
 		copy(em.mu, p.colMean)
 	}
 	sigma0, chol0 := p.coldSigma()
-	matrix.CloneInto(em.sigma, sigma0)
+	matrix.CloneInto(em.sigmaBuf(), sigma0)
 	em.sigma2 = em.initialNoise()
 	em.freshSigma = chol0 != nil && !em.opts.NaiveEStep
 	em.ws.ensureObs(em.n, len(em.obsIdx))
@@ -358,12 +358,12 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 	variance := make([]float64, em.n)
 	switch sp := em.sub; {
 	case sp != nil && sp.active:
-		// Back to the session's own coordinates: warm refits, State,
-		// FrozenOps and the one-shot entry points' results all read the
-		// dense μ and Σ.
+		// μ goes back to the session's own coordinates, where the next
+		// window moves it; Σ stays in the frame, which frozen refits, State
+		// and FrozenOps read (frame.go).
 		sp.variance(variance, e)
-		sp.materialize(em.mu, em.sigma)
-		sp.active = false
+		sp.lift(em.mu, sp.mu)
+		sp.active, sp.held = false, true
 	case e.cTarget == nil:
 		copy(variance, e.vTarget)
 	default:
@@ -372,7 +372,8 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 		}
 	}
 	// μ and Σ stay with the session (Session.State copies them out); the
-	// one-shot entry points, which discard theirs, hand them over.
+	// one-shot entry points, which discard theirs, hand them over unless
+	// LeanResults is set.
 	res := &Result{
 		Estimate:   estimate,
 		Variance:   variance,
@@ -601,9 +602,9 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 
 // factorTarget builds the target's Woodbury operands in frame f: S =
 // Σ[:,Ω] (n×k) in ws.s and the factor of K = σ²I_k + Σ[Ω,Ω] in ws.chK.
-// eStepFast calls it every iteration, eStepWarm once per fit. eStepExact
-// keeps its own copy, because it is the reference the fast paths are
-// tested against.
+// eStepFast calls it every iteration, eStepWarm once per fit on an
+// identity-frame posterior. eStepExact keeps its own copy, because it is
+// the reference the fast paths are tested against.
 func (em *Session) factorTarget(f *frame) error {
 	n, k, ws := f.n, len(f.obsIdx), f.ws
 	for col, idx := range f.obsIdx {
@@ -611,10 +612,15 @@ func (em *Session) factorTarget(f *frame) error {
 			ws.s.Data[r*k+col] = f.sigma.Data[r*n+idx]
 		}
 	}
-	for a, ia := range f.obsIdx {
-		for b, ib := range f.obsIdx {
-			ws.kmat.Data[a*k+b] = f.sigma.Data[ia*n+ib]
-		}
+	return em.factorKernel(ws, f.obsIdx)
+}
+
+// factorKernel factors K = σ²I_k + Σ[Ω,Ω] into ws.chK, taking Σ[Ω,Ω] from
+// the Ω rows of S = Σ[:,Ω], which ws.s must already hold.
+func (em *Session) factorKernel(ws *emWorkspace, obs []int) error {
+	k := len(obs)
+	for a, ia := range obs {
+		copy(ws.kmat.Data[a*k:(a+1)*k], ws.s.Data[ia*k:(ia+1)*k])
 	}
 	ws.kmat.AddDiagonal(em.sigma2)
 	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)

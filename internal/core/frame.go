@@ -28,6 +28,13 @@ import "leo/internal/matrix"
 // rank-revealing orthonormal basis Q of the database rows (and InitMu) with
 // their Ω entries zeroed. When d = n the frame is the whole space and the
 // fit runs in the identity frame — the session's own coordinates — instead.
+//
+// The fitted posterior stays in its cold fit's frame (DESIGN.md §16): μ is
+// lifted to a dense n-vector, because the next window's observations move
+// it out of V, but Σ = αI + P(Σ′−αI)Pᵀ is kept as (α, Q, Ω, Σ′). Frozen
+// refits never change Σ, so they act on it through that structure
+// (warm.go), and a dense Σ is formed only where a dense path needs one
+// (materialize).
 
 // frameRankTol is the rank tolerance of subspace.basis: a candidate whose
 // residual, once the basis so far is projected out, is at most frameRankTol
@@ -62,7 +69,8 @@ func (f *frame) comp() int { return f.full - f.n }
 type subspace struct {
 	frame
 	active bool  // a cold fit is running in this frame
-	omega  []int // Ω: the configurations of frame coordinates 0..k−1
+	held   bool  // the session's posterior Σ is (α, Q, Ω, Σ′) of this frame
+	omega  []int // Ω: the configurations of frame coordinates 0..k−1 (owned)
 
 	cand  *matrix.Matrix // basis candidates; Q's columns in the leading r rows
 	norms []float64      // candidates' norms before projection
@@ -74,6 +82,40 @@ type subspace struct {
 	blk   *matrix.Matrix // a block of a d×d frame matrix
 	h     *matrix.Matrix // n×r: Q times an r×r block
 	u     *matrix.Matrix // n×k: Q·(Σ′−αI)[Q,Ω]
+
+	// Frozen-refit scratch (warm.go): Pᵀv and Ĉ′Pᵀv, and the per-fit
+	// operands of Σ[:,Ω′] for a window's observations Ω′.
+	pt, pu []float64      // d
+	pk     *matrix.Matrix // k′×d: P[Ω′,:]
+	wt     *matrix.Matrix // k′×d: P[Ω′,:]·(Σ′−αI)
+	wq     *matrix.Matrix // k′×r: wt's Q columns
+}
+
+// heldFrame returns the subspace frame the session's posterior lives in, or
+// nil when it lives in the identity frame (the dense em.sigma).
+func (em *Session) heldFrame() *subspace {
+	if em.sub != nil && em.sub.held {
+		return em.sub
+	}
+	return nil
+}
+
+// sigmaBuf returns the session's dense Σ, allocating it on first use: only
+// identity-frame posteriors and the dense paths hold one.
+func (em *Session) sigmaBuf() *matrix.Matrix { return sized(&em.sigma, em.n, em.n) }
+
+// toIdentity moves a subspace-frame posterior into the identity frame,
+// materializing Σ into the session's dense Σ. The dense paths call it first:
+// the exact and naive E-steps, the watchdog's rescue of a warm fit, and
+// non-frozen warm fits, which update Σ itself.
+func (em *Session) toIdentity() {
+	sp := em.heldFrame()
+	if sp == nil {
+		return
+	}
+	sp.materialize(em.sigmaBuf())
+	sp.held = false
+	em.ws.wc.invalidate()
 }
 
 // frame returns the coordinates the fast E- and M-steps run in: the
@@ -125,7 +167,8 @@ func (em *Session) initSubspace() bool {
 	if d >= n {
 		return false
 	}
-	sp.omega = em.obsIdx
+	sp.omega = append(sp.omega[:0], em.obsIdx...)
+	sp.held = false
 	q := sized(&sp.q, n, r)
 	for c := 0; c < r; c++ {
 		for j, v := range sp.cand.RowView(c) {
@@ -273,34 +316,40 @@ func (sp *subspace) block(m *matrix.Matrix, r0, c0, rows, cols int) *matrix.Matr
 	return b
 }
 
-// variance writes the diagonal of the target posterior covariance in
-// configuration coordinates, Ĉ_M[j,j] = α(1−‖P_j‖²) + P_j Ĉ′_M P_jᵀ with
-// P_j row j of P and e the frame's final E-step: Ĉ′_M[a,a] at Ω_a, where
-// P_j is a unit vector, and α(1−‖Q_j‖²) + Q_j Ĉ′_M[Q,Q] Q_jᵀ elsewhere.
-func (sp *subspace) variance(dst []float64, e *eResult) {
+// diag writes the diagonal of αI + P(m−αI)Pᵀ, the configuration-coordinate
+// form of the frame matrix m with complement eigenvalue alpha:
+// m[a,a] at Ω_a, where P_j is a unit vector, and
+// alpha(1−‖Q_j‖²) + Q_j m[Q,Q] Q_jᵀ elsewhere. O(n·r²).
+func (sp *subspace) diag(dst []float64, m *matrix.Matrix, alpha float64) {
 	k, r := len(sp.omega), sp.q.Cols
 	h := sized(&sp.h, sp.full, r)
-	matrix.MulTransBInto(h, sp.q, sp.block(e.cTarget, k, k, r, r)) // the block is symmetric
+	matrix.MulTransBInto(h, sp.q, sp.block(m, k, k, r, r)) // the block is symmetric
 	for j := range dst {
 		qj := sp.q.RowView(j)
-		dst[j] = e.compTarget*(1-matrix.Dot(qj, qj)) + matrix.Dot(h.RowView(j), qj)
+		dst[j] = alpha*(1-matrix.Dot(qj, qj)) + matrix.Dot(h.RowView(j), qj)
 	}
 	for a, j := range sp.omega {
-		dst[j] = e.cTarget.At(a, a)
+		dst[j] = m.At(a, a)
 	}
 }
 
-// materialize writes the frame's parameters in configuration coordinates:
-// μ = Pμ′ and Σ = αI + PGPᵀ with G = Σ′−αI, block by block —
+// variance writes the diagonal of the target posterior covariance in
+// configuration coordinates from the frame's final E-step e.
+func (sp *subspace) variance(dst []float64, e *eResult) {
+	sp.diag(dst, e.cTarget, e.compTarget)
+}
+
+// materialize writes the frame's Σ = αI + PGPᵀ with G = Σ′−αI in
+// configuration coordinates, block by block —
 //
 //	Σ[Q,Q] = αI + Q G[Q,Q] Qᵀ,   Σ[Ω,·] = G[Ω,Q] Qᵀ,   Σ[Ω,Ω] = Σ′[Ω,Ω]
 //
 // where "Q" stands for the configurations outside Ω. The first block is
 // one computed triangle mirrored, and the Ω rows are written to their
-// columns too, so Σ is exactly symmetric.
-func (sp *subspace) materialize(mu []float64, sigma *matrix.Matrix) {
+// columns too, so Σ is exactly symmetric. O(n²·d): only the dense paths
+// (toIdentity) and SessionState.DenseSigma call it.
+func (sp *subspace) materialize(sigma *matrix.Matrix) {
 	n, k, r := sp.full, len(sp.omega), sp.q.Cols
-	sp.lift(mu, sp.mu)
 	g := sp.block(sp.sigma, k, k, r, r).AddDiagonal(-sp.alpha)
 	h := matrix.MulTransBInto(sized(&sp.h, n, r), sp.q, g) // G[Q,Q] is symmetric
 	matrix.SymmetricProductInto(sigma, 1, h, sp.q).AddDiagonal(sp.alpha)
@@ -318,5 +367,66 @@ func (sp *subspace) materialize(mu []float64, sigma *matrix.Matrix) {
 			sigma.Data[ja*n+jb] = v
 			sigma.Data[jb*n+ja] = v
 		}
+	}
+}
+
+// project writes Pᵀv into dst (length d): v's Ω entries, then Qᵀv,
+// accumulated over Q's rows. O(n·r).
+func (sp *subspace) project(dst, v []float64) []float64 {
+	k := len(sp.omega)
+	for a, j := range sp.omega {
+		dst[a] = v[j]
+	}
+	t := dst[k:]
+	for c := range t {
+		t[c] = 0
+	}
+	for j, x := range v {
+		if x != 0 {
+			matrix.AxpyInPlace(x, sp.q.RowView(j), t)
+		}
+	}
+	return dst
+}
+
+// columns writes S = Σ[:,Ω′] (n×k′) for a window's observed configurations
+// obs into s, from the frame: with G = Σ′−αI,
+//
+//	S = αE_Ω′ + P·G·P[Ω′,:]ᵀ
+//
+// formed as Wᵀ = P[Ω′,:]·G (k′×d, a k′×d by d×d product), then one n×r by
+// r×k′ product Q·(Wᵀ's Q columns)ᵀ for the rows outside Ω, Wᵀ's Ω columns
+// for Ω's rows (where Q vanishes), and α on each observation's own entry.
+// O(n·r·k′ + k′·d²), where a gather from a dense Σ would need the n² Σ.
+func (sp *subspace) columns(s *matrix.Matrix, obs []int) {
+	k, r, d, kw := len(sp.omega), sp.q.Cols, sp.n, len(obs)
+	pk := sized(&sp.pk, kw, d)
+	for c, j := range obs {
+		row := pk.RowView(c)
+		for a, ja := range sp.omega {
+			row[a] = 0
+			if ja == j {
+				row[a] = 1
+			}
+		}
+		copy(row[k:], sp.q.RowView(j)) // zero when j ∈ Ω
+	}
+	wt := matrix.MulTransBInto(sized(&sp.wt, kw, d), pk, sp.sigma) // Σ′ is symmetric
+	for i, v := range pk.Data {
+		wt.Data[i] -= sp.alpha * v
+	}
+	wq := sized(&sp.wq, kw, r)
+	for c := 0; c < kw; c++ {
+		copy(wq.RowView(c), wt.RowView(c)[k:])
+	}
+	matrix.MulTransBInto(s, sp.q, wq)
+	for a, ja := range sp.omega {
+		row := s.RowView(ja)
+		for c := range row {
+			row[c] = wt.Data[c*d+a]
+		}
+	}
+	for c, j := range obs {
+		s.Data[j*kw+c] += sp.alpha
 	}
 }

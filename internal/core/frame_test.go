@@ -236,7 +236,8 @@ func TestFrameInLoopLLMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.sub.materialize(mu, sigma)
+		s.sub.lift(mu, s.sub.mu)
+		s.sub.materialize(sigma)
 		ref, err := LogLikelihood(s.known, s.obsIdx, s.obsVal, mu, sigma, math.Sqrt(s.sigma2))
 		if err != nil {
 			t.Fatal(err)

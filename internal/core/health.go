@@ -103,11 +103,16 @@ func (em *Session) checkLL(ll, prev float64, havePrev bool, iter int) error {
 // scanPosterior is the per-iteration non-finite scan: the target posterior
 // mean and variance, the population parameters μ and diag(Σ) (with a
 // subspace frame's complement eigenvalue α), and σ² must all stay finite,
-// in the coordinates of the frame the fit runs in. O(n) per iteration and
-// allocation-free, so the scan runs unconditionally inside the 0
+// in the coordinates of the frame the fit runs in — for a frozen refit on a
+// subspace posterior, dense μ with the frame's Σ′ and α. O(n) per iteration
+// and allocation-free, so the scan runs unconditionally inside the 0
 // allocs/iteration contract.
 func (em *Session) scanPosterior(e *eResult, iter int) error {
 	f := em.frame()
+	sigma, alpha := f.sigma, f.alpha
+	if sp := em.heldFrame(); sp != nil {
+		sigma, alpha = sp.sigma, sp.alpha
+	}
 	bad := ""
 	switch {
 	case !finiteVec(e.zTarget):
@@ -116,7 +121,7 @@ func (em *Session) scanPosterior(e *eResult, iter int) error {
 		bad = "population mean"
 	case !finiteVec(e.vTarget) || e.cTarget != nil && !finiteDiag(e.cTarget):
 		bad = "target posterior variance"
-	case !finiteDiag(f.sigma) || math.IsNaN(f.alpha) || math.IsInf(f.alpha, 0):
+	case !finiteDiag(sigma) || math.IsNaN(alpha) || math.IsInf(alpha, 0):
 		bad = "population covariance diagonal"
 	case math.IsNaN(em.sigma2) || math.IsInf(em.sigma2, 0) || em.sigma2 <= 0:
 		bad = "noise variance"

@@ -230,7 +230,11 @@ func TestHealthInLoopLLMatchesReference(t *testing.T) {
 			if !e.llValid {
 				t.Fatalf("%s: the E-step must compute the in-loop log-likelihood", label)
 			}
-			ref, err := LogLikelihood(s.known, s.obsIdx, s.obsVal, s.mu, s.sigma, math.Sqrt(s.sigma2))
+			sigma := s.sigma
+			if s.heldFrame() != nil {
+				sigma = s.State().DenseSigma() // a frozen refit on a subspace posterior
+			}
+			ref, err := LogLikelihood(s.known, s.obsIdx, s.obsVal, s.mu, sigma, math.Sqrt(s.sigma2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,6 +265,9 @@ func TestHealthInLoopLLMatchesReference(t *testing.T) {
 		if err := s.Add(idx, 1.05*obsVal[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if s.heldFrame() == nil {
+		t.Fatal("cold fit did not keep its posterior in the subspace frame")
 	}
 	s.frozen = true
 	s.ws.ensureObs(s.n, len(s.obsIdx))

@@ -170,15 +170,16 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 	}
 	res, err := s.Fit(ctx)
 	if res != nil && !p.opts.LeanResults {
+		s.toIdentity()
 		res.Mu, res.Sigma = s.mu, s.sigma
 	}
 	return res, err
 }
 
 // NewSession creates an independent fitting session over this prior. Sessions
-// are cheap relative to a fit (they allocate Σ and the EM workspace's
-// vectors, leaving its dense buffers to the first path that reads them, and
-// compute nothing) and are not safe for concurrent use with themselves — use
+// are cheap relative to a fit (they allocate μ and the EM workspace's
+// vectors, leaving Σ and the dense buffers to the first path that reads
+// them, and compute nothing) and are not safe for concurrent use with themselves — use
 // one per goroutine; the shared Prior is. When the free list holds a released
 // session it is recycled instead, which skips the workspace allocation
 // entirely; a recycled session is indistinguishable from a fresh one (every
@@ -201,7 +202,6 @@ func (p *Prior) NewSession() *Session {
 		n:      n,
 		m:      p.known.Rows + 1,
 		mu:     make([]float64, n),
-		sigma:  matrix.New(n, n),
 		obsPos: make(map[int]int),
 		ws:     newEMWorkspace(n, p.known.Rows),
 	}
@@ -254,7 +254,10 @@ type Session struct {
 
 	// Posterior parameters. Before the first fit (or after ForgetPosterior)
 	// they are seeded from the prior; afterwards they carry the previous
-	// fit's result, which is the warm start.
+	// fit's result, which is the warm start. μ is always dense. Σ lives in
+	// the posterior's frame (frame.go): the subspace frame sub when
+	// sub.held is set, otherwise the identity frame, where sigma holds it
+	// densely (allocated by the first path that needs it).
 	mu     []float64
 	sigma  *matrix.Matrix
 	sigma2 float64
@@ -265,8 +268,9 @@ type Session struct {
 	freshSigma bool
 
 	// sub is the data-subspace frame a cold fit runs in (frame.go),
-	// allocated on the session's first frame fit; own is the identity frame
-	// over the session's own parameters, refreshed by frame().
+	// allocated on the session's first frame fit, and the fitted
+	// posterior's frame afterwards; own is the identity frame over the
+	// session's own parameters, refreshed by frame().
 	sub *subspace
 	own frame
 
@@ -376,6 +380,10 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 	s.frozen = warmStart && s.known.Rows > 0 && !s.opts.ExactEStep && !s.opts.NaiveEStep
 	if !s.frozen {
 		s.ws.wc.invalidate()
+		if warmStart {
+			// A non-frozen warm fit updates Σ itself, on the dense paths.
+			s.toIdentity()
+		}
 	}
 	s.ws.wc.fitPrepared = false
 	// The watchdogs can rescue a diverged fast-path fit by re-running it on
@@ -391,7 +399,10 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		s.health.Fallbacks++
 		mHealthFallbacks.Inc()
 		if warmStart {
+			// A frozen attempt left Σ in its frame untouched; the exact
+			// retry runs on the materialized Σ.
 			s.ws.restoreStart(s)
+			s.toIdentity()
 		} else {
 			s.init()
 		}

@@ -14,16 +14,54 @@ import (
 // rebuilt, so it is deliberately elided: a restored session's next Fit is
 // bit-identical to the original's because the EM recurrence depends only on
 // (prior, μ, Σ, σ², observations).
+//
+// Σ is carried in the frame the session holds it in (DESIGN.md §16):
+// Σ = αI + P(Σ′−αI)Pᵀ with P = [E_Ω | Q], so a subspace-frame posterior
+// costs n·r + d² floats instead of n². An identity-frame posterior has
+// SigmaFrame = Σ (n×n) and no Alpha, Omega or Q.
 type SessionState struct {
-	// Warm reports whether Mu/Sigma/Sigma2 carry a posterior. When false
+	// Warm reports whether the posterior fields below are set. When false
 	// they are nil/zero and the restored session cold-starts from the prior.
-	Warm   bool
-	Mu     []float64
-	Sigma  *matrix.Matrix
-	Sigma2 float64
+	Warm bool
+	Mu   []float64 // μ, dense (n)
+	// Alpha is Σ's eigenvalue on the frame's complement (> 0).
+	Alpha float64
+	// Omega lists the configurations of frame coordinates 0..len(Omega)−1.
+	Omega []int
+	// Q is n×r, orthonormal and zero on Omega's rows; nil when r = 0.
+	Q *matrix.Matrix
+	// SigmaFrame is Σ′ = PᵀΣP, d×d with d = len(Omega) + r < n, or Σ
+	// itself (n×n) in the identity frame.
+	SigmaFrame *matrix.Matrix
+	Sigma2     float64
 	// ObsIdx/ObsVal are the session's observations in insertion order.
 	ObsIdx []int
 	ObsVal []float64
+}
+
+// identity reports whether st's posterior is in the identity frame.
+func (st *SessionState) identity() bool { return st.SigmaFrame.Rows == len(st.Mu) }
+
+// DenseSigma returns the posterior covariance Σ as a dense n×n matrix (a
+// fresh copy), or nil for a cold state. For a subspace frame it forms
+// αI + P(Σ′−αI)Pᵀ with the same arithmetic a session uses when a dense path
+// needs its Σ.
+func (st *SessionState) DenseSigma() *matrix.Matrix {
+	if !st.Warm || st.SigmaFrame == nil {
+		return nil
+	}
+	if st.identity() {
+		return st.SigmaFrame.Clone()
+	}
+	n := len(st.Mu)
+	sp := &subspace{omega: st.Omega, q: st.Q}
+	if sp.q == nil {
+		sp.q = matrix.New(n, 0)
+	}
+	sp.frame = frame{n: st.SigmaFrame.Rows, full: n, alpha: st.Alpha, sigma: st.SigmaFrame}
+	sigma := matrix.New(n, n)
+	sp.materialize(sigma)
+	return sigma
 }
 
 // State captures the session's restorable state as a deep copy: later
@@ -33,10 +71,91 @@ func (s *Session) State() *SessionState {
 	st.ObsIdx, st.ObsVal = s.Observations()
 	if s.warm {
 		st.Mu = matrix.CloneVec(s.mu)
-		st.Sigma = s.sigma.Clone()
 		st.Sigma2 = s.sigma2
+		if sp := s.heldFrame(); sp != nil {
+			st.Alpha = sp.alpha
+			st.Omega = append([]int(nil), sp.omega...)
+			if sp.q.Cols > 0 {
+				st.Q = sp.q.Clone()
+			}
+			st.SigmaFrame = sp.sigma.Clone()
+		} else {
+			st.SigmaFrame = s.sigma.Clone()
+		}
 	}
 	return st
+}
+
+// frameTol bounds |QᵀQ − I| for a restored basis: subspace.basis
+// re-orthogonalizes to round-off (1e-13 at the paper size), so anything
+// this far off was not written by a fit.
+const frameTol = 1e-10
+
+// validateFrame checks a warm state's posterior against n configurations:
+// shapes that agree, distinct in-range Ω entries, a Q that vanishes on Ω's
+// rows and is orthonormal, finite values and α > 0.
+func (st *SessionState) validateFrame(n int) error {
+	if len(st.Mu) != n {
+		return fmt.Errorf("core: state μ length %d != %d configurations", len(st.Mu), n)
+	}
+	sf := st.SigmaFrame
+	if sf == nil || sf.Rows != sf.Cols || sf.Rows > n {
+		return fmt.Errorf("core: state Σ′ shape does not fit %d configurations", n)
+	}
+	if !finiteVec(st.Mu) || !finiteVec(sf.Data) {
+		return fmt.Errorf("core: non-finite state posterior")
+	}
+	if math.IsNaN(st.Sigma2) || math.IsInf(st.Sigma2, 0) || st.Sigma2 <= 0 {
+		return fmt.Errorf("core: state noise variance %g not positive", st.Sigma2)
+	}
+	r := 0
+	if st.Q != nil {
+		r = st.Q.Cols
+	}
+	if st.identity() {
+		if len(st.Omega) != 0 || r != 0 {
+			return fmt.Errorf("core: identity-frame state carries a frame basis")
+		}
+		return nil
+	}
+	if len(st.Omega)+r != sf.Rows {
+		return fmt.Errorf("core: state frame of dimension %d has %d observed and %d basis directions",
+			sf.Rows, len(st.Omega), r)
+	}
+	if st.Q != nil && st.Q.Rows != n {
+		return fmt.Errorf("core: state basis has %d rows, want %d", st.Q.Rows, n)
+	}
+	if math.IsNaN(st.Alpha) || math.IsInf(st.Alpha, 0) || st.Alpha <= 0 {
+		return fmt.Errorf("core: state complement eigenvalue %g not positive", st.Alpha)
+	}
+	seen := make(map[int]bool, len(st.Omega))
+	for _, j := range st.Omega {
+		if j < 0 || j >= n || seen[j] {
+			return fmt.Errorf("core: state frame index %d out of range or repeated", j)
+		}
+		seen[j] = true
+	}
+	if r == 0 {
+		return nil
+	}
+	if !finiteVec(st.Q.Data) {
+		return fmt.Errorf("core: non-finite state basis")
+	}
+	for _, j := range st.Omega {
+		for _, v := range st.Q.RowView(j) {
+			if v != 0 {
+				return fmt.Errorf("core: state basis is nonzero on observed configuration %d", j)
+			}
+		}
+	}
+	gram := matrix.New(r, r)
+	for j := 0; j < n; j++ {
+		gram.AddScaledOuter(1, st.Q.RowView(j), st.Q.RowView(j))
+	}
+	if d := gram.MaxAbsDiff(matrix.Identity(r)); !(d <= frameTol) {
+		return fmt.Errorf("core: state basis off orthonormal by %g", d)
+	}
+	return nil
 }
 
 // Restore replaces the session's observations and warm-start parameters with
@@ -61,24 +180,15 @@ func (s *Session) Restore(st *SessionState) error {
 		}
 	}
 	if st.Warm {
-		if len(st.Mu) != s.n {
-			return fmt.Errorf("core: state μ length %d != %d configurations", len(st.Mu), s.n)
-		}
-		if st.Sigma == nil || st.Sigma.Rows != s.n || st.Sigma.Cols != s.n {
-			return fmt.Errorf("core: state Σ shape does not match %d configurations", s.n)
-		}
-		if !finiteVec(st.Mu) || !finiteVec(st.Sigma.Data) {
-			return fmt.Errorf("core: non-finite state posterior")
-		}
-		if math.IsNaN(st.Sigma2) || math.IsInf(st.Sigma2, 0) || st.Sigma2 <= 0 {
-			return fmt.Errorf("core: state noise variance %g not positive", st.Sigma2)
+		if err := st.validateFrame(s.n); err != nil {
+			return err
 		}
 	}
 	s.Reset()
 	// The restored parameters need not match the ones the warm operator
 	// cache was built against; the next frozen fit rebuilds it (the cache is
-	// a pure function of Σ/σ²/prior, so the rebuild is bit-identical to what
-	// the captured session computed incrementally).
+	// a pure function of the posterior and σ², so the rebuild is
+	// bit-identical to what the captured session computed incrementally).
 	s.ws.wc.invalidate()
 	for i, idx := range st.ObsIdx {
 		if err := s.Add(idx, st.ObsVal[i]); err != nil {
@@ -87,14 +197,44 @@ func (s *Session) Restore(st *SessionState) error {
 	}
 	if st.Warm {
 		copy(s.mu, st.Mu)
-		matrix.CloneInto(s.sigma, st.Sigma)
 		s.sigma2 = st.Sigma2
+		if st.identity() {
+			if s.sub != nil {
+				s.sub.held = false
+			}
+			matrix.CloneInto(s.sigmaBuf(), st.SigmaFrame)
+		} else {
+			s.holdFrame(st)
+		}
 		s.warm = true
 		// The restored Σ is the fitted posterior, not the prior's Σ₀, so the
 		// precomputed cold-start factor must not be reused.
 		s.freshSigma = false
 	}
 	return nil
+}
+
+// holdFrame installs a validated subspace-frame posterior from st into the
+// session's frame storage.
+func (s *Session) holdFrame(st *SessionState) {
+	sp := s.sub
+	if sp == nil {
+		sp = &subspace{}
+		sp.ws = newEMWorkspace(0, s.known.Rows)
+		s.sub = sp
+	}
+	d := st.SigmaFrame.Rows
+	r := d - len(st.Omega)
+	sp.omega = append(sp.omega[:0], st.Omega...)
+	q := sized(&sp.q, s.n, r)
+	if r > 0 {
+		copy(q.Data, st.Q.Data)
+	}
+	f := &sp.frame
+	f.n, f.full, f.alpha = d, s.n, st.Alpha
+	f.ws.resize(d)
+	matrix.CloneInto(sized(&f.sigma, d, d), st.SigmaFrame)
+	sp.active, sp.held = false, true
 }
 
 // PriorDigest returns the digest of the prior this session was opened from;

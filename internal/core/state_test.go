@@ -122,10 +122,17 @@ func TestStateDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.State()
+	if st.Q == nil || len(st.Omega) == 0 {
+		t.Fatal("cold fit's state carries no subspace frame")
+	}
 	st.Mu[0] = 1e9
-	st.Sigma.Data[0] = 1e9
+	st.SigmaFrame.Data[0] = 1e9
+	st.Q.Data[len(st.Q.Data)-1] = 1e9
+	st.Omega[0] = -7
 	st.ObsVal[0] = 1e9
-	if s.mu[0] == 1e9 || s.sigma.Data[0] == 1e9 || s.obsVal[0] == 1e9 {
+	sp := s.heldFrame()
+	if s.mu[0] == 1e9 || sp.sigma.Data[0] == 1e9 || sp.q.Data[len(sp.q.Data)-1] == 1e9 ||
+		sp.omega[0] == -7 || s.obsVal[0] == 1e9 {
 		t.Fatal("State() shares memory with the session")
 	}
 }
@@ -196,7 +203,7 @@ func TestStateForgetPosteriorRoundTrip(t *testing.T) {
 	if st.Warm {
 		t.Fatal("ForgetPosterior state still warm")
 	}
-	if st.Mu != nil || st.Sigma != nil {
+	if st.Mu != nil || st.SigmaFrame != nil || st.Q != nil || st.Omega != nil {
 		t.Fatal("cold state carries posterior parameters")
 	}
 	restored := prior.NewSession()
@@ -215,6 +222,10 @@ func TestStateForgetPosteriorRoundTrip(t *testing.T) {
 }
 
 // TestStateRestoreRejects: malformed state must leave the session unchanged.
+// Besides the shape and finiteness of every field, a subspace-frame
+// posterior must describe a frame: len(Ω) + r = d, distinct in-range Ω
+// entries, a basis Q that vanishes on Ω's rows and is orthonormal, and a
+// positive complement eigenvalue α.
 func TestStateRestoreRejects(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
 	prior, err := NewPrior(known, Options{})
@@ -222,6 +233,28 @@ func TestStateRestoreRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := prior.Configurations()
+	donor := prior.NewSession()
+	for i, idx := range obsIdx {
+		if err := donor.Add(idx, obsVal[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := donor.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if donor.heldFrame() == nil {
+		t.Fatal("donor's posterior is not in a subspace frame")
+	}
+	// framed returns a deep copy of the donor's valid subspace-frame state
+	// with one defect applied.
+	framed := func(defect func(st *SessionState)) *SessionState {
+		st := donor.State()
+		defect(st)
+		return st
+	}
+	if err := prior.NewSession().Restore(framed(func(*SessionState) {})); err != nil {
+		t.Fatalf("valid subspace-frame state rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		st   *SessionState
@@ -231,16 +264,43 @@ func TestStateRestoreRejects(t *testing.T) {
 		{"index out of range", &SessionState{ObsIdx: []int{n}, ObsVal: []float64{1}}},
 		{"negative index", &SessionState{ObsIdx: []int{-1}, ObsVal: []float64{1}}},
 		{"non-finite value", &SessionState{ObsIdx: []int{0}, ObsVal: []float64{math.Inf(1)}}},
-		{"warm missing mu", &SessionState{Warm: true, Sigma: matrix.Identity(n), Sigma2: 1}},
-		{"warm bad sigma shape", &SessionState{Warm: true, Mu: make([]float64, n),
-			Sigma: matrix.Identity(n - 1), Sigma2: 1}},
+		{"warm missing mu", &SessionState{Warm: true, SigmaFrame: matrix.Identity(n), Sigma2: 1}},
+		{"warm non-square sigma", &SessionState{Warm: true, Mu: make([]float64, n),
+			SigmaFrame: matrix.New(n, n-1), Sigma2: 1}},
+		{"warm oversized sigma", &SessionState{Warm: true, Mu: make([]float64, n),
+			SigmaFrame: matrix.Identity(n + 1), Sigma2: 1}},
 		{"warm nil sigma", &SessionState{Warm: true, Mu: make([]float64, n), Sigma2: 1}},
 		{"warm nan mu", &SessionState{Warm: true, Mu: append(make([]float64, n-1), math.NaN()),
-			Sigma: matrix.Identity(n), Sigma2: 1}},
+			SigmaFrame: matrix.Identity(n), Sigma2: 1}},
 		{"warm zero sigma2", &SessionState{Warm: true, Mu: make([]float64, n),
-			Sigma: matrix.Identity(n), Sigma2: 0}},
+			SigmaFrame: matrix.Identity(n), Sigma2: 0}},
 		{"warm nan sigma2", &SessionState{Warm: true, Mu: make([]float64, n),
-			Sigma: matrix.Identity(n), Sigma2: math.NaN()}},
+			SigmaFrame: matrix.Identity(n), Sigma2: math.NaN()}},
+		{"identity frame with a basis", &SessionState{Warm: true, Mu: make([]float64, n),
+			SigmaFrame: matrix.Identity(n), Sigma2: 1, Omega: []int{0}}},
+		// One case per frame rule.
+		{"frame dimension mismatch", framed(func(st *SessionState) { st.Omega = st.Omega[1:] })},
+		{"basis row count", framed(func(st *SessionState) { st.Q = matrix.New(n-1, st.Q.Cols) })},
+		{"repeated omega", framed(func(st *SessionState) { st.Omega[1] = st.Omega[0] })},
+		{"omega out of range", framed(func(st *SessionState) { st.Omega[0] = n })},
+		{"negative omega", framed(func(st *SessionState) { st.Omega[0] = -1 })},
+		{"basis nonzero on omega", framed(func(st *SessionState) { st.Q.RowView(st.Omega[0])[0] = 1e-300 })},
+		{"basis not orthonormal", framed(func(st *SessionState) {
+			for j := 0; j < n; j++ {
+				st.Q.RowView(j)[0] *= 1 + 1e-9
+			}
+		})},
+		{"non-finite basis", framed(func(st *SessionState) {
+			for _, j := range rangeMissing(n, st.Omega) {
+				st.Q.RowView(j)[0] = math.NaN()
+				break
+			}
+		})},
+		{"non-finite frame sigma", framed(func(st *SessionState) { st.SigmaFrame.Data[1] = math.Inf(-1) })},
+		{"zero alpha", framed(func(st *SessionState) { st.Alpha = 0 })},
+		{"negative alpha", framed(func(st *SessionState) { st.Alpha = -1 })},
+		{"nan alpha", framed(func(st *SessionState) { st.Alpha = math.NaN() })},
+		{"inf alpha", framed(func(st *SessionState) { st.Alpha = math.Inf(1) })},
 	}
 	for _, tc := range cases {
 		s := prior.NewSession()
@@ -255,7 +315,25 @@ func TestStateRestoreRejects(t *testing.T) {
 		if got, _ := s.Observations(); len(got) != len(obsIdx) {
 			t.Fatalf("%s: failed Restore mutated the session", tc.name)
 		}
+		if s.warm || s.heldFrame() != nil {
+			t.Fatalf("%s: failed Restore installed a posterior", tc.name)
+		}
 	}
+}
+
+// rangeMissing lists 0..n−1 without the entries of skip.
+func rangeMissing(n int, skip []int) []int {
+	drop := make(map[int]bool, len(skip))
+	for _, j := range skip {
+		drop[j] = true
+	}
+	var out []int
+	for j := 0; j < n; j++ {
+		if !drop[j] {
+			out = append(out, j)
+		}
+	}
+	return out
 }
 
 // TestPriorStateRoundTrip: a prior rebuilt from its captured state has the

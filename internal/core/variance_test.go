@@ -119,7 +119,7 @@ func TestFrozenVarianceMatchesDense(t *testing.T) {
 			t.Fatal("warm refit did not run frozen")
 		}
 		st := s.State()
-		want := denseTargetVariance(t, st.Sigma, st.Sigma2, st.ObsIdx)
+		want := denseTargetVariance(t, st.DenseSigma(), st.Sigma2, st.ObsIdx)
 		for r, v := range res.Variance {
 			if d := math.Abs(v - want[r]); d > 1e-10*(1+math.Abs(want[r])) {
 				t.Fatalf("k=%d: variance[%d] %.17g vs dense %.17g", k, r, v, want[r])

@@ -12,23 +12,36 @@ import (
 // Across consecutive warm fits the session freezes Σ and σ² (the M-step
 // updates μ only — see mStep), which makes every expensive operator of the
 // E-step a constant of the fit sequence: the shared posterior covariance
-// Ĉ = σ²(I−σ²A⁻¹) with A = Σ+σ²I, the per-application products Ĉyᵢ/σ², and
-// log|A|. eStepWarm computes them once (buildA) and then runs each EM
-// iteration with one n² matvec (Ĉμ) and O(rows·n) work on the database
-// rows, plus O(nk² + k³) target work once per fit — against the O(n³)
-// factorize+invert of the general path. The likelihood watchdog needs no
-// solve against A: A⁻¹(yᵢ−μ) = (yᵢ−ẑᵢ)/σ², and ẑᵢ is already in hand. The
-// target posterior covariance Ĉ_M is formed only by its diagonal, because
-// a frozen fit reads nothing else of it (Result.Variance and the
-// non-finite scan; the M-step stops before the Σ and σ² updates).
+// Ĉ = σ²(I−σ²A⁻¹) with A = Σ+σ²I, the per-application products Ĉyᵢ/σ²,
+// log|A| and diag(Σ). buildA computes them once per posterior, in the frame
+// the posterior lives in (frame.go):
+//
+//   - Identity frame (Σ′ = Σ, P = I): Ĉ is n×n and each EM iteration applies
+//     it with one n² matvec, the order every identity-frame fit has always
+//     used.
+//   - Subspace frame, Σ = αI + P(Σ′−αI)Pᵀ: Ĉ is c⊥ = σ²α/(α+σ²) on V⊥ and
+//     Ĉ′ = σ²(I−σ²(Σ′+σ²I)⁻¹) on V, so buildA factors the d×d Σ′+σ²I,
+//     log|A| = log|Σ′+σ²I| + (n−d)·log(α+σ²), Ĉyᵢ/σ² = PĈ′Pᵀyᵢ/σ² (the
+//     database rows lie in V) and diag(Σ) comes from the structure —
+//     O(d³ + rows·n·d) in all. An iteration applies
+//     Ĉμ = c⊥μ + P(Ĉ′−c⊥I)Pᵀμ in O(n·d): μ stays a dense n-vector, because
+//     each window's observations move it out of V.
+//
+// Each iteration adds O(rows·n) work on the database rows, and each fit
+// O(n·r·k + nk² + k³) target work. The likelihood watchdog needs no solve
+// against A: A⁻¹(yᵢ−μ) = (yᵢ−ẑᵢ)/σ², and ẑᵢ is already in hand. The target
+// posterior covariance Ĉ_M is formed only by its diagonal, because a frozen
+// fit reads nothing else of it (Result.Variance and the non-finite scan;
+// the M-step stops before the Σ and σ² updates).
 //
 // The target kernel K = σ²I+Σ[Ω,Ω] is factored once per fit and reused
 // across that fit's iterations. At a calibration window's ~20 observations
-// that factorization costs a few thousand multiply-adds, against the three
-// n² matvecs the rest of a steady window costs, so nothing carries it from
-// one fit to the next.
+// that factorization costs a few thousand multiply-adds, against the O(n·d)
+// work the rest of a steady window costs, so nothing carries it from one fit
+// to the next.
 //
-// Everything cached is a pure function of (Σ, σ², prior database), so a
+// Everything cached is a pure function of the posterior's frame (α, Ω, Q,
+// Σ′; Σ itself in the identity frame), σ² and the prior database, so a
 // rebuild from scratch reproduces the same bits; the cache is invalidated
 // whenever a non-frozen fit (cold, exact, naive, watchdog fallback) or a
 // Restore may change Σ or σ².
@@ -48,17 +61,19 @@ type warmCache struct {
 }
 
 // frozenOps is the A-side operator set of a frozen warm fit: every quantity
-// that depends only on the pinned (Σ, σ²) and the prior's database. Never
-// written after buildA publishes it, so any number of sessions over the
-// same parameters may hold the same instance. The factor of A is not kept:
-// nothing after buildA solves against it. paramsDigest fingerprints the
-// exact parameters it was built at.
+// that depends only on the pinned posterior (its frame and σ²) and the
+// prior's database. Never written after buildA publishes it, so any number
+// of sessions over the same parameters may hold the same instance. The
+// factor of A is not kept: nothing after buildA solves against it.
+// paramsDigest fingerprints the exact parameters it was built at.
 type frozenOps struct {
-	cHat    *matrix.Matrix // n×n: shared posterior covariance Ĉ
+	cHat    *matrix.Matrix // d×d: Ĉ′, Ĉ in frame coordinates (Ĉ itself when d = n)
+	cComp   float64        // c⊥ = σ²α/(α+σ²), Ĉ on the complement (zero when d = n)
 	cy      *matrix.Matrix // rows×n: Ĉ yᵢ / σ²
+	diag    []float64      // n: diag(Σ)
 	logDetA float64        // log|Σ+σ²I|
 
-	paramsDigest uint64 // FNV over (prior digest, σ², Σ bits)
+	paramsDigest uint64 // FNV over (prior digest, σ², α, Ω, Q, Σ′)
 }
 
 // invalidate drops everything: the next frozen fit rebuilds from scratch.
@@ -68,51 +83,112 @@ func (wc *warmCache) invalidate() {
 }
 
 // frozenParamsDigest fingerprints the exact parameters a frozenOps set is a
-// function of: the prior's digest, σ², and every bit of Σ.
+// function of: the prior's digest, σ², and the posterior's frame — α, Ω, Q
+// and Σ′ (the dense Σ, with no Ω or Q, in the identity frame).
 func (em *Session) frozenParamsDigest() uint64 {
 	h := fnvOffset
 	h = fnvU64(h, em.prior.Digest())
 	h = fnvU64(h, math.Float64bits(em.sigma2))
-	for _, v := range em.sigma.Data {
+	sigma := em.sigma
+	if sp := em.heldFrame(); sp != nil {
+		h = fnvU64(h, math.Float64bits(sp.alpha))
+		h = fnvU64(h, uint64(len(sp.omega)))
+		for _, j := range sp.omega {
+			h = fnvU64(h, uint64(j))
+		}
+		h = fnvMatrix(h, sp.q)
+		sigma = sp.sigma
+	}
+	return fnvMatrix(h, sigma)
+}
+
+// fnvMatrix folds m's shape and every bit of its entries into h.
+func fnvMatrix(h uint64, m *matrix.Matrix) uint64 {
+	h = fnvU64(h, uint64(m.Rows))
+	h = fnvU64(h, uint64(m.Cols))
+	for _, v := range m.Data {
 		h = fnvU64(h, math.Float64bits(v))
 	}
 	return h
 }
 
-// buildA computes the A-side operators for the current (frozen) Σ and σ²
-// into a freshly allocated frozenOps (the previous set, if any, may still be
-// shared with other sessions and is never reused as scratch).
+// buildA computes the A-side operators for the current (frozen) posterior
+// and σ² into a freshly allocated frozenOps (the previous set, if any, may
+// still be shared with other sessions and is never reused as scratch).
 func (em *Session) buildA() error {
-	ws, wc, n := em.ws, &em.ws.wc, em.n
-	rows := em.known.Rows
-	ops := &frozenOps{
-		cHat: matrix.New(n, n),
-		cy:   matrix.New(rows, n),
+	n, rows, s2 := em.n, em.known.Rows, em.sigma2
+	sp := em.heldFrame()
+	sigma := em.sigma
+	if sp != nil {
+		sigma = sp.sigma
 	}
-	s2 := em.sigma2
-	chA := matrix.NewCholeskyWorkspace(n)
-	if err := chA.FactorizeShift(em.sigma, s2); err != nil {
+	d := sigma.Rows
+	ops := &frozenOps{
+		cHat: matrix.New(d, d),
+		cy:   matrix.New(rows, n),
+		diag: make([]float64, n),
+	}
+	chA := matrix.NewCholeskyWorkspace(d)
+	if err := chA.FactorizeShift(sigma, s2); err != nil {
 		return fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
 	}
-	// Same operation sequence as eStepFast, so Ĉ carries the same bits a
+	// Same operation sequence as eStepFast, so Ĉ′ carries the same bits a
 	// non-cached evaluation at these parameters would.
 	chA.InverseInto(ops.cHat)
 	ops.cHat.ScaleInPlace(-s2 * s2).AddDiagonal(s2)
 	ops.logDetA = chA.LogDet()
 
 	inv := 1 / s2
-	rhsFull := ws.rhsFullBuf()
-	for i := 0; i < rows; i++ {
-		row := em.known.RowView(i)
-		rhs := rhsFull.RowView(i)
-		for j := range rhs {
-			rhs[j] = row[j] * inv
+	if sp == nil {
+		rhsFull := em.ws.rhsFullBuf()
+		for i := 0; i < rows; i++ {
+			row := em.known.RowView(i)
+			rhs := rhsFull.RowView(i)
+			for j := range rhs {
+				rhs[j] = row[j] * inv
+			}
 		}
+		matrix.MulTransBInto(ops.cy, rhsFull, ops.cHat)
+		for j := range ops.diag {
+			ops.diag[j] = sigma.Data[j*n+j]
+		}
+	} else {
+		ops.logDetA += float64(n-d) * math.Log(sp.alpha+s2)
+		ops.cComp = s2 * sp.alpha / (sp.alpha + s2)
+		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²): the frame coordinates of every row, one
+		// d×d product, and a lift per row.
+		rhs := sized(&sp.ws.rhsFull, rows, d)
+		for i := 0; i < rows; i++ {
+			y := sp.project(rhs.RowView(i), em.known.RowView(i))
+			for c := range y {
+				y[c] *= inv
+			}
+		}
+		cy := matrix.MulTransBInto(sized(&sp.ws.zFull, rows, d), rhs, ops.cHat)
+		for i := 0; i < rows; i++ {
+			sp.lift(ops.cy.RowView(i), cy.RowView(i))
+		}
+		sp.diag(ops.diag, sp.sigma, sp.alpha)
 	}
-	matrix.MulTransBInto(ops.cy, rhsFull, ops.cHat)
 	ops.paramsDigest = em.frozenParamsDigest()
-	wc.ops = ops
+	em.ws.wc.ops = ops
 	return nil
+}
+
+// applyC writes Ĉv = c⊥v + P(Ĉ′−c⊥I)Pᵀv into dst for a subspace-frame
+// posterior: O(n·d), where the dense Ĉ costs an n² matvec.
+func (sp *subspace) applyC(dst []float64, ops *frozenOps, v []float64) {
+	d := sp.n
+	sp.pt, sp.pu = growVec(sp.pt, d), growVec(sp.pu, d)
+	t := sp.project(sp.pt, v)
+	u := matrix.MulVecInto(sp.pu, ops.cHat, t)
+	for i, x := range t {
+		u[i] -= ops.cComp * x
+	}
+	sp.lift(dst, u)
+	for j, x := range v {
+		dst[j] += ops.cComp * x
+	}
 }
 
 // FrozenOps is an immutable, shareable A-side operator cache for frozen warm
@@ -163,14 +239,16 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 }
 
 // eStepWarm is the frozen-parameter E-step: with Σ and σ² pinned, every
-// O(n³) operator comes from the cache and one iteration costs one n² matvec
-// (Ĉμ), O(rows·n) for the database rows' means and likelihood, and O(nk+k²)
-// target work. Posterior means and the log-likelihood are the same
-// quantities the general path evaluates, and the target posterior variance
-// is Ĉ_M's diagonal (vTarget, with no cTarget) — the health watchdogs run
-// the same per-iteration scans over them.
+// operator of the posterior comes from the cache and one iteration costs one
+// application of Ĉ (Ĉμ: O(n·d) in a subspace frame, one n² matvec in the
+// identity frame), O(rows·n) for the database rows' means and likelihood,
+// and O(nk+k²) target work. Posterior means and the log-likelihood are the
+// same quantities the general path evaluates, and the target posterior
+// variance is Ĉ_M's diagonal (vTarget, with no cTarget) — the health
+// watchdogs run the same per-iteration scans over them.
 func (em *Session) eStepWarm() (*eResult, error) {
 	ws, wc, n := em.ws, &em.ws.wc, em.n
+	sp := em.heldFrame()
 	out := &ws.e
 	*out = eResult{targetObs: len(em.obsIdx)}
 	if wc.ops == nil {
@@ -184,9 +262,13 @@ func (em *Session) eStepWarm() (*eResult, error) {
 	health := !em.opts.DisableHealthChecks
 
 	// ẑᵢ = μ + Ĉ(yᵢ−μ)/σ² = μ + (Ĉyᵢ/σ²) − (Ĉμ/σ²): the cached per-app
-	// product plus one shared matvec.
+	// product plus one shared application of Ĉ.
 	wc.cmu = growVec(wc.cmu, n)
-	matrix.MulVecInto(wc.cmu, ops.cHat, em.mu)
+	if sp != nil {
+		sp.applyC(wc.cmu, ops, em.mu)
+	} else {
+		matrix.MulVecInto(wc.cmu, ops.cHat, em.mu)
+	}
 	inv := 1 / s2
 	for j := range wc.cmu {
 		wc.cmu[j] *= inv
@@ -215,24 +297,28 @@ func (em *Session) eStepWarm() (*eResult, error) {
 
 	k := len(em.obsIdx)
 	if k == 0 {
-		for i := range ws.vTarget {
-			ws.vTarget[i] = em.sigma.Data[i*n+i]
-		}
+		copy(ws.vTarget, ops.diag)
 		copy(ws.zTarget, em.mu)
 		out.zTarget = ws.zTarget
 		return out, nil
 	}
 	if !wc.fitPrepared {
-		// Once per fit: S, the factor of K, the half-solve Vᵀ = S L_K⁻ᵀ and
-		// the diagonal of Ĉ_M = Σ − VᵀV, whose entry r is Σ_rr − ‖row r of
-		// Vᵀ‖² — O(nk) where forming Ĉ_M costs O(n²k).
-		if err := em.factorTarget(em.frame()); err != nil {
+		// Once per fit: S (from the frame, or gathered from the dense Σ),
+		// the factor of K, the half-solve Vᵀ = S L_K⁻ᵀ and the diagonal of
+		// Ĉ_M = Σ − VᵀV, whose entry r is Σ_rr − ‖row r of Vᵀ‖² — O(nk)
+		// where forming Ĉ_M costs O(n²k).
+		if sp != nil {
+			sp.columns(ws.s, em.obsIdx)
+			if err := em.factorKernel(ws, em.obsIdx); err != nil {
+				return nil, err
+			}
+		} else if err := em.factorTarget(em.frame()); err != nil {
 			return nil, err
 		}
 		ws.chK.ForwardSolveTInto(ws.wT, ws.s)
 		for r := 0; r < n; r++ {
 			v := ws.wT.RowView(r)
-			ws.vTarget[r] = em.sigma.Data[r*n+r] - matrix.Dot(v, v)
+			ws.vTarget[r] = ops.diag[r] - matrix.Dot(v, v)
 		}
 		wc.fitPrepared = true
 	}

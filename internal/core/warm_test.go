@@ -48,16 +48,7 @@ func sameResult(t *testing.T, what string, a, b *Result, sa, sb *SessionState) {
 			t.Fatalf("%s: estimate[%d] %v != %v", what, i, a.Estimate[i], b.Estimate[i])
 		}
 	}
-	for i := range sa.Mu {
-		if sa.Mu[i] != sb.Mu[i] {
-			t.Fatalf("%s: mu[%d] %v != %v", what, i, sa.Mu[i], sb.Mu[i])
-		}
-	}
-	for i := range sa.Sigma.Data {
-		if sa.Sigma.Data[i] != sb.Sigma.Data[i] {
-			t.Fatalf("%s: sigma[%d] %v != %v", what, i, sa.Sigma.Data[i], sb.Sigma.Data[i])
-		}
-	}
+	samePosterior(t, what, sa, sb)
 	if a.Noise != b.Noise {
 		t.Fatalf("%s: noise %v != %v", what, a.Noise, b.Noise)
 	}
@@ -66,6 +57,40 @@ func sameResult(t *testing.T, what string, a, b *Result, sa, sb *SessionState) {
 			t.Fatalf("%s: variance[%d] %v != %v", what, i, a.Variance[i], b.Variance[i])
 		}
 	}
+}
+
+// samePosterior requires two warm states' posteriors to be bit-identical:
+// μ, σ² and Σ in its frame (α, Ω, Q, Σ′).
+func samePosterior(t *testing.T, what string, sa, sb *SessionState) {
+	t.Helper()
+	eq := func(field string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s lengths %d vs %d", what, field, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s[%d] %v != %v", what, field, i, a[i], b[i])
+			}
+		}
+	}
+	eq("mu", sa.Mu, sb.Mu)
+	eq("alpha, sigma2", []float64{sa.Alpha, sa.Sigma2}, []float64{sb.Alpha, sb.Sigma2})
+	if (sa.Q == nil) != (sb.Q == nil) || len(sa.Omega) != len(sb.Omega) {
+		t.Fatalf("%s: frames differ in shape", what)
+	}
+	for i := range sa.Omega {
+		if sa.Omega[i] != sb.Omega[i] {
+			t.Fatalf("%s: omega[%d] %d != %d", what, i, sa.Omega[i], sb.Omega[i])
+		}
+	}
+	if sa.Q != nil {
+		eq("Q", sa.Q.Data, sb.Q.Data)
+	}
+	if sa.SigmaFrame.Rows != sb.SigmaFrame.Rows {
+		t.Fatalf("%s: frame dimensions %d vs %d", what, sa.SigmaFrame.Rows, sb.SigmaFrame.Rows)
+	}
+	eq("sigma frame", sa.SigmaFrame.Data, sb.SigmaFrame.Data)
 }
 
 // TestWarmFitFreezesSigma pins the frozen-parameter contract: a default-path
@@ -100,11 +125,9 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmSt := s.State()
-	for i := range warmSt.Sigma.Data {
-		if warmSt.Sigma.Data[i] != coldSt.Sigma.Data[i] {
-			t.Fatalf("warm fit moved Σ[%d]: %v -> %v", i, coldSt.Sigma.Data[i], warmSt.Sigma.Data[i])
-		}
-	}
+	frozen := *warmSt
+	frozen.Mu = coldSt.Mu
+	samePosterior(t, "warm fit moved Σ", &frozen, coldSt)
 	if warm.Noise != cold.Noise {
 		t.Fatalf("warm fit moved σ: %v -> %v", cold.Noise, warm.Noise)
 	}
@@ -348,7 +371,8 @@ func TestWarmFitAllocBudget(t *testing.T) {
 // with runtime.MemStats.TotalAlloc over several fits: a cold fit on a
 // recycled session and a steady-state frozen refit each stay below one n×n
 // matrix (8·n² bytes). Neither may copy Σ into its Result, and the frozen
-// refit forms no n×n target posterior covariance.
+// refit forms no n×n target posterior covariance. The "paper size" case
+// extends the budget to every step at n = 1024.
 func TestFitBytesBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prior, truth := warmTestSetup(t)
@@ -399,5 +423,122 @@ func TestFitBytesBudget(t *testing.T) {
 	t.Logf("n=%d: cold %d B/fit, frozen %d B/fit, budget %d B", n, cold, frozen, budget)
 	if frozen >= budget {
 		t.Errorf("frozen refit allocated %d bytes, budget %d", frozen, budget)
+	}
+	t.Run("paper size", fitBytesBudgetPaperSize)
+}
+
+// fitBytesBudgetPaperSize pins, at the paper's n = 1024, that no step of a
+// session's life on the frame path allocates an n×n matrix (8·n² bytes,
+// 8.39 MB): opening a session, a cold fit, capturing a warm subspace-frame
+// session's State, and the first frozen refit after a cold fit, which
+// builds the operators.
+func fitBytesBudgetPaperSize(t *testing.T) {
+	space := platform.Paper()
+	db, err := profile.Collect(space, apps.Suite(), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, err := db.AppIndex("kmeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, truth, _, err := db.LeaveOneOut(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prior, err := NewPrior(rest.Perf, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := prior.Configurations()
+	budget := uint64(8 * n * n)
+	rng := rand.New(rand.NewSource(50))
+	masks := [][]int{profile.RandomMask(n, 20, rng), profile.RandomMask(n, 20, rng)}
+	ctx := context.Background()
+	bytes := func(step func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		step()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var s *Session
+	fit := func(mask []int) func() {
+		return func() {
+			s.ClearObservations()
+			for _, idx := range mask {
+				if err := s.Add(idx, truth[idx]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := s.Fit(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps := []struct {
+		name string
+		run  func()
+	}{
+		{"Prior.NewSession", func() { s = prior.NewSession() }},
+		{"cold fit", fit(masks[0])},
+		{"Session.State", func() {
+			if s.heldFrame() == nil {
+				t.Fatal("cold fit left no subspace frame")
+			}
+			s.State()
+		}},
+		{"first frozen refit", fit(masks[1])},
+	}
+	for _, step := range steps {
+		b := bytes(step.run)
+		t.Logf("n=%d: %s allocated %d B, budget %d B", n, step.name, b, budget)
+		if b >= budget {
+			t.Errorf("%s allocated %d bytes, budget %d", step.name, b, budget)
+		}
+	}
+}
+
+// TestIdentityFrameWarmBitsPinned pins the estimate and variance bits of an
+// n = 32 warm sequence, whose cold fit lands in the identity frame (24
+// full-rank rows plus 10 probes span every configuration). In that frame
+// the frozen refits run the dense operations in their historical order, so
+// the digest, recorded before frozen refits moved onto the cold fit's
+// frame, must not move.
+func TestIdentityFrameWarmBitsPinned(t *testing.T) {
+	known, truth, _ := kmeansLOO(t)
+	prior, err := NewPrior(known, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := prior.NewSession()
+	rng := rand.New(rand.NewSource(48))
+	ctx := context.Background()
+	h := fnvOffset
+	for w, k := range []int{10, 8, 12, 8, 0, 9} {
+		s.ClearObservations()
+		for _, idx := range profile.RandomMask(32, k, rng) {
+			if err := s.Add(idx, truth[idx]*(1+0.01*float64(w))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Fit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.heldFrame() != nil {
+			t.Fatalf("window %d: posterior left the identity frame", w)
+		}
+		if w > 0 && !s.frozen {
+			t.Fatalf("window %d: warm refit did not run frozen", w)
+		}
+		for i := range res.Estimate {
+			h = fnvU64(h, math.Float64bits(res.Estimate[i]))
+			h = fnvU64(h, math.Float64bits(res.Variance[i]))
+		}
+	}
+	const want uint64 = 0xf8d7c747c23e5f01
+	if h != want {
+		t.Fatalf("identity-frame warm sequence digest %#016x, want %#016x", h, want)
 	}
 }

@@ -11,10 +11,18 @@ import (
 	"leo/internal/matrix"
 )
 
+// sampleSnapshot covers both posterior frames: "perf" holds a subspace
+// frame (n = 3, Ω = {2}, Q one column), "ident" an identity-frame Σ.
 func sampleSnapshot() *Snapshot {
 	sigma := matrix.Identity(3)
 	sigma.Set(0, 1, 0.25)
 	sigma.Set(1, 0, 0.25)
+	sigmaFrame := matrix.Identity(2)
+	sigmaFrame.Set(0, 1, -0.5)
+	sigmaFrame.Set(1, 0, -0.5)
+	q := matrix.New(3, 1)
+	q.Set(0, 0, 0.6)
+	q.Set(1, 0, 0.8)
 	return &Snapshot{
 		Seq:  7,
 		Rung: 1,
@@ -29,12 +37,25 @@ func sampleSnapshot() *Snapshot {
 				Name:   "perf",
 				Digest: 0xdeadbeefcafef00d,
 				State: &core.SessionState{
-					Warm:   true,
-					Mu:     []float64{1.5, -2.25, 1e-300},
-					Sigma:  sigma,
-					Sigma2: 0.125,
-					ObsIdx: []int{2, 0},
-					ObsVal: []float64{3.5, -0.5},
+					Warm:       true,
+					Mu:         []float64{1.5, -2.25, 1e-300},
+					Alpha:      0.75,
+					Omega:      []int{2},
+					Q:          q,
+					SigmaFrame: sigmaFrame,
+					Sigma2:     0.125,
+					ObsIdx:     []int{2, 0},
+					ObsVal:     []float64{3.5, -0.5},
+				},
+			},
+			{
+				Name:   "ident",
+				Digest: 7,
+				State: &core.SessionState{
+					Warm:       true,
+					Mu:         []float64{0, 1, math.SmallestNonzeroFloat64},
+					SigmaFrame: sigma,
+					Sigma2:     2,
 				},
 			},
 			{
@@ -85,7 +106,8 @@ func snapshotsEqual(t *testing.T, got, want *Snapshot) {
 		if w.State == nil {
 			continue
 		}
-		if g.State.Warm != w.State.Warm || g.State.Sigma2 != w.State.Sigma2 {
+		if g.State.Warm != w.State.Warm || !floatsEqual([]float64{g.State.Sigma2, g.State.Alpha},
+			[]float64{w.State.Sigma2, w.State.Alpha}) {
 			t.Fatalf("session %d state scalars differ", i)
 		}
 		if !floatsEqual(g.State.Mu, w.State.Mu) || !floatsEqual(g.State.ObsVal, w.State.ObsVal) {
@@ -99,11 +121,22 @@ func snapshotsEqual(t *testing.T, got, want *Snapshot) {
 				t.Fatalf("session %d obs idx %d differs", i, j)
 			}
 		}
-		if (g.State.Sigma == nil) != (w.State.Sigma == nil) {
-			t.Fatalf("session %d sigma presence mismatch", i)
+		if len(g.State.Omega) != len(w.State.Omega) {
+			t.Fatalf("session %d frame size differs", i)
 		}
-		if w.State.Sigma != nil && !floatsEqual(g.State.Sigma.Data, w.State.Sigma.Data) {
-			t.Fatalf("session %d sigma differs", i)
+		for j := range w.State.Omega {
+			if g.State.Omega[j] != w.State.Omega[j] {
+				t.Fatalf("session %d frame index %d differs", i, j)
+			}
+		}
+		for name, m := range map[string][2]*matrix.Matrix{
+			"Q": {g.State.Q, w.State.Q}, "Σ′": {g.State.SigmaFrame, w.State.SigmaFrame}} {
+			if (m[0] == nil) != (m[1] == nil) {
+				t.Fatalf("session %d %s presence mismatch", i, name)
+			}
+			if m[1] != nil && (m[0].Rows != m[1].Rows || m[0].Cols != m[1].Cols || !floatsEqual(m[0].Data, m[1].Data)) {
+				t.Fatalf("session %d %s differs", i, name)
+			}
 		}
 	}
 }

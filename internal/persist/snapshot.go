@@ -12,9 +12,14 @@ import (
 // both amd64 and arm64) over the payload. A snapshot whose checksum does not
 // match is indistinguishable from a torn write and is treated the same way:
 // fall back to the previous generation.
+//
+// Version 2 carries each warm posterior's Σ in its frame (α, Ω, Q, Σ′ — see
+// core.SessionState) instead of a dense n×n Σ. A version-1 snapshot is
+// refused as unsupported, which both recovery paths treat like a damaged
+// one: they replay the never-truncated journal from sequence 0.
 const (
 	snapMagic    = "LEOSNAP\x01"
-	snapVersion  = 1
+	snapVersion  = 2
 	maxSnapName  = 4096    // session names are controller-chosen, short
 	maxSnapBytes = 1 << 30 // refuse absurd snapshots outright
 )
@@ -182,7 +187,10 @@ func encodeSessionState(p *enc, st *core.SessionState) {
 	p.bool(true)
 	p.bool(st.Warm)
 	p.f64s(st.Mu)
-	encodeMatrix(p, st.Sigma)
+	p.f64(st.Alpha)
+	p.ints(st.Omega)
+	encodeMatrix(p, st.Q)
+	encodeMatrix(p, st.SigmaFrame)
 	p.f64(st.Sigma2)
 	p.ints(st.ObsIdx)
 	p.f64s(st.ObsVal)
@@ -196,7 +204,10 @@ func decodeSessionState(p *dec) *core.SessionState {
 	st := &core.SessionState{}
 	st.Warm = p.bool()
 	st.Mu = p.f64s()
-	st.Sigma = decodeMatrix(p)
+	st.Alpha = p.f64()
+	st.Omega = p.ints()
+	st.Q = decodeMatrix(p)
+	st.SigmaFrame = decodeMatrix(p)
 	st.Sigma2 = p.f64()
 	st.ObsIdx = p.ints()
 	st.ObsVal = p.f64s()
