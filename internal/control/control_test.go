@@ -24,7 +24,12 @@ type rig struct {
 
 func newRig(t *testing.T, appName string, noise float64) *rig {
 	t.Helper()
-	space := platform.Small()
+	return newRigSpace(t, platform.Small(), appName, noise)
+}
+
+// newRigSpace is newRig over space.
+func newRigSpace(t *testing.T, space platform.Space, appName string, noise float64) *rig {
+	t.Helper()
 	app := apps.MustByName(appName)
 	var rng *rand.Rand
 	if noise > 0 {

@@ -5,11 +5,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"leo/internal/baseline"
 	"leo/internal/core"
 	"leo/internal/persist"
+	"leo/internal/platform"
 )
 
 // TestValidReadingTable is the satellite audit of validReading: ±Inf, NaN,
@@ -288,6 +290,56 @@ func TestRecoveryDigestMismatchDiscards(t *testing.T) {
 	// The journaled window still replays (observations are prior-agnostic).
 	if rep.ReplayedWindows != 1 {
 		t.Fatalf("journal not replayed after discard: %+v", rep)
+	}
+}
+
+// TestRecoveryFromV1SnapshotReplaysJournal: a state directory written before
+// snapshots carried posterior frames (testdata/v1-state: a LEO controller's
+// version-1 snapshot after two calibration windows at n = 32, plus their
+// journal) is reported as discarded, and recovery replays the journal from
+// sequence 0, with estimates bit-identical to a journal-only recovery's.
+func TestRecoveryFromV1SnapshotReplaysJournal(t *testing.T) {
+	recoverFrom := func(withSnapshot bool) (*RecoveryReport, []float64, []float64) {
+		t.Helper()
+		dir := t.TempDir()
+		for _, name := range []string{"journal.bin", "snapshot.bin"} {
+			if name == "snapshot.bin" && !withSnapshot {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join("testdata", "v1-state", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c := newRigSpace(t, platform.CoresOnly(), "kmeans", 0.01).controller(t, "LEO", 51)
+		store, err := persist.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		rep, err := c.AttachStateStore(context.Background(), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perf, power := c.Estimates()
+		return rep, perf, power
+	}
+	rep, perf, power := recoverFrom(true)
+	if !strings.Contains(rep.Discarded, "unsupported version 1") {
+		t.Fatalf("version-1 snapshot not reported as discarded: %+v", rep)
+	}
+	if rep.SnapshotSeq != 0 || rep.RestoredSessions != 0 || rep.ReplayedWindows != 2 {
+		t.Fatalf("want a journal replay of both windows from sequence 0: %+v", rep)
+	}
+	_, wantPerf, wantPower := recoverFrom(false)
+	for i := range wantPerf {
+		if perf[i] != wantPerf[i] || power[i] != wantPower[i] {
+			t.Fatalf("estimate[%d]: (%g,%g) after the v1 snapshot != (%g,%g) journal-only",
+				i, perf[i], power[i], wantPerf[i], wantPower[i])
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 //     Ĉ′ = σ²(I−σ²(Σ′+σ²I)⁻¹) on V, so buildA factors the d×d Σ′+σ²I,
 //     log|A| = log|Σ′+σ²I| + (n−d)·log(α+σ²), Ĉyᵢ/σ² = PĈ′Pᵀyᵢ/σ² (the
 //     database rows lie in V) and diag(Σ) comes from the structure —
-//     O(d³ + rows·n·d) in all. An iteration applies
+//     O(d³ + rows·n·d + n·r²) in all. An iteration applies
 //     Ĉμ = c⊥μ + P(Ĉ′−c⊥I)Pᵀμ in O(n·d): μ stays a dense n-vector, because
 //     each window's observations move it out of V.
 //
@@ -36,9 +36,9 @@ import (
 //
 // The target kernel K = σ²I+Σ[Ω,Ω] is factored once per fit and reused
 // across that fit's iterations. At a calibration window's ~20 observations
-// that factorization costs a few thousand multiply-adds, against the O(n·d)
-// work the rest of a steady window costs, so nothing carries it from one fit
-// to the next.
+// that factorization costs a few thousand multiply-adds, against the
+// O(n·r·k) that forms S and the O(n·d) applications of Ĉ the rest of a
+// steady window costs, so nothing carries it from one fit to the next.
 //
 // Everything cached is a pure function of the posterior's frame (α, Ω, Q,
 // Σ′; Σ itself in the identity frame), σ² and the prior database, so a
@@ -223,7 +223,7 @@ func (s *Session) FrozenOps() (*FrozenOps, error) {
 // AdoptFrozenOps installs a shared operator cache, skipping the rebuild a
 // restored session would otherwise pay on its first frozen refit. The set
 // is adopted only when its parameter digest matches the session's current
-// (prior, Σ, σ²) exactly — anything else reports false and leaves the
+// prior, σ² and Σ in its frame exactly — anything else reports false and leaves the
 // session to rebuild on demand, which yields the same bits either way.
 func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 	if o == nil || o.ops == nil || !s.warm {

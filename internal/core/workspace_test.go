@@ -15,8 +15,9 @@ import (
 
 // TestEMIterationAllocs pins the zero-allocation contract: after the
 // workspace is warm, one full EM iteration (E-step + M-step) performs no
-// heap allocations — in the subspace frame a cold fit runs in, and in the
-// identity frame over the session's own parameters. The matrix kernels only
+// heap allocations — in the subspace frame a cold fit runs in, in the
+// identity frame over the session's own parameters, and in a frozen refit
+// on a cold fit's subspace frame. The matrix kernels only
 // allocate when they fan out goroutines, so the test forces the inline path
 // with GOMAXPROCS(1) — the same path every fit takes on a loaded machine
 // where the scheduler grants one core.
@@ -40,15 +41,28 @@ func TestEMIterationAllocs(t *testing.T) {
 	mask := profile.RandomMask(space.N(), 20, rng)
 	obs := profile.Observe(truth, mask, 0.01, rng)
 
-	for _, kind := range []string{"subspace", "identity"} {
+	for _, kind := range []string{"subspace", "identity", "frozen subspace"} {
 		em := newEMState(rest.Perf, obs.Indices, obs.Values, Options{}.withDefaults())
-		if kind == "subspace" {
+		switch kind {
+		case "subspace":
 			em.coldStart()
 			if !em.sub.active {
 				t.Fatal("cold start did not choose a subspace frame")
 			}
-		} else {
+		case "identity":
 			em.init()
+		default:
+			// A frozen refit on the cold fit's frame, set up as Fit sets
+			// one up, over the previous window's observations.
+			if _, err := em.Fit(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if em.heldFrame() == nil {
+				t.Fatal("cold fit left no subspace frame")
+			}
+			em.frozen = true
+			em.ws.ensureObs(em.n, len(em.obsIdx))
+			em.ws.wc.fitPrepared = false
 		}
 
 		ctx := context.Background()

@@ -9,6 +9,7 @@ import (
 
 	"leo/internal/core"
 	"leo/internal/matrix"
+	"leo/internal/platform"
 )
 
 // sampleSnapshot covers both posterior frames: "perf" holds a subspace
@@ -535,6 +536,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte(snapMagic))
 	f.Add(EncodeSnapshot(sampleSnapshot()))
 	f.Add(EncodeSnapshot(&Snapshot{}))
+	// A version-2 snapshot of a real warm session whose posterior is in a
+	// subspace frame (the n = 32 power prior), and an older version's
+	// header.
+	prior, s := fittedState(f, platform.CoresOnly(), true)
+	st := s.State()
+	if st.Q == nil {
+		f.Fatal("the n = 32 power posterior is not in a subspace frame")
+	}
+	f.Add(EncodeSnapshot(&Snapshot{Seq: 1, Sessions: []SessionEntry{{Name: "power", Digest: prior.Digest(), State: st}}}))
+	v1 := EncodeSnapshot(&Snapshot{})
+	v1[len(snapMagic)] = 1
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The only contract: never panic, never hang, and on success the
 		// result re-encodes without panicking either.

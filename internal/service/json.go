@@ -44,7 +44,8 @@ const hexDigits = "0123456789abcdef"
 // appendJSONString appends s as a JSON string following encoding/json's
 // default (HTML-escaping) rules: ", \, control characters, <, >, &, the
 // line separators U+2028/U+2029, and invalid UTF-8 are escaped; everything
-// else passes through verbatim.
+// else passes through verbatim. \b, \f, \n, \r and \t take their short
+// forms, as encoding/json writes them since Go 1.22 (FuzzAppendJSON).
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
 	start := 0
@@ -64,6 +65,10 @@ func appendJSONString(dst []byte, s string) []byte {
 				dst = append(dst, '\\', 'r')
 			case '\t':
 				dst = append(dst, '\\', 't')
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			default:
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 			}

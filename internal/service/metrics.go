@@ -36,6 +36,8 @@ var (
 		metrics.Label{Key: "reason", Value: "client_canceled"})
 	mRestoredTenants = metrics.NewCounter("leo_service_restored_tenants_total",
 		"tenants reconstructed from per-shard snapshots and journals")
+	mSnapshotDiscards = metrics.NewCounter("leo_service_snapshot_discards_total",
+		"shard snapshots discarded at recovery because an entry's prior changed")
 	mEncodeErrors = metrics.NewCounter("leo_service_encode_errors",
 		"HTTP responses whose JSON encoding failed mid-write")
 	mPlanCacheHits = metrics.NewCounter("leo_service_plan_cache_total",

@@ -9,10 +9,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"leo/internal/core"
 	"leo/internal/fault"
 	"leo/internal/persist"
+	"leo/internal/platform"
 	"leo/internal/profile"
 )
 
@@ -206,6 +209,124 @@ func TestDamagedOnlySnapshotFallsBackToJournal(t *testing.T) {
 		requireSameVector(t, name+" perf (journal fallback)", got[0], want[name][0])
 		requireSameVector(t, name+" power (journal fallback)", got[1], want[name][1])
 	}
+}
+
+// TestRecoveryDiscardsSnapshotOnPriorChange: a restart whose performance
+// prior changed (π = 2) while its power prior did not must not serve the
+// snapshot's estimates, which were fitted under the old prior. Recovery is
+// all-or-nothing: the snapshot is discarded and the journal replays under
+// the new priors, so the estimates equal a journal-only recovery's bit for
+// bit.
+func TestRecoveryDiscardsSnapshotOnPriorChange(t *testing.T) {
+	f := newFixture(t)
+	dir := t.TempDir()
+	cfg := f.config()
+	cfg.StateDir = dir
+	cfg.Shards = 1
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	register(t, ts1.URL, "tenant", "kmeans", f.idle)
+	for round := int64(0); round < 2; round++ {
+		rng := rand.New(rand.NewSource(8000 + round))
+		mask := profile.RandomMask(f.space.N(), 12, rng)
+		perf := profile.Observe(f.truePerf, mask, 0.02, rng)
+		power := profile.Observe(f.truePower, mask, 0.02, rng)
+		code, body := postJSON(t, ts1.URL+"/v1/observe",
+			map[string]any{"tenant": "tenant", "obs_idx": mask, "perf": perf.Values, "power": power.Values})
+		if code != http.StatusOK {
+			t.Fatalf("observe round %d: %d %s", round, code, body["error"])
+		}
+	}
+	old := fetchEstimates(t, ts1.URL, "tenant")
+	ts1.Close()
+	if err := s1.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// The same journal without its snapshot, for the journal-only recovery.
+	journalOnly := copyStateDir(t, dir, false)
+
+	changed := newFixtureWith(t, platform.Small(), core.Options{LeanResults: true, Pi: 2}, core.Options{LeanResults: true})
+	cfg2 := changed.config()
+	cfg2.Shards = 1
+	cfg2.StateDir = dir
+	_, ts2 := startServer(t, cfg2)
+	got := fetchEstimates(t, ts2.URL, "tenant")
+	cfg2.StateDir = journalOnly
+	_, ts3 := startServer(t, cfg2)
+	want := fetchEstimates(t, ts3.URL, "tenant")
+	requireSameVector(t, "perf (snapshot vs journal-only recovery)", got[0], want[0])
+	requireSameVector(t, "power (snapshot vs journal-only recovery)", got[1], want[1])
+	same := true
+	for i := range old[0] {
+		same = same && old[0][i] == want[0][i]
+	}
+	if same {
+		t.Fatal("the changed performance prior did not change the estimates; the test proves nothing")
+	}
+}
+
+// TestRecoveryFromV1SnapshotReplaysJournal: a state directory written before
+// snapshots carried posterior frames (testdata/v1-state: one shard, one
+// kmeans tenant, two 12-probe windows at n = 32, drained into a version-1
+// snapshot) is refused as an unsupported snapshot version, so the shard
+// replays its journal from sequence 0, with estimates bit-identical to a
+// journal-only recovery's.
+func TestRecoveryFromV1SnapshotReplaysJournal(t *testing.T) {
+	f := newFixtureWith(t, platform.CoresOnly(), core.Options{LeanResults: true}, core.Options{LeanResults: true})
+	cfg := f.config()
+	cfg.Shards = 1
+	cfg.StateDir = copyStateDir(t, "testdata/v1-state", true)
+	v1 := mustRead(t, filepath.Join(persist.ShardDir(cfg.StateDir, 0), "snapshot.bin"))
+	if _, err := persist.DecodeSnapshot(v1); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("decoding the version-1 snapshot: %v, want an unsupported-version error", err)
+	}
+	_, ts := startServer(t, cfg)
+	got := fetchEstimates(t, ts.URL, "tenant")
+	cfg.StateDir = copyStateDir(t, "testdata/v1-state", false)
+	_, tsJournal := startServer(t, cfg)
+	want := fetchEstimates(t, tsJournal.URL, "tenant")
+	requireSameVector(t, "perf (v1 snapshot vs journal-only recovery)", got[0], want[0])
+	requireSameVector(t, "power (v1 snapshot vs journal-only recovery)", got[1], want[1])
+}
+
+// copyStateDir copies the state directory src into a fresh temporary
+// directory, leaving out the snapshot generations unless withSnapshots.
+func copyStateDir(t *testing.T, src string, withSnapshots bool) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if !withSnapshots && strings.HasPrefix(d.Name(), "snapshot.") {
+			return nil
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), mustRead(t, path), 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func fetchEstimates(t testing.TB, base, tenant string) [2][]float64 {

@@ -28,7 +28,15 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	space := platform.Small()
+	// LeanResults matches the production serve configuration (leo-runtime
+	// -serve): the service only reads Result.Estimate.
+	return newFixtureWith(t, platform.Small(), core.Options{LeanResults: true}, core.Options{LeanResults: true})
+}
+
+// newFixtureWith is newFixture over space, with the performance and power
+// priors built under the given options.
+func newFixtureWith(t testing.TB, space platform.Space, perfOpts, powerOpts core.Options) *fixture {
+	t.Helper()
 	app := apps.MustByName("kmeans")
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
 	if err != nil {
@@ -42,13 +50,11 @@ func newFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LeanResults matches the production serve configuration (leo-runtime
-	// -serve): the service only reads Result.Estimate.
-	perfPrior, err := core.NewPrior(rest.Perf, core.Options{LeanResults: true})
+	perfPrior, err := core.NewPrior(rest.Perf, perfOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	powerPrior, err := core.NewPrior(rest.Power, core.Options{LeanResults: true})
+	powerPrior, err := core.NewPrior(rest.Power, powerOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

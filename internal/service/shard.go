@@ -974,17 +974,25 @@ func (sh *shard) snapshot() error {
 	return sh.store.WriteSnapshot(snap)
 }
 
-// recover rebuilds the shard's tenants from its store: snapshot first
-// (sessions restored warm when their prior digest still matches), then the
-// journaled windows after it, replayed through the same serial code path a
-// live batch reduces to — so the recovered estimates are bit-identical to
-// the pre-crash ones for every journaled window.
+// recover rebuilds the shard's tenants from its store: snapshot first, then
+// the journaled windows after it, replayed through the same serial code
+// path a live batch reduces to — so the recovered estimates are
+// bit-identical to the pre-crash ones for every journaled window.
 func (sh *shard) recover() error {
 	snap, err := sh.store.LoadSnapshot()
 	if err != nil {
-		// Both generations unusable: the journal is never truncated, so
-		// replaying it from the start recovers every window — the same
-		// fallback as Controller.AttachStateStore.
+		// Both generations unusable (or written in an older format): the
+		// journal is never truncated, so replaying it from the start
+		// recovers every window — the same fallback as
+		// Controller.AttachStateStore.
+		snap = nil
+	}
+	if snap != nil && !sh.snapshotCurrent(snap) {
+		// All-or-nothing, as Controller.restoreSnapshot: restoring the
+		// matching sessions and the snapshot's estimates while a changed
+		// prior's sessions start cold would serve estimates fitted under
+		// the old prior. Replay everything under the current priors instead.
+		mSnapshotDiscards.Inc()
 		snap = nil
 	}
 	if snap != nil {
@@ -1042,8 +1050,10 @@ func (sh *shard) recover() error {
 			if metric == "power" {
 				sess = t.powerSess
 			}
+			// snapshotCurrent vouched for every digest; sessions that carry
+			// no state were captured with digest 0.
 			sc, ok := sess.(baseline.StateCarrier)
-			if ok && se.Digest != 0 && se.Digest == sc.StateDigest() && se.State != nil {
+			if ok && se.Digest != 0 && se.State != nil {
 				if err := sc.RestoreSessionState(se.State); err != nil {
 					return fmt.Errorf("service: restoring %q: %w", se.Name, err)
 				}
@@ -1068,6 +1078,79 @@ func (sh *shard) recover() error {
 	}
 	sh.met.tenants.Set(float64(len(sh.tenants)))
 	return nil
+}
+
+// snapshotCurrent reports whether every session entry of snap — class seeds
+// and tenant sessions — was captured against the prior its tier serves now:
+// an entry's digest must equal the digest of a session opened at its
+// class, rung and metric (0 for sessions that carry no state). Entries it
+// cannot attribute are left for recover to reject.
+func (sh *shard) snapshotCurrent(snap *persist.Snapshot) bool {
+	type key struct {
+		class  string
+		rung   int
+		metric string
+	}
+	digests := map[key]uint64{}
+	for _, se := range snap.Sessions {
+		var k key
+		if rest, isSeed := strings.CutPrefix(se.Name, metaSep+"seed"+metaSep); isSeed {
+			class, metric, ok := strings.Cut(rest, metaSep)
+			if !ok {
+				continue
+			}
+			k = key{class, 0, metric}
+		} else {
+			i := strings.LastIndex(se.Name, metaSep)
+			if i < 0 || se.Name[i+1:] == "est" {
+				continue
+			}
+			meta, err := unpackTenantMeta(se.Name[:i])
+			if err != nil {
+				continue
+			}
+			k = key{meta.class, meta.rung, se.Name[i+1:]}
+		}
+		want, seen := digests[k]
+		if !seen {
+			var ok bool
+			if want, ok = sh.tierDigest(k.class, k.rung, k.metric); !ok {
+				continue
+			}
+			digests[k] = want
+		}
+		if se.Digest != want {
+			return false
+		}
+	}
+	return true
+}
+
+// tierDigest returns the state digest of a session opened at class's rung
+// for metric, 0 when that session carries no state; false when the entry
+// names no such tier or the session cannot be opened.
+func (sh *shard) tierDigest(class string, rung int, metric string) (uint64, bool) {
+	cl, ok := sh.srv.classes[class]
+	if !ok || rung < 0 || rung >= len(cl.Tiers) {
+		return 0, false
+	}
+	est := cl.Tiers[rung].Perf
+	switch metric {
+	case "perf":
+	case "power":
+		est = cl.Tiers[rung].Power
+	default:
+		return 0, false
+	}
+	sess, err := est.NewSession(context.Background())
+	if err != nil {
+		return 0, false
+	}
+	defer baseline.ReleaseSession(sess)
+	if sc, ok := sess.(baseline.StateCarrier); ok {
+		return sc.StateDigest(), true
+	}
+	return 0, true
 }
 
 // restoreTenant finds or creates the tenant a snapshot entry or journal
