@@ -361,7 +361,7 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 		// μ goes back to the session's own coordinates, where the next
 		// window moves it; Σ stays in the frame, which frozen refits, State
 		// and FrozenOps read (frame.go).
-		sp.variance(variance, e)
+		sp.diag(variance, e.cTarget, e.compTarget) // Ĉ_M's diagonal
 		sp.lift(em.mu, sp.mu)
 		sp.active, sp.held = false, true
 	case e.cTarget == nil:

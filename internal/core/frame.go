@@ -333,12 +333,6 @@ func (sp *subspace) diag(dst []float64, m *matrix.Matrix, alpha float64) {
 	}
 }
 
-// variance writes the diagonal of the target posterior covariance in
-// configuration coordinates from the frame's final E-step e.
-func (sp *subspace) variance(dst []float64, e *eResult) {
-	sp.diag(dst, e.cTarget, e.compTarget)
-}
-
 // materialize writes the frame's Σ = αI + PGPᵀ with G = Σ′−αI in
 // configuration coordinates, block by block —
 //
