@@ -987,76 +987,62 @@ func (sh *shard) recover() error {
 		// Controller.AttachStateStore.
 		snap = nil
 	}
-	if snap != nil && !sh.snapshotCurrent(snap) {
-		// All-or-nothing, as Controller.restoreSnapshot: restoring the
-		// matching sessions and the snapshot's estimates while a changed
-		// prior's sessions start cold would serve estimates fitted under
-		// the old prior. Replay everything under the current priors instead.
-		mSnapshotDiscards.Inc()
-		snap = nil
-	}
+	var entries []snapEntry
 	if snap != nil {
-		for _, se := range snap.Sessions {
-			// Seed entries lead with the separator — impossible for tenant
-			// names — and restore the class's cold-start donation.
-			if rest, isSeed := strings.CutPrefix(se.Name, metaSep+"seed"+metaSep); isSeed {
-				class, metric, ok := strings.Cut(rest, metaSep)
-				if !ok || (metric != "perf" && metric != "power") || se.State == nil {
-					return fmt.Errorf("service: malformed seed entry %q", se.Name)
-				}
-				seed := sh.seeds[class]
-				if seed == nil {
-					seed = &classSeed{}
-					sh.seeds[class] = seed
-				}
-				if metric == "perf" {
-					seed.perf, seed.perfDigest = se.State, se.Digest
-				} else {
-					seed.power, seed.powerDigest = se.State, se.Digest
-				}
-				continue
+		if entries, err = parseSnapshot(snap); err != nil {
+			return err
+		}
+		if !sh.snapshotCurrent(entries) {
+			// All-or-nothing, as Controller.restoreSnapshot: restoring the
+			// matching sessions and the snapshot's estimates while a
+			// changed prior's sessions start cold would serve estimates
+			// fitted under the old prior. Replay everything under the
+			// current priors instead.
+			mSnapshotDiscards.Inc()
+			snap, entries = nil, nil
+		}
+	}
+	for _, e := range entries {
+		if e.seed {
+			// The class's cold-start donation.
+			seed := sh.seeds[e.meta.class]
+			if seed == nil {
+				seed = &classSeed{}
+				sh.seeds[e.meta.class] = seed
 			}
-			// Entry names are the packed tenant metadata plus a metric
-			// suffix: name/class/idle/rung[/flags]/("perf"|"power"|"est").
-			i := strings.LastIndex(se.Name, metaSep)
-			if i < 0 {
-				return fmt.Errorf("service: malformed snapshot entry %q", se.Name)
+			if e.metric == "perf" {
+				seed.perf, seed.perfDigest = e.State, e.Digest
+			} else {
+				seed.power, seed.powerDigest = e.State, e.Digest
 			}
-			metric := se.Name[i+1:]
-			if metric != "perf" && metric != "power" && metric != "est" {
-				return fmt.Errorf("service: snapshot entry %q: unknown metric", se.Name)
+			continue
+		}
+		t, err := sh.restoreTenant(e.meta)
+		if err != nil {
+			return err
+		}
+		if t == nil {
+			continue // capacity exceeded: tenant dropped
+		}
+		if e.metric == "est" {
+			if e.State != nil && len(e.State.Mu) > 0 {
+				t.perfEst = append([]float64(nil), e.State.Mu...)
+				t.powerEst = append([]float64(nil), e.State.ObsVal...)
+				t.windows = int(e.State.Sigma2)
+				t.invalidatePlans()
 			}
-			meta, err := unpackTenantMeta(se.Name[:i])
-			if err != nil {
-				return err
-			}
-			t, err := sh.restoreTenant(meta)
-			if err != nil {
-				return err
-			}
-			if t == nil {
-				continue // capacity exceeded: tenant dropped
-			}
-			if metric == "est" {
-				if se.State != nil && len(se.State.Mu) > 0 {
-					t.perfEst = append([]float64(nil), se.State.Mu...)
-					t.powerEst = append([]float64(nil), se.State.ObsVal...)
-					t.windows = int(se.State.Sigma2)
-					t.invalidatePlans()
-				}
-				continue
-			}
-			sess := t.perfSess
-			if metric == "power" {
-				sess = t.powerSess
-			}
-			// snapshotCurrent vouched for every digest; sessions that carry
-			// no state were captured with digest 0.
-			sc, ok := sess.(baseline.StateCarrier)
-			if ok && se.Digest != 0 && se.State != nil {
-				if err := sc.RestoreSessionState(se.State); err != nil {
-					return fmt.Errorf("service: restoring %q: %w", se.Name, err)
-				}
+			continue
+		}
+		sess := t.perfSess
+		if e.metric == "power" {
+			sess = t.powerSess
+		}
+		// snapshotCurrent vouched for every digest; sessions that carry no
+		// state were captured with digest 0.
+		sc, ok := sess.(baseline.StateCarrier)
+		if ok && e.Digest != 0 && e.State != nil {
+			if err := sc.RestoreSessionState(e.State); err != nil {
+				return fmt.Errorf("service: restoring %q: %w", e.Name, err)
 			}
 		}
 	}
@@ -1080,37 +1066,68 @@ func (sh *shard) recover() error {
 	return nil
 }
 
-// snapshotCurrent reports whether every session entry of snap — class seeds
-// and tenant sessions — was captured against the prior its tier serves now:
-// an entry's digest must equal the digest of a session opened at its
-// class, rung and metric (0 for sessions that carry no state). Entries it
-// cannot attribute are left for recover to reject.
-func (sh *shard) snapshotCurrent(snap *persist.Snapshot) bool {
+// snapEntry is one parsed snapshot session entry: one metric of a class
+// seed (seed set; meta carries only the class) or a tenant's "perf",
+// "power" or "est" entry.
+type snapEntry struct {
+	persist.SessionEntry
+	seed   bool
+	meta   tenantMeta
+	metric string
+}
+
+// parseSnapshot parses the name of every session entry in snap.
+func parseSnapshot(snap *persist.Snapshot) ([]snapEntry, error) {
+	out := make([]snapEntry, 0, len(snap.Sessions))
+	for _, se := range snap.Sessions {
+		e := snapEntry{SessionEntry: se}
+		// Seed entries lead with the separator, which no tenant name can.
+		if rest, isSeed := strings.CutPrefix(se.Name, metaSep+"seed"+metaSep); isSeed {
+			class, metric, ok := strings.Cut(rest, metaSep)
+			if !ok || (metric != "perf" && metric != "power") || se.State == nil {
+				return nil, fmt.Errorf("service: malformed seed entry %q", se.Name)
+			}
+			e.seed, e.meta.class, e.metric = true, class, metric
+			out = append(out, e)
+			continue
+		}
+		// Tenant entry names are the packed tenant metadata plus a metric
+		// suffix: name/class/idle/rung[/flags]/("perf"|"power"|"est").
+		i := strings.LastIndex(se.Name, metaSep)
+		if i < 0 {
+			return nil, fmt.Errorf("service: malformed snapshot entry %q", se.Name)
+		}
+		e.metric = se.Name[i+1:]
+		if e.metric != "perf" && e.metric != "power" && e.metric != "est" {
+			return nil, fmt.Errorf("service: snapshot entry %q: unknown metric", se.Name)
+		}
+		meta, err := unpackTenantMeta(se.Name[:i])
+		if err != nil {
+			return nil, err
+		}
+		e.meta = meta
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// snapshotCurrent reports whether every session entry — class seeds (rung
+// 0) and tenant sessions — was captured against the prior its tier serves
+// now: an entry's digest must equal the digest of a session opened at its
+// class, rung and metric (0 for sessions that carry no state). Entries
+// naming no tier are left for restoreTenant to reject.
+func (sh *shard) snapshotCurrent(entries []snapEntry) bool {
 	type key struct {
 		class  string
 		rung   int
 		metric string
 	}
 	digests := map[key]uint64{}
-	for _, se := range snap.Sessions {
-		var k key
-		if rest, isSeed := strings.CutPrefix(se.Name, metaSep+"seed"+metaSep); isSeed {
-			class, metric, ok := strings.Cut(rest, metaSep)
-			if !ok {
-				continue
-			}
-			k = key{class, 0, metric}
-		} else {
-			i := strings.LastIndex(se.Name, metaSep)
-			if i < 0 || se.Name[i+1:] == "est" {
-				continue
-			}
-			meta, err := unpackTenantMeta(se.Name[:i])
-			if err != nil {
-				continue
-			}
-			k = key{meta.class, meta.rung, se.Name[i+1:]}
+	for _, e := range entries {
+		if e.metric == "est" {
+			continue
 		}
+		k := key{e.meta.class, e.meta.rung, e.metric}
 		want, seen := digests[k]
 		if !seen {
 			var ok bool
@@ -1119,7 +1136,7 @@ func (sh *shard) snapshotCurrent(snap *persist.Snapshot) bool {
 			}
 			digests[k] = want
 		}
-		if se.Digest != want {
+		if e.Digest != want {
 			return false
 		}
 	}
@@ -1127,20 +1144,16 @@ func (sh *shard) snapshotCurrent(snap *persist.Snapshot) bool {
 }
 
 // tierDigest returns the state digest of a session opened at class's rung
-// for metric, 0 when that session carries no state; false when the entry
-// names no such tier or the session cannot be opened.
+// for metric ("perf" or "power"), 0 when that session carries no state;
+// false when no such tier exists or the session cannot be opened.
 func (sh *shard) tierDigest(class string, rung int, metric string) (uint64, bool) {
 	cl, ok := sh.srv.classes[class]
 	if !ok || rung < 0 || rung >= len(cl.Tiers) {
 		return 0, false
 	}
 	est := cl.Tiers[rung].Perf
-	switch metric {
-	case "perf":
-	case "power":
+	if metric == "power" {
 		est = cl.Tiers[rung].Power
-	default:
-		return 0, false
 	}
 	sess, err := est.NewSession(context.Background())
 	if err != nil {
