@@ -91,6 +91,16 @@ type subspace struct {
 	wq     *matrix.Matrix // k′×r: wt's Q columns
 }
 
+// subspaceBuf returns the session's subspace-frame storage, allocating it
+// on first use.
+func (em *Session) subspaceBuf() *subspace {
+	if em.sub == nil {
+		em.sub = &subspace{}
+		em.sub.ws = newEMWorkspace(0, em.known.Rows)
+	}
+	return em.sub
+}
+
 // heldFrame returns the subspace frame the session's posterior lives in, or
 // nil when it lives in the identity frame (the dense em.sigma).
 func (em *Session) heldFrame() *subspace {
@@ -155,12 +165,7 @@ func (sp *subspace) lift(dst, v []float64) []float64 {
 // coordinates (α₀ = 1). It reports false, leaving the session's parameters
 // untouched, when the frame would span every configuration.
 func (em *Session) initSubspace() bool {
-	sp := em.sub
-	if sp == nil {
-		sp = &subspace{}
-		sp.ws = newEMWorkspace(0, em.known.Rows)
-		em.sub = sp
-	}
+	sp := em.subspaceBuf()
 	n, k, rows := em.n, len(em.obsIdx), em.known.Rows
 	r := sp.basis(em.known, em.opts.InitMu, em.obsIdx)
 	d := k + r

@@ -217,12 +217,7 @@ func (s *Session) Restore(st *SessionState) error {
 // holdFrame installs a validated subspace-frame posterior from st into the
 // session's frame storage.
 func (s *Session) holdFrame(st *SessionState) {
-	sp := s.sub
-	if sp == nil {
-		sp = &subspace{}
-		sp.ws = newEMWorkspace(0, s.known.Rows)
-		s.sub = sp
-	}
+	sp := s.subspaceBuf()
 	d := st.SigmaFrame.Rows
 	r := d - len(st.Omega)
 	sp.omega = append(sp.omega[:0], st.Omega...)
