@@ -37,7 +37,8 @@ func closeVec(t *testing.T, what string, a, b []float64, tol float64) {
 // (the identity-frame frozen path) at 1e-10: estimate, variance and μ,
 // across randomized n, database rows and window sizes, with windows that
 // observe nothing, a subset of the cold fit's Ω, configurations disjoint
-// from it, and a mix, under π ≠ 1 and StrictPaperSigma.
+// from it, and a mix, under π ≠ 1 and StrictPaperSigma, and on a frame
+// with no basis directions.
 func TestFrozenFrameMatchesDenseProperty(t *testing.T) {
 	const tol = 1e-10
 	rng := rand.New(rand.NewSource(91))
@@ -51,13 +52,14 @@ func TestFrozenFrameMatchesDenseProperty(t *testing.T) {
 			trial, n, rows, k0, opts.Pi, opts.StrictPaperSigma)
 
 		// A database with a common shape plus per-row variation, like
-		// profiles of related applications.
+		// profiles of related applications; the first trial's rows are all
+		// zero, so its frame has no basis directions (r = 0).
 		base := make([]float64, n)
 		for j := range base {
 			base[j] = 5 + 3*math.Sin(float64(j)/7) + rng.Float64()
 		}
 		known := matrix.New(rows, n)
-		for i := 0; i < rows; i++ {
+		for i := 0; trial > 0 && i < rows; i++ {
 			scale := 0.5 + rng.Float64()
 			for j := range base {
 				known.Set(i, j, scale*base[j]+0.3*rng.NormFloat64())
