@@ -179,11 +179,12 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 // NewSession creates an independent fitting session over this prior. Sessions
 // are cheap relative to a fit (they allocate μ and the EM workspace's
 // vectors, leaving Σ and the dense buffers to the first path that reads
-// them, and compute nothing) and are not safe for concurrent use with themselves — use
-// one per goroutine; the shared Prior is. When the free list holds a released
-// session it is recycled instead, which skips the workspace allocation
-// entirely; a recycled session is indistinguishable from a fresh one (every
-// fit path fully rewrites the parameters before reading them).
+// them, and compute nothing) and are not safe for concurrent use with
+// themselves — use one per goroutine; the shared Prior is. When the free
+// list holds a released session it is recycled instead, which skips the
+// workspace allocation entirely; a recycled session is indistinguishable
+// from a fresh one (every fit path fully rewrites the parameters before
+// reading them).
 func (p *Prior) NewSession() *Session {
 	p.poolMu.Lock()
 	if k := len(p.pool); k > 0 {
