@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// The golden gates: the experiment driver's small-size render and the
+// The golden gates: leo-experiments' small-size render and the
 // runtime's fault-free kmeans energies are bit-identity contracts, so a
 // change that moves a printed digit fails here instead of in a hand diff.
 

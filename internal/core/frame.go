@@ -83,7 +83,7 @@ type subspace struct {
 	h     *matrix.Matrix // n×r: Q times an r×r block
 	u     *matrix.Matrix // n×k: Q·(Σ′−αI)[Q,Ω]
 
-	// Frozen-refit scratch (warm.go): Pᵀv and Ĉ′Pᵀv, and the per-fit
+	// Frozen-refit work buffers (warm.go): Pᵀv and Ĉ′Pᵀv, and the per-fit
 	// operands of Σ[:,Ω′] for a window's observations Ω′.
 	pt, pu []float64      // d
 	pk     *matrix.Matrix // k′×d: P[Ω′,:]

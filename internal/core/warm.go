@@ -114,7 +114,7 @@ func fnvMatrix(h uint64, m *matrix.Matrix) uint64 {
 
 // buildA computes the A-side operators for the current (frozen) posterior
 // and σ² into a freshly allocated frozenOps (the previous set, if any, may
-// still be shared with other sessions and is never reused as scratch).
+// still be shared with other sessions and is never overwritten).
 func (em *Session) buildA() error {
 	n, rows, s2 := em.n, em.known.Rows, em.sigma2
 	sp := em.heldFrame()
