@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"leo/internal/apps"
+	"leo/internal/matrix"
 	"leo/internal/platform"
 	"leo/internal/profile"
 )
@@ -540,5 +542,104 @@ func TestIdentityFrameWarmBitsPinned(t *testing.T) {
 	const want uint64 = 0xf8d7c747c23e5f01
 	if h != want {
 		t.Fatalf("identity-frame warm sequence digest %#016x, want %#016x", h, want)
+	}
+}
+
+// TestSubspaceFrameBitsPinned pins every bit a subspace-frame session
+// produces: each fit's estimate and variance and the State() it leaves (μ,
+// α, Ω, Q, Σ′, σ²). Per prior it runs a cold fit, four frozen refits (k =
+// 20, 17, 0, 23), a Restore into a fresh session and one more refit, over
+// the kmeans, swish and x264 leave-one-out perf and power priors at the
+// paper's n = 1024 and kmeans at n = 128. The power database's rank of 19
+// and the odd window sizes reach the kernels' block remainders. The digest
+// was recorded before the frame build and the frozen refit moved onto
+// register-blocked kernels, which keep every output element's reduction
+// order, so it must not move.
+func TestSubspaceFrameBitsPinned(t *testing.T) {
+	ctx := context.Background()
+	h := fnvOffset
+	hashState := func(st *SessionState) {
+		for _, v := range st.Mu {
+			h = fnvU64(h, math.Float64bits(v))
+		}
+		h = fnvU64(h, math.Float64bits(st.Alpha))
+		for _, j := range st.Omega {
+			h = fnvU64(h, uint64(j))
+		}
+		if st.Q != nil {
+			h = fnvMatrix(h, st.Q)
+		}
+		h = fnvMatrix(h, st.SigmaFrame)
+		h = fnvU64(h, math.Float64bits(st.Sigma2))
+	}
+	fit := func(s *Session, name string, w, k int, truth []float64, rng *rand.Rand) {
+		s.ClearObservations()
+		for _, idx := range profile.RandomMask(len(truth), k, rng) {
+			if err := s.Add(idx, truth[idx]*(1+0.01*float64(w))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Fit(ctx)
+		if err != nil {
+			t.Fatalf("%s window %d: %v", name, w, err)
+		}
+		if s.heldFrame() == nil {
+			t.Fatalf("%s window %d: posterior left the subspace frame", name, w)
+		}
+		for i := range res.Estimate {
+			h = fnvU64(h, math.Float64bits(res.Estimate[i]))
+			h = fnvU64(h, math.Float64bits(res.Variance[i]))
+		}
+		hashState(s.State())
+	}
+	for _, c := range []struct {
+		space platform.Space
+		apps  []string
+	}{
+		{platform.Paper(), []string{"kmeans", "swish", "x264"}},
+		{platform.Small(), []string{"kmeans"}},
+	} {
+		db, err := profile.Collect(c.space, apps.Suite(), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, app := range c.apps {
+			target, err := db.AppIndex(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest, perf, power, err := db.LeaveOneOut(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []struct {
+				metric string
+				known  *matrix.Matrix
+				truth  []float64
+			}{{"perf", rest.Perf, perf}, {"power", rest.Power, power}} {
+				name := fmt.Sprintf("%s/%s n=%d", app, m.metric, c.space.N())
+				prior, err := NewPrior(m.known, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(int64(target*7 + len(m.metric))))
+				s := prior.NewSession()
+				for w, k := range []int{20, 20, 17, 0, 23} {
+					fit(s, name, w, k, m.truth, rng)
+					if w > 0 && !s.frozen {
+						t.Fatalf("%s window %d: warm refit did not run frozen", name, w)
+					}
+				}
+				restored := prior.NewSession()
+				if err := restored.Restore(s.State()); err != nil {
+					t.Fatalf("%s: restore: %v", name, err)
+				}
+				fit(restored, name, 5, 20, m.truth, rng)
+			}
+		}
+	}
+	const want uint64 = 0xe9be31d06c1a6f20
+	if h != want {
+		t.Fatalf("subspace-frame fit sequence digest %#016x, want %#016x", h, want)
 	}
 }
