@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build vet test race check faults bench bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+.PHONY: fmt build vet test race check check-full faults bench bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
 
 # fmt fails when gofmt would rewrite any Go file, and lists those files.
 fmt:
@@ -23,6 +23,13 @@ race:
 # still compiles and single-steps, and the crash-safety and serve-mode
 # contracts hold against the real binary.
 check: fmt build vet race bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+
+# check-full renders leo-experiments -experiment all -size full (the
+# paper's 1024-configuration space, about 90 s) and diffs it against
+# results_full.txt with the timing lines masked: the bit-identity gate for
+# the data-subspace frames, which only the paper size builds at scale.
+check-full:
+	$(GO) test -run='^TestExperimentsGoldenFull$$' -count=1 -timeout=30m . -args -full
 
 # restart-smoke kills the leo-runtime binary between calibration windows,
 # restarts it from its state directory, corrupts the snapshot and tears the

@@ -14,10 +14,10 @@ import (
 // runtime's fault-free kmeans energies are bit-identity contracts, so a
 // change that moves a printed digit fails here instead of in a hand diff.
 
-var updateGolden = flag.Bool("update", false, "rewrite results_small.txt from the current leo-experiments output")
-
-// goldenArgs is the run results_small.txt records.
-var goldenArgs = []string{"-experiment", "all", "-size", "small", "-trials", "3"}
+var (
+	updateGolden = flag.Bool("update", false, "rewrite the golden render a test checks from the current leo-experiments output")
+	fullGolden   = flag.Bool("full", false, "also run TestExperimentsGoldenFull, the paper-size render (about 90 s)")
+)
 
 // completedLine matches the per-experiment wall-clock trailer.
 var completedLine = regexp.MustCompile(`^\[\S+ completed in \S+ on the \S+ space\]$`)
@@ -49,15 +49,33 @@ func maskTimings(out string) []string {
 // lines masked. go test -run TestExperimentsGolden -update . rewrites the
 // file; every changed line then needs an explanation in CHANGES.md.
 func TestExperimentsGolden(t *testing.T) {
+	checkGolden(t, "results_small.txt", "-experiment", "all", "-size", "small", "-trials", "3")
+}
+
+// TestExperimentsGoldenFull is TestExperimentsGolden at the paper's
+// n = 1024, where cold fits build their data-subspace frames and frozen
+// refits run on them: the render of -experiment all -size full at default
+// flags, diffed against results_full.txt. It runs only with -full
+// (make check-full); -full -update rewrites the file.
+func TestExperimentsGoldenFull(t *testing.T) {
+	if !*fullGolden {
+		t.Skip("paper-size render; run with -full (make check-full)")
+	}
+	checkGolden(t, "results_full.txt", "-experiment", "all", "-size", "full")
+}
+
+// checkGolden builds leo-experiments, runs it with args and diffs its output
+// against the golden file, timing lines masked; -update rewrites the file.
+func checkGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "leo-experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/leo-experiments").CombinedOutput(); err != nil {
 		t.Fatalf("building leo-experiments: %v\n%s", err, out)
 	}
-	got, err := exec.Command(bin, goldenArgs...).Output()
+	got, err := exec.Command(bin, args...).Output()
 	if err != nil {
-		t.Fatalf("leo-experiments %v: %v", goldenArgs, err)
+		t.Fatalf("leo-experiments %v: %v", args, err)
 	}
-	const golden = "results_small.txt"
 	if *updateGolden {
 		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
