@@ -162,12 +162,13 @@ func cholPanelSolveRange(data []float64, n, j0, jb, ilo, ihi int) {
 
 // cholTrailingUpdate applies A22 -= L21 L21ᵀ to the lower triangle of the
 // trailing submatrix — the rank-jb GEMM where ~n³/3 of the factorization's
-// flops live. It runs the same 4×4 register-blocked kernel as the GEMM
-// (sixteen independent accumulator chains hide the FP-add latency a single
-// running dot would serialize on), falling back to scalar dots along the
-// diagonal and at partition edges. Every element subtracts one jb-length dot
-// product accumulated in ascending panel order on both paths, so the bits
-// never depend on which goroutine — or which path — produced them.
+// flops live. It runs the GEMM's 3×2 register block (six independent
+// accumulator chains hide the FP-add latency a single running dot would
+// serialize on, and unlike a 4×4 block they fit the register file — DESIGN.md
+// §7), falling back to scalar dots along the diagonal and at partition
+// edges. Every element subtracts one jb-length dot product accumulated in
+// ascending panel order on both paths, so the bits never depend on which
+// goroutine — or which path — produced them.
 func cholTrailingUpdate(data []float64, n, j0, jb int) {
 	lo := j0 + jb
 	rows := n - lo
@@ -187,69 +188,42 @@ func cholTrailingUpdate(data []float64, n, j0, jb int) {
 func cholTrailingRange(data []float64, n, j0, jb, ilo, end int) {
 	lo := j0 + jb
 	i := ilo
-	for ; i+4 <= end; i += 4 {
+	for ; i+3 <= end; i += 3 {
 		p0 := data[i*n+j0 : i*n+j0+jb]
 		p1 := data[(i+1)*n+j0 : (i+1)*n+j0+jb][:len(p0)]
 		p2 := data[(i+2)*n+j0 : (i+2)*n+j0+jb][:len(p0)]
-		p3 := data[(i+3)*n+j0 : (i+3)*n+j0+jb][:len(p0)]
 		r0 := data[i*n : (i+1)*n]
 		r1 := data[(i+1)*n : (i+2)*n]
 		r2 := data[(i+2)*n : (i+3)*n]
-		r3 := data[(i+3)*n : (i+4)*n]
 		cc := lo
-		// Full 4×4 blocks: columns cc..cc+3 are at or left of the
-		// diagonal for all four rows iff cc+3 <= i.
-		for ; cc+3 <= i; cc += 4 {
+		// Full 3×2 blocks: columns cc and cc+1 are at or left of the
+		// diagonal for all three rows iff cc+1 <= i.
+		for ; cc+1 <= i; cc += 2 {
 			q0 := data[cc*n+j0 : cc*n+j0+jb][:len(p0)]
 			q1 := data[(cc+1)*n+j0 : (cc+1)*n+j0+jb][:len(p0)]
-			q2 := data[(cc+2)*n+j0 : (cc+2)*n+j0+jb][:len(p0)]
-			q3 := data[(cc+3)*n+j0 : (cc+3)*n+j0+jb][:len(p0)]
-			var s00, s01, s02, s03 float64
-			var s10, s11, s12, s13 float64
-			var s20, s21, s22, s23 float64
-			var s30, s31, s32, s33 float64
-			for t := range p0 {
-				pv0, pv1, pv2, pv3 := p0[t], p1[t], p2[t], p3[t]
-				qv0, qv1, qv2, qv3 := q0[t], q1[t], q2[t], q3[t]
+			var s00, s01, s10, s11, s20, s21 float64
+			for t, pv0 := range p0 {
+				qv0, qv1 := q0[t], q1[t]
 				s00 += pv0 * qv0
 				s01 += pv0 * qv1
-				s02 += pv0 * qv2
-				s03 += pv0 * qv3
+				pv1 := p1[t]
 				s10 += pv1 * qv0
 				s11 += pv1 * qv1
-				s12 += pv1 * qv2
-				s13 += pv1 * qv3
+				pv2 := p2[t]
 				s20 += pv2 * qv0
 				s21 += pv2 * qv1
-				s22 += pv2 * qv2
-				s23 += pv2 * qv3
-				s30 += pv3 * qv0
-				s31 += pv3 * qv1
-				s32 += pv3 * qv2
-				s33 += pv3 * qv3
 			}
 			r0[cc] -= s00
 			r0[cc+1] -= s01
-			r0[cc+2] -= s02
-			r0[cc+3] -= s03
 			r1[cc] -= s10
 			r1[cc+1] -= s11
-			r1[cc+2] -= s12
-			r1[cc+3] -= s13
 			r2[cc] -= s20
 			r2[cc+1] -= s21
-			r2[cc+2] -= s22
-			r2[cc+3] -= s23
-			r3[cc] -= s30
-			r3[cc+1] -= s31
-			r3[cc+2] -= s32
-			r3[cc+3] -= s33
 		}
 		// Diagonal-crossing remainder: scalar per row up to its diagonal.
 		cholTrailingRowScalar(data, n, j0, jb, i, cc)
 		cholTrailingRowScalar(data, n, j0, jb, i+1, cc)
 		cholTrailingRowScalar(data, n, j0, jb, i+2, cc)
-		cholTrailingRowScalar(data, n, j0, jb, i+3, cc)
 	}
 	for ; i < end; i++ {
 		cholTrailingRowScalar(data, n, j0, jb, i, lo)
@@ -472,9 +446,37 @@ func (c *Cholesky) ForwardSolveTInto(dst, b *Matrix) *Matrix {
 	return dst
 }
 
+// forwardSolveTRange solves rows [lo, hi) four right-hand sides per pass:
+// each row of L is loaded once and feeds four independent chains, where one
+// row at a time serializes on a single chain's FP-add latency. Every chain
+// still starts from its own bᵢ entry and subtracts in ascending column order,
+// so each row's bits match one-row forward substitution.
 func (c *Cholesky) forwardSolveTRange(dst, b *Matrix, lo, hi int) {
 	n, data := c.n, c.l.Data
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		x0 := dst.RowView(i)
+		x1 := dst.RowView(i + 1)[:len(x0)]
+		x2 := dst.RowView(i + 2)[:len(x0)]
+		x3 := dst.RowView(i + 3)[:len(x0)]
+		copy(x0, b.RowView(i))
+		copy(x1, b.RowView(i+1))
+		copy(x2, b.RowView(i+2))
+		copy(x3, b.RowView(i+3))
+		for j := 0; j < n; j++ {
+			row := data[j*n : j*n+j]
+			s0, s1, s2, s3 := x0[j], x1[j], x2[j], x3[j]
+			for k, v := range row {
+				s0 -= v * x0[k]
+				s1 -= v * x1[k]
+				s2 -= v * x2[k]
+				s3 -= v * x3[k]
+			}
+			d := data[j*n+j]
+			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
+		}
+	}
+	for ; i < hi; i++ {
 		x := dst.RowView(i)
 		copy(x, b.RowView(i))
 		for j := 0; j < n; j++ {

@@ -7,8 +7,8 @@ import (
 
 // GEMM kernels. The inner kernel always runs with the right operand stored
 // transposed, so both streams are contiguous: dst[i][j] is a dot product of
-// row i of A and row j of Bᵀ. A 4×4 register block amortizes the loads —
-// sixteen multiply-adds per eight element reads — and a column tile keeps
+// row i of A and row j of Bᵀ. A 3×2 register block amortizes the loads —
+// six multiply-adds per five element reads — and a column tile keeps
 // the active slice of Bᵀ resident in L2 while a block of A rows sweeps it.
 // Rows are fanned out across goroutines (parallelize); each element's
 // reduction order is fixed by its indices, so results are bit-identical for
@@ -107,8 +107,11 @@ func mulTransB(dst, a, bt *Matrix) {
 }
 
 // mulTransBRange fills rows [lo, hi) of dst. Within a column tile it walks
-// the A rows in blocks of four so each Bᵀ row loaded from L2 feeds four
-// output elements.
+// the A rows in blocks of three and the Bᵀ rows in pairs: a 3×2 register
+// block, the largest whose accumulators, products and Bᵀ values stay in
+// amd64's XMM registers (DESIGN.md §7), so each pair of Bᵀ elements loaded
+// from L2 feeds six output elements without spilling. The last one or two
+// rows run four columns per pass, one chain each.
 func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
 	k, p := a.Cols, bt.Rows
 	for jb := 0; jb < p; jb += gemmColTile {
@@ -117,64 +120,65 @@ func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
 			je = p
 		}
 		i := lo
-		for ; i+4 <= hi; i += 4 {
+		for ; i+3 <= hi; i += 3 {
 			a0 := a.Data[i*k : (i+1)*k]
 			a1 := a.Data[(i+1)*k : (i+2)*k][:len(a0)]
 			a2 := a.Data[(i+2)*k : (i+3)*k][:len(a0)]
-			a3 := a.Data[(i+3)*k : (i+4)*k][:len(a0)]
 			d0 := dst.Data[i*p : (i+1)*p]
 			d1 := dst.Data[(i+1)*p : (i+2)*p]
 			d2 := dst.Data[(i+2)*p : (i+3)*p]
-			d3 := dst.Data[(i+3)*p : (i+4)*p]
 			j := jb
-			for ; j+4 <= je; j += 4 {
+			for ; j+2 <= je; j += 2 {
 				// Re-slice every stream to len(a0) so the compiler can prove
 				// the indexed loads in-bounds and drop the checks.
 				b0 := bt.Data[j*k : (j+1)*k][:len(a0)]
 				b1 := bt.Data[(j+1)*k : (j+2)*k][:len(a0)]
-				b2 := bt.Data[(j+2)*k : (j+3)*k][:len(a0)]
-				b3 := bt.Data[(j+3)*k : (j+4)*k][:len(a0)]
-				var c00, c01, c02, c03 float64
-				var c10, c11, c12, c13 float64
-				var c20, c21, c22, c23 float64
-				var c30, c31, c32, c33 float64
-				for t := range a0 {
-					av0, av1, av2, av3 := a0[t], a1[t], a2[t], a3[t]
-					bv0, bv1, bv2, bv3 := b0[t], b1[t], b2[t], b3[t]
+				var c00, c01, c10, c11, c20, c21 float64
+				for t, av0 := range a0 {
+					bv0, bv1 := b0[t], b1[t]
 					c00 += av0 * bv0
 					c01 += av0 * bv1
-					c02 += av0 * bv2
-					c03 += av0 * bv3
+					av1 := a1[t]
 					c10 += av1 * bv0
 					c11 += av1 * bv1
-					c12 += av1 * bv2
-					c13 += av1 * bv3
+					av2 := a2[t]
 					c20 += av2 * bv0
 					c21 += av2 * bv1
-					c22 += av2 * bv2
-					c23 += av2 * bv3
-					c30 += av3 * bv0
-					c31 += av3 * bv1
-					c32 += av3 * bv2
-					c33 += av3 * bv3
 				}
-				d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
-				d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
-				d2[j], d2[j+1], d2[j+2], d2[j+3] = c20, c21, c22, c23
-				d3[j], d3[j+1], d3[j+2], d3[j+3] = c30, c31, c32, c33
+				d0[j], d0[j+1] = c00, c01
+				d1[j], d1[j+1] = c10, c11
+				d2[j], d2[j+1] = c20, c21
 			}
-			for ; j < je; j++ {
-				brow := bt.Data[j*k : (j+1)*k]
-				d0[j] = dotUnchecked(a0, brow)
-				d1[j] = dotUnchecked(a1, brow)
-				d2[j] = dotUnchecked(a2, brow)
-				d3[j] = dotUnchecked(a3, brow)
+			if j < je {
+				b0 := bt.Data[j*k : (j+1)*k][:len(a0)]
+				var c0, c1, c2 float64
+				for t, bv := range b0 {
+					c0 += a0[t] * bv
+					c1 += a1[t] * bv
+					c2 += a2[t] * bv
+				}
+				d0[j], d1[j], d2[j] = c0, c1, c2
 			}
 		}
 		for ; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*p : (i+1)*p]
-			for j := jb; j < je; j++ {
+			j := jb
+			for ; j+4 <= je; j += 4 {
+				b0 := bt.Data[j*k : (j+1)*k][:len(arow)]
+				b1 := bt.Data[(j+1)*k : (j+2)*k][:len(arow)]
+				b2 := bt.Data[(j+2)*k : (j+3)*k][:len(arow)]
+				b3 := bt.Data[(j+3)*k : (j+4)*k][:len(arow)]
+				var c0, c1, c2, c3 float64
+				for t, av := range arow {
+					c0 += av * b0[t]
+					c1 += av * b1[t]
+					c2 += av * b2[t]
+					c3 += av * b3[t]
+				}
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = c0, c1, c2, c3
+			}
+			for ; j < je; j++ {
 				drow[j] = dotUnchecked(arow, bt.Data[j*k:(j+1)*k])
 			}
 		}
@@ -183,8 +187,9 @@ func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
 
 // dotUnchecked is Dot without the length check, for kernel interiors where
 // lengths match by construction. It must keep a single accumulator walking t
-// ascending: the 4×4 micro-kernel uses the same order, so an element lands on
-// identical bits whether a partition put it on the blocked or remainder path.
+// ascending: the register-blocked kernels use the same order, so an element
+// lands on identical bits whether a partition put it on the blocked or
+// remainder path.
 func dotUnchecked(x, y []float64) float64 {
 	y = y[:len(x)]
 	s := 0.0
