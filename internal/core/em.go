@@ -469,7 +469,9 @@ var ln2pi = math.Log(2 * math.Pi)
 // n·log 2π) with A = Σ+σ²I, whose factor in frame f must already sit in
 // f.ws.chA. A subspace frame adds log(α+σ²) per complement direction to
 // log|A|; the quadratic needs nothing, because yᵢ−μ lies in the frame. It
-// runs entirely in the hd/hs scratch vectors — zero allocations.
+// runs entirely in the hd/hs scratch vectors — zero allocations. The exact
+// E-step, the reference path, solves for every quadratic here; eStepFast
+// takes them from its posterior means (llRowsFromMeans).
 func (em *Session) llRows(f *frame) float64 {
 	ws, n := f.ws, f.n
 	logDet := ws.chA.LogDet()
@@ -484,6 +486,29 @@ func (em *Session) llRows(f *frame) float64 {
 		}
 		ws.chA.SolveVecInto(ws.hs, ws.hd)
 		total += -0.5 * (matrix.Dot(ws.hd, ws.hs) + logDet + float64(f.full)*ln2pi)
+	}
+	return total
+}
+
+// llRowsFromMeans is llRows without a solve per row: with dᵢ = yᵢ−μ the
+// posterior mean satisfies ẑᵢ−μ = (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and
+// the quadratic is dᵢᵀ(yᵢ−ẑᵢ)/σ², from the means z the E-step already
+// formed. It equals llRows to round-off; the frozen E-step (eStepWarm)
+// takes its quadratic the same way.
+func (em *Session) llRowsFromMeans(f *frame, z *matrix.Matrix) float64 {
+	logDet := f.ws.chA.LogDet()
+	if c := f.comp(); c > 0 {
+		logDet += float64(c) * math.Log(f.alpha+em.sigma2)
+	}
+	inv := 1 / em.sigma2
+	total := 0.0
+	for i := 0; i < f.known.Rows; i++ {
+		zi := z.RowView(i)
+		quad := 0.0
+		for j, y := range f.known.RowView(i) {
+			quad += (y - f.mu[j]) * (y - zi[j])
+		}
+		total += -0.5 * (quad*inv + logDet + float64(f.full)*ln2pi)
 	}
 	return total
 }
@@ -553,8 +578,9 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 		}
 		if !em.opts.DisableHealthChecks {
 			// chA still holds the factor of Σ+σ²I (InverseInto leaves it
-			// intact), which is exactly the marginal the likelihood needs.
-			out.ll += em.llRows(f)
+			// intact), whose log-determinant the likelihood needs; each
+			// row's quadratic comes from its posterior mean (llRowsFromMeans).
+			out.ll += em.llRowsFromMeans(f, zFull)
 			out.llValid = true
 		}
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "leo/internal/matrix"
+import (
+	"math"
+
+	"leo/internal/matrix"
+)
 
 // Data-subspace frames (DESIGN.md §16).
 //
@@ -72,8 +76,8 @@ type subspace struct {
 	held   bool  // the session's posterior Σ is (α, Q, Ω, Σ′) of this frame
 	omega  []int // Ω: the configurations of frame coordinates 0..k−1 (owned)
 
-	cand  *matrix.Matrix // basis candidates; Q's columns in the leading r rows
-	norms []float64      // candidates' norms before projection
+	cand  *matrix.Matrix // basis candidates; Qᵀ (r×n) once basis returns
+	norms []float64      // candidates' norms before projection, then residual norms
 	q     *matrix.Matrix // n×r: Q, zero on Ω's rows
 	obs   []int          // 0..k−1, the observations' frame coordinates
 	mean  []float64      // d: Pᵀ × the database column means
@@ -184,10 +188,9 @@ func (em *Session) initSubspace() bool {
 	f := &sp.frame
 	f.n, f.full, f.alpha = d, n, 1
 	f.ws.resize(d)
-	f.known = sized(&f.known, rows, d)
-	for i := 0; i < rows; i++ {
-		sp.coords(f.known.RowView(i), em.known.RowView(i))
-	}
+	// Qᵀyᵢ for every database row at once: basis left Qᵀ in sp.cand.
+	qty := matrix.MulTransBInto(sized(&sp.blk, rows, r), em.known, sp.cand)
+	sp.frameRows(sized(&f.known, rows, d), em.known, qty)
 	sp.obs = sp.obs[:0]
 	for i := 0; i < k; i++ {
 		sp.obs = append(sp.obs, i)
@@ -236,39 +239,48 @@ func (em *Session) initSubspace() bool {
 	return true
 }
 
-// basis builds Q, an orthonormal basis of the database rows (and initMu)
-// with their Ω entries zeroed, into the leading rows of sp.cand and returns
-// its rank r. It is pivoted modified Gram–Schmidt: each step accepts the
-// candidate with the largest residual relative to its own norm, re-
-// orthogonalizes it against the accepted rows, and projects it out of the
-// rest; candidates whose relative residual falls to frameRankTol are
-// dropped. Q's Ω entries stay exactly zero.
+// basis builds Qᵀ, an orthonormal basis of the database rows (and initMu)
+// with their Ω entries zeroed, into sp.cand (r×n) and returns its rank r.
+// It is pivoted modified Gram–Schmidt: each step accepts the candidate with
+// the largest residual relative to its own norm, re-orthogonalizes it
+// against the accepted rows, and projects it out of the rest; candidates
+// whose relative residual falls to frameRankTol are dropped. Q's Ω entries
+// stay exactly zero.
+//
+// A step's projection coefficients for all remaining candidates come from
+// one MulVecInto over the contiguous tail, and projectOut fuses each axpy
+// with the residual norm the next step's pivot search reads. The
+// reorthogonalization stays one dot and axpy at a time: each of its dots
+// reads the previous update.
 func (sp *subspace) basis(known *matrix.Matrix, initMu []float64, obsIdx []int) int {
-	nc := known.Rows
+	nc, n := known.Rows, known.Cols
 	if initMu != nil {
 		nc++
 	}
-	cand := sized(&sp.cand, nc, known.Cols)
+	cand := sized(&sp.cand, nc, n)
 	copy(cand.Data, known.Data)
 	if initMu != nil {
 		copy(cand.RowView(nc-1), initMu)
 	}
-	sp.norms = growVec(sp.norms, nc)
+	// The candidates' norms before projection, then their residual norms.
+	sp.norms = growVec(sp.norms, 2*nc)
+	norms, res := sp.norms[:nc], sp.norms[nc:]
 	for i := 0; i < nc; i++ {
 		row := cand.RowView(i)
 		for _, j := range obsIdx {
 			row[j] = 0
 		}
-		sp.norms[i] = matrix.Norm2(row)
+		norms[i] = matrix.Norm2(row)
+		res[i] = norms[i]
 	}
 	r := 0
 	for ; r < nc; r++ {
 		piv, best := -1, frameRankTol
 		for i := r; i < nc; i++ {
-			if sp.norms[i] == 0 {
+			if norms[i] == 0 {
 				continue
 			}
-			if rel := matrix.Norm2(cand.RowView(i)) / sp.norms[i]; rel > best {
+			if rel := res[i] / norms[i]; rel > best {
 				piv, best = i, rel
 			}
 		}
@@ -281,7 +293,8 @@ func (sp *subspace) basis(known *matrix.Matrix, initMu []float64, obsIdx []int) 
 			for j := range q {
 				q[j], pr[j] = pr[j], q[j]
 			}
-			sp.norms[r], sp.norms[piv] = sp.norms[piv], sp.norms[r]
+			norms[r], norms[piv] = norms[piv], norms[r]
+			res[r], res[piv] = res[piv], res[r]
 		}
 		for c := 0; c < r; c++ {
 			qc := cand.RowView(c)
@@ -291,12 +304,48 @@ func (sp *subspace) basis(known *matrix.Matrix, initMu []float64, obsIdx []int) 
 		for j := range q {
 			q[j] *= inv
 		}
-		for i := r + 1; i < nc; i++ {
-			row := cand.RowView(i)
-			matrix.AxpyInPlace(-matrix.Dot(q, row), q, row)
+		if lo := r + 1; lo < nc {
+			tail := matrix.Matrix{Rows: nc - lo, Cols: n, Data: cand.Data[lo*n : nc*n]}
+			matrix.MulVecInto(res[lo:], &tail, q)
+			projectOut(cand, res, q, lo, nc)
 		}
 	}
+	cand.Reshape(r, n)
 	return r
+}
+
+// projectOut subtracts from each candidate i in [lo, hi) its component
+// res[i]·q along the unit vector q, then leaves the residual's norm in
+// res[i]: the axpy and Norm2 of one step in a single pass, four candidates
+// per pass, each on its own chain in ascending order.
+func projectOut(cand *matrix.Matrix, res, q []float64, lo, hi int) {
+	n := len(q)
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := cand.Data[i*n : (i+1)*n][:n]
+		r1 := cand.Data[(i+1)*n : (i+2)*n][:n]
+		r2 := cand.Data[(i+2)*n : (i+3)*n][:n]
+		r3 := cand.Data[(i+3)*n : (i+4)*n][:n]
+		a0, a1, a2, a3 := -res[i], -res[i+1], -res[i+2], -res[i+3]
+		var s0, s1, s2, s3 float64
+		for j, qv := range q {
+			v0 := r0[j] + a0*qv
+			v1 := r1[j] + a1*qv
+			v2 := r2[j] + a2*qv
+			v3 := r3[j] + a3*qv
+			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
+			s0 += v0 * v0
+			s1 += v1 * v1
+			s2 += v2 * v2
+			s3 += v3 * v3
+		}
+		res[i], res[i+1], res[i+2], res[i+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+	}
+	for ; i < hi; i++ {
+		row := cand.RowView(i)
+		matrix.AxpyInPlace(-res[i], q, row)
+		res[i] = matrix.Norm2(row)
+	}
 }
 
 // coords writes Pᵀv, v's frame coordinates, into dst: the observed
@@ -308,6 +357,19 @@ func (sp *subspace) coords(dst, v []float64) {
 	}
 	for c := k; c < len(dst); c++ {
 		dst[c] = matrix.Dot(sp.cand.RowView(c-k), v)
+	}
+}
+
+// frameRows writes the frame coordinates of every row yᵢ of known into dst
+// (rows×d): yᵢ's Ω entries, then Qᵀyᵢ from row i of qty (rows×r).
+func (sp *subspace) frameRows(dst, known, qty *matrix.Matrix) {
+	k := len(sp.omega)
+	for i := 0; i < known.Rows; i++ {
+		row, y := dst.RowView(i), known.RowView(i)
+		for a, j := range sp.omega {
+			row[a] = y[j]
+		}
+		copy(row[k:], qty.RowView(i))
 	}
 }
 
@@ -370,7 +432,9 @@ func (sp *subspace) materialize(sigma *matrix.Matrix) {
 }
 
 // project writes Pᵀv into dst (length d): v's Ω entries, then Qᵀv,
-// accumulated over Q's rows. O(n·r).
+// accumulated over Q's rows four at a time — one load and store of each
+// coordinate per four rows. Each coordinate still adds v_j·Q[j,c] for j
+// ascending in a single chain, the order of one axpy per row. O(n·r).
 func (sp *subspace) project(dst, v []float64) []float64 {
 	k := len(sp.omega)
 	for a, j := range sp.omega {
@@ -380,10 +444,24 @@ func (sp *subspace) project(dst, v []float64) []float64 {
 	for c := range t {
 		t[c] = 0
 	}
-	for j, x := range v {
-		if x != 0 {
-			matrix.AxpyInPlace(x, sp.q.RowView(j), t)
+	r := len(t)
+	j := 0
+	for ; j+4 <= len(v); j += 4 {
+		x0, x1, x2, x3 := v[j], v[j+1], v[j+2], v[j+3]
+		q0 := sp.q.Data[j*r : (j+1)*r][:r]
+		q1 := sp.q.Data[(j+1)*r : (j+2)*r][:r]
+		q2 := sp.q.Data[(j+2)*r : (j+3)*r][:r]
+		q3 := sp.q.Data[(j+3)*r : (j+4)*r][:r]
+		for c, s := range t {
+			s += x0 * q0[c]
+			s += x1 * q1[c]
+			s += x2 * q2[c]
+			s += x3 * q3[c]
+			t[c] = s
 		}
+	}
+	for ; j < len(v); j++ {
+		matrix.AxpyInPlace(v[j], sp.q.RowView(j), t)
 	}
 	return dst
 }

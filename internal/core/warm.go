@@ -155,18 +155,23 @@ func (em *Session) buildA() error {
 	} else {
 		ops.logDetA += float64(n-d) * math.Log(sp.alpha+s2)
 		ops.cComp = s2 * sp.alpha / (sp.alpha + s2)
-		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²): the frame coordinates of every row, one
-		// d×d product, and a lift per row.
+		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²), each step one product over every row:
+		// the rows' frame coordinates (Qᵀyᵢ, rows×n by n×r), Ĉ′ (d×d),
+		// and the lift (Q times the Q coordinates, rows×r by r×n; Q
+		// vanishes on Ω, whose entries are the Ω coordinates).
+		k, r := len(sp.omega), sp.q.Cols
 		rhs := sized(&sp.ws.rhsFull, rows, d)
-		for i := 0; i < rows; i++ {
-			y := sp.project(rhs.RowView(i), em.known.RowView(i))
-			for c := range y {
-				y[c] *= inv
-			}
+		sp.frameRows(rhs, em.known, matrix.MulInto(sized(&sp.blk, rows, r), em.known, sp.q))
+		for i := range rhs.Data {
+			rhs.Data[i] *= inv
 		}
 		cy := matrix.MulTransBInto(sized(&sp.ws.zFull, rows, d), rhs, ops.cHat)
+		matrix.MulTransBInto(ops.cy, sp.block(cy, 0, k, rows, r), sp.q)
 		for i := 0; i < rows; i++ {
-			sp.lift(ops.cy.RowView(i), cy.RowView(i))
+			row := ops.cy.RowView(i)
+			for a, j := range sp.omega {
+				row[j] = cy.Data[i*d+a]
+			}
 		}
 		sp.diag(ops.diag, sp.sigma, sp.alpha)
 	}
@@ -273,22 +278,42 @@ func (em *Session) eStepWarm() (*eResult, error) {
 	for j := range wc.cmu {
 		wc.cmu[j] *= inv
 	}
+	// Row i's likelihood quadratic dᵢᵀA⁻¹dᵢ with dᵢ = yᵢ−μ comes in the
+	// same pass: ẑᵢ−μ = (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and no solve
+	// is needed. Two rows per pass share each load of μ and Ĉμ/σ².
 	zFull := ws.zFullBuf()
-	for i := 0; i < rows; i++ {
-		z := zFull.RowView(i)
-		cyi := ops.cy.RowView(i)
-		for j := 0; j < n; j++ {
-			z[j] = em.mu[j] + cyi[j] - wc.cmu[j]
-		}
+	mu, cmu := em.mu, wc.cmu[:n]
+	llRow := func(quad float64) {
 		if health {
-			// Row i's likelihood quadratic dᵢᵀA⁻¹dᵢ with dᵢ = yᵢ−μ: ẑᵢ−μ =
-			// (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and no solve is needed.
-			quad := 0.0
-			for j, y := range em.known.RowView(i) {
-				quad += (y - em.mu[j]) * (y - z[j])
-			}
 			out.ll += -0.5 * (quad*inv + ops.logDetA + float64(n)*ln2pi)
 		}
+	}
+	i := 0
+	for ; i+2 <= rows; i += 2 {
+		z0, z1 := zFull.RowView(i)[:n], zFull.RowView(i + 1)[:n]
+		c0, c1 := ops.cy.RowView(i)[:n], ops.cy.RowView(i + 1)[:n]
+		y0, y1 := em.known.RowView(i)[:n], em.known.RowView(i + 1)[:n]
+		var q0, q1 float64
+		for j, m := range mu {
+			cm := cmu[j]
+			v0 := m + c0[j] - cm
+			v1 := m + c1[j] - cm
+			z0[j], z1[j] = v0, v1
+			q0 += (y0[j] - m) * (y0[j] - v0)
+			q1 += (y1[j] - m) * (y1[j] - v1)
+		}
+		llRow(q0)
+		llRow(q1)
+	}
+	for ; i < rows; i++ {
+		z, cyi, y := zFull.RowView(i)[:n], ops.cy.RowView(i)[:n], em.known.RowView(i)[:n]
+		quad := 0.0
+		for j, m := range mu {
+			v := m + cyi[j] - cmu[j]
+			z[j] = v
+			quad += (y[j] - m) * (y[j] - v)
+		}
+		llRow(quad)
 	}
 	out.zFull = zFull
 	out.cFull = ops.cHat
