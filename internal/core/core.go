@@ -50,9 +50,37 @@ func (e *ErrNotConverged) Error() string {
 }
 
 // IsNotConverged reports whether err is (or wraps) an ErrNotConverged.
-func IsNotConverged(err error) bool {
-	var nc *ErrNotConverged
-	return errors.As(err, &nc)
+func IsNotConverged(err error) bool { return wraps[*ErrNotConverged](err) }
+
+// wraps reports whether err or an error in its tree is a T — errors.As with
+// type assertions in place of As's reflected target, which escapes to the
+// heap: Session.Fit classifies the error of nearly every frozen refit, so
+// the classifiers must not allocate. The tree is walked depth first through
+// Unwrap() error and Unwrap() []error, as errors.As walks it; an error that
+// implements As hands the rest of the walk to errors.As.
+func wraps[T error](err error) bool {
+	for err != nil {
+		if _, ok := err.(T); ok {
+			return true
+		}
+		switch u := err.(type) {
+		case interface{ As(any) bool }:
+			var target T
+			return errors.As(err, &target)
+		case interface{ Unwrap() error }:
+			err = u.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, e := range u.Unwrap() {
+				if wraps[T](e) {
+					return true
+				}
+			}
+			return false
+		default:
+			return false
+		}
+	}
+	return false
 }
 
 // Options configures the EM fit. The zero value selects the defaults used

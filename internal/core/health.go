@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -33,10 +32,7 @@ func (e *ErrNumericalHealth) Error() string {
 }
 
 // IsNumericalHealth reports whether err is (or wraps) an *ErrNumericalHealth.
-func IsNumericalHealth(err error) bool {
-	var he *ErrNumericalHealth
-	return errors.As(err, &he)
-}
+func IsNumericalHealth(err error) bool { return wraps[*ErrNumericalHealth](err) }
 
 // Health is a session's accumulated numerical-health account. The jitter
 // fields surface how often (and how hard) the Cholesky jitter ladder had to

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -315,6 +316,45 @@ func TestHealthErrNumericalHealthShape(t *testing.T) {
 	reg := &ErrNumericalHealth{Iteration: 1, Reason: "log-likelihood regression", LL: -2000, PrevLL: -100}
 	if got := reg.Error(); got == "" {
 		t.Fatal("empty error string")
+	}
+}
+
+// TestErrorClassifiersMatchErrorsAs holds IsNotConverged and
+// IsNumericalHealth to errors.As on bare, %w-wrapped, joined and unrelated
+// errors and nil, and requires both to allocate nothing: Session.Fit calls
+// them on nearly every frozen refit's error.
+func TestErrorClassifiersMatchErrorsAs(t *testing.T) {
+	nc := &ErrNotConverged{Iterations: 2, Change: 1e-3, Tol: 1e-6}
+	he := &ErrNumericalHealth{Iteration: 1, Reason: "non-finite log-likelihood", LL: math.NaN(), PrevLL: math.NaN()}
+	other := errors.New("unrelated")
+	for _, c := range []struct {
+		name string
+		err  error
+	}{
+		{"nil", nil},
+		{"not converged", nc},
+		{"health", he},
+		{"wrapped not converged", fmt.Errorf("fit: %w", nc)},
+		{"wrapped health", fmt.Errorf("fit: %w", fmt.Errorf("retry: %w", he))},
+		{"joined", errors.Join(other, fmt.Errorf("fit: %w", nc), he)},
+		{"joined unrelated", errors.Join(other, context.Canceled)},
+		{"unrelated", other},
+	} {
+		var ncT *ErrNotConverged
+		var heT *ErrNumericalHealth
+		if got, want := IsNotConverged(c.err), errors.As(c.err, &ncT); got != want {
+			t.Errorf("%s: IsNotConverged = %v, errors.As = %v", c.name, got, want)
+		}
+		if got, want := IsNumericalHealth(c.err), errors.As(c.err, &heT); got != want {
+			t.Errorf("%s: IsNumericalHealth = %v, errors.As = %v", c.name, got, want)
+		}
+		err := c.err
+		if allocs := testing.AllocsPerRun(20, func() {
+			IsNotConverged(err)
+			IsNumericalHealth(err)
+		}); allocs != 0 {
+			t.Errorf("%s: classifiers allocated %v times per call pair, want 0", c.name, allocs)
+		}
 	}
 }
 
