@@ -61,8 +61,9 @@ cluster-smoke:
 # Cholesky factorization, the symmetric-inverse and SYRK kernels behind the
 # symmetry-aware E-step, the §6.7 overhead fit, the allocation-free E-step,
 # the warm-vs-cold multi-window recalibration pair, one steady-state frozen
-# window and the first frozen refit after a cold fit at the paper's
-# n = 1024, and the metrics-on/off EM iteration pair
+# window, the first frozen refit after a cold fit and a perf+power cold
+# calibration from fresh sessions at the paper's n = 1024, and the
+# metrics-on/off EM iteration pair
 # that pins the observability overhead) and records them in BENCH_em.json so
 # later changes have a trajectory. A second pass re-measures the parallel
 # kernels at 2/4/8 workers (GOMAXPROCS raised to match, -matrix-workers
@@ -74,7 +75,7 @@ cluster-smoke:
 # (node-epochs per second, cap-violation rate, J/beat).
 WORKER_BENCH = 'BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkMul512Parallel'
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkEMIterationMetrics' \
+	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkColdCalibrateLarge|BenchmarkEMIterationMetrics' \
 		-benchmem -timeout=60m . ./internal/core ./internal/matrix \
 		| $(GO) run ./cmd/benchjson -out BENCH_em.json
 	for w in 2 4 8; do \

@@ -123,6 +123,7 @@ var headlineKeys = map[string]struct{ key, field string }{
 	"BenchmarkMultiWindowWarm":         {"multi_window_warm_ms", "ns"},
 	"BenchmarkMultiWindowWarmLarge":    {"multi_window_warm_large_ms", "ns"},
 	"BenchmarkFirstFrozenRefitLarge":   {"first_frozen_refit_large_ms", "ns"},
+	"BenchmarkColdCalibrateLarge":      {"cold_calibrate_large_ms", "ns"},
 }
 
 // headline picks the headline metrics out of a parsed run: milliseconds per

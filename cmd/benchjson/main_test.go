@@ -41,6 +41,7 @@ pkg: leo/internal/core
 BenchmarkMultiWindowWarm-2        	    3000	    412345 ns/op	    2200 B/op	       9 allocs/op
 BenchmarkMultiWindowWarmLarge-2   	     200	   5123456 ns/op	   17000 B/op	       9 allocs/op
 BenchmarkFirstFrozenRefitLarge-2  	     300	   3750000 ns/op	  273000 B/op	      35 allocs/op
+BenchmarkColdCalibrateLarge-2     	     150	   8000000 ns/op	 1643000 B/op	     233 allocs/op
 BenchmarkEStepOnly-2              	     500	   2000000 ns/op	       0 B/op	       0 allocs/op
 PASS
 `
@@ -202,6 +203,7 @@ func TestHeadline(t *testing.T) {
 		"multi_window_warm_ms":        0.412345,
 		"multi_window_warm_large_ms":  5.123456,
 		"first_frozen_refit_large_ms": 3.75,
+		"cold_calibrate_large_ms":     8,
 		"estep_allocs_per_op":         0,
 	}
 	if len(h) != len(want) {

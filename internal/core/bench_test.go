@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"leo/internal/apps"
+	"leo/internal/matrix"
 	"leo/internal/metrics"
 	"leo/internal/platform"
 	"leo/internal/profile"
@@ -60,6 +61,62 @@ func BenchmarkEstimateSmallStrictSigma(b *testing.B) {
 // a single step costs tens of milliseconds and even -short runs it.
 func BenchmarkEMFitLarge(b *testing.B) {
 	benchFit(b, platform.Paper(), 20, Options{})
+}
+
+// BenchmarkColdCalibrateLarge is the estimation work of one paper-size cold
+// calibration: each op opens a fresh session on the kmeans leave-one-out
+// perf prior and one on the power prior (n = 1024) and runs one cold fit on
+// each over the same 20 observations. The priors are built once, untimed,
+// as a long-lived server or controller holds them. BenchmarkEMFitLarge
+// builds a prior and a dense Σ₀ on every op, so it does not measure this
+// path.
+func BenchmarkColdCalibrateLarge(b *testing.B) {
+	space := platform.Paper()
+	db, err := profile.Collect(space, apps.Suite(), 0, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	target, err := db.AppIndex("kmeans")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rest, perf, power, err := db.LeaveOneOut(target)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	mask := profile.RandomMask(space.N(), 20, rng)
+	type metric struct {
+		prior *Prior
+		obs   profile.Observations
+	}
+	var fits [2]metric
+	for i, m := range []struct {
+		known *matrix.Matrix
+		truth []float64
+	}{{rest.Perf, perf}, {rest.Power, power}} {
+		prior, err := NewPrior(m.known, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fits[i] = metric{prior, profile.Observe(m.truth, mask, 0.01, rng)}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range fits {
+			s := m.prior.NewSession()
+			for j, idx := range m.obs.Indices {
+				if err := s.Add(idx, m.obs.Values[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := s.Fit(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // benchWindows prepares W calibration windows of observations for the
