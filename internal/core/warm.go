@@ -155,15 +155,19 @@ func (em *Session) buildA() error {
 	} else {
 		ops.logDetA += float64(n-d) * math.Log(sp.alpha+s2)
 		ops.cComp = s2 * sp.alpha / (sp.alpha + s2)
-		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²), each step one product over every row:
-		// the rows' frame coordinates (Qᵀyᵢ, rows×n by n×r), Ĉ′ (d×d),
-		// and the lift (Q times the Q coordinates, rows×r by r×n; Q
-		// vanishes on Ω, whose entries are the Ω coordinates).
+		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²): the frame coordinates of every row, then
+		// one product with Ĉ′ (d×d) and one lift (Q times the rows' Q
+		// coordinates, rows×r by r×n; Q vanishes on Ω, whose entries are
+		// the Ω coordinates). The coordinates run through project, which
+		// reads Q in its stored n×r layout: a GEMM would need Qᵀ, a second
+		// r×n copy of Q.
 		k, r := len(sp.omega), sp.q.Cols
 		rhs := sized(&sp.ws.rhsFull, rows, d)
-		sp.frameRows(rhs, em.known, matrix.MulInto(sized(&sp.blk, rows, r), em.known, sp.q))
-		for i := range rhs.Data {
-			rhs.Data[i] *= inv
+		for i := 0; i < rows; i++ {
+			y := sp.project(rhs.RowView(i), em.known.RowView(i))
+			for c := range y {
+				y[c] *= inv
+			}
 		}
 		cy := matrix.MulTransBInto(sized(&sp.ws.zFull, rows, d), rhs, ops.cHat)
 		matrix.MulTransBInto(ops.cy, sp.block(cy, 0, k, rows, r), sp.q)
