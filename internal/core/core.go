@@ -56,17 +56,14 @@ func IsNotConverged(err error) bool { return wraps[*ErrNotConverged](err) }
 // type assertions in place of As's reflected target, which escapes to the
 // heap: Session.Fit classifies the error of nearly every frozen refit, so
 // the classifiers must not allocate. The tree is walked depth first through
-// Unwrap() error and Unwrap() []error, as errors.As walks it; an error that
-// implements As hands the rest of the walk to errors.As.
+// Unwrap() error and Unwrap() []error, as errors.As walks it; no error type
+// in this module implements As, so the assertion is the whole match.
 func wraps[T error](err error) bool {
 	for err != nil {
 		if _, ok := err.(T); ok {
 			return true
 		}
 		switch u := err.(type) {
-		case interface{ As(any) bool }:
-			var target T
-			return errors.As(err, &target)
 		case interface{ Unwrap() error }:
 			err = u.Unwrap()
 		case interface{ Unwrap() []error }:

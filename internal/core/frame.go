@@ -188,9 +188,17 @@ func (em *Session) initSubspace() bool {
 	f := &sp.frame
 	f.n, f.full, f.alpha = d, n, 1
 	f.ws.resize(d)
-	// Qᵀyᵢ for every database row at once: basis left Qᵀ in sp.cand.
+	// The database rows' coordinates: their Ω entries, then Qᵀyᵢ for every
+	// row at once from the Qᵀ basis left in sp.cand.
 	qty := matrix.MulTransBInto(sized(&sp.blk, rows, r), em.known, sp.cand)
-	sp.frameRows(sized(&f.known, rows, d), em.known, qty)
+	f.known = sized(&f.known, rows, d)
+	for i := 0; i < rows; i++ {
+		row, y := f.known.RowView(i), em.known.RowView(i)
+		for a, j := range sp.omega {
+			row[a] = y[j]
+		}
+		copy(row[k:], qty.RowView(i))
+	}
 	sp.obs = sp.obs[:0]
 	for i := 0; i < k; i++ {
 		sp.obs = append(sp.obs, i)
@@ -357,19 +365,6 @@ func (sp *subspace) coords(dst, v []float64) {
 	}
 	for c := k; c < len(dst); c++ {
 		dst[c] = matrix.Dot(sp.cand.RowView(c-k), v)
-	}
-}
-
-// frameRows writes the frame coordinates of every row yᵢ of known into dst
-// (rows×d): yᵢ's Ω entries, then Qᵀyᵢ from row i of qty (rows×r).
-func (sp *subspace) frameRows(dst, known, qty *matrix.Matrix) {
-	k := len(sp.omega)
-	for i := 0; i < known.Rows; i++ {
-		row, y := dst.RowView(i), known.RowView(i)
-		for a, j := range sp.omega {
-			row[a] = y[j]
-		}
-		copy(row[k:], qty.RowView(i))
 	}
 }
 
