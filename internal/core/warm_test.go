@@ -550,11 +550,11 @@ func TestIdentityFrameWarmBitsPinned(t *testing.T) {
 // α, Ω, Q, Σ′, σ²). Per prior it runs a cold fit, four frozen refits (k =
 // 20, 17, 0, 23), a Restore into a fresh session and one more refit, over
 // the kmeans, swish and x264 leave-one-out perf and power priors at the
-// paper's n = 1024 and kmeans at n = 128. The power database's rank of 19
-// and the odd window sizes reach the kernels' block remainders. The digest
-// was recorded before the frame build and the frozen refit moved onto
-// register-blocked kernels, which keep every output element's reduction
-// order, so it must not move.
+// paper's n = 1024 and kmeans's two at n = 128. The power database's rank
+// of 19 and the odd window sizes reach the kernels' block remainders. The
+// digest was recorded before the frame build and the frozen refit moved
+// onto register-blocked kernels, which keep every output element's
+// reduction order, so it must not move.
 func TestSubspaceFrameBitsPinned(t *testing.T) {
 	ctx := context.Background()
 	h := fnvOffset
