@@ -37,11 +37,12 @@ type emWorkspace struct {
 	zFull    *matrix.Matrix   // rows×n: posterior means, fully observed apps
 	dev      *matrix.Matrix   // n×(rows+1): one centered mean per column (M-step)
 	sigmaBak *matrix.Matrix   // n×n: start Σ of a non-frozen warm fit
+	s        *matrix.Matrix   // n×k: Σ[:,Ω], gathered from a dense Σ
 
 	chK  *matrix.Cholesky // k×k factor of the observation kernel
-	s    *matrix.Matrix   // n×k: Σ[:,Ω]
-	wT   *matrix.Matrix   // n×k: S K⁻¹ (exact path) or S L_K⁻ᵀ (fast path)
+	wT   *matrix.Matrix   // n×k: S K⁻¹ (exact path) or S L_K⁻ᵀ (fast paths)
 	kmat *matrix.Matrix   // k×k: σ²I + Σ[Ω,Ω]
+	tRow matrix.Matrix    // 1×k view of tObs, a forward-solve operand
 
 	sinvMu  []float64 // Σ⁻¹μ (exact path only)
 	rhs     []float64 // target right-hand side
@@ -73,7 +74,6 @@ func newEMWorkspace(n, rows int) *emWorkspace {
 		rows:    rows,
 		kcap:    -1,
 		chK:     matrix.NewCholeskyWorkspace(0),
-		s:       matrix.New(n, 0),
 		wT:      matrix.New(n, 0),
 		kmat:    matrix.New(0, 0),
 		sinvMu:  make([]float64, n),
@@ -101,6 +101,7 @@ func (ws *emWorkspace) rhsFullBuf() *matrix.Matrix  { return sized(&ws.rhsFull, 
 func (ws *emWorkspace) zFullBuf() *matrix.Matrix    { return sized(&ws.zFull, ws.rows, ws.n) }
 func (ws *emWorkspace) devBuf() *matrix.Matrix      { return sized(&ws.dev, ws.n, ws.rows+1) }
 func (ws *emWorkspace) sigmaBakBuf() *matrix.Matrix { return sized(&ws.sigmaBak, ws.n, ws.n) }
+func (ws *emWorkspace) sBuf() *matrix.Matrix        { return sized(&ws.s, ws.n, ws.kcap) }
 
 // sized returns *p shaped rows×cols, allocating it on first use and
 // otherwise reshaping it in place (grow-only storage).
@@ -178,20 +179,21 @@ func (ws *emWorkspace) restoreStart(s *Session) {
 // backing storage and is re-sliced to exactly k, so once a session has seen
 // its largest observation count, moving between previously seen counts
 // allocates nothing — a session whose window oscillates between two sizes
-// no longer thrashes the allocator on every Fit.
+// no longer thrashes the allocator on every Fit. S, which only the paths
+// over a dense Σ read, takes its k from here on its next sBuf.
 func (ws *emWorkspace) ensureObs(n, k int) {
 	if ws.kcap == k {
 		return
 	}
 	ws.kcap = k
 	ws.chK.Resize(k)
-	ws.s.Reshape(n, k)
 	ws.wT.Reshape(n, k)
 	ws.kmat.Reshape(k, k)
 	if cap(ws.tObs) < k {
 		ws.tObs = make([]float64, k)
 	}
 	ws.tObs = ws.tObs[:k]
+	ws.tRow = matrix.Matrix{Rows: 1, Cols: k, Data: ws.tObs}
 }
 
 // newEMState builds a session preloaded with observations — the internal
@@ -407,6 +409,7 @@ func relChange(a, b []float64) float64 {
 // buffers that the next eStep overwrites.
 type eResult struct {
 	zFull     *matrix.Matrix // (M−1)×n posterior means of fully observed apps
+	zSum      []float64      // a frozen E-step's Σᵢẑᵢ over them, in place of zFull
 	cFull     *matrix.Matrix // shared posterior covariance of fully observed apps
 	zTarget   []float64      // posterior mean of the target app
 	cTarget   *matrix.Matrix // posterior covariance of the target app (nil when frozen)
@@ -598,10 +601,9 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 	if err := em.factorTarget(f); err != nil {
 		return nil, err
 	}
-	// Row r of wT is L_K⁻¹ S[r,:], i.e. wT = S L_K⁻ᵀ, so the Woodbury
-	// correction S K⁻¹ Sᵀ = wT·wTᵀ lands as one symmetric rank-k product —
-	// exactly symmetric, like Σ, so their difference needs no Symmetrize.
-	ws.chK.ForwardSolveTInto(ws.wT, ws.s)
+	// wT = S L_K⁻ᵀ, so the Woodbury correction S K⁻¹ Sᵀ = wT·wTᵀ lands as
+	// one symmetric rank-k product — exactly symmetric, like Σ, so their
+	// difference needs no Symmetrize.
 	sw := matrix.SyrkInto(ws.swBuf(), 1, ws.wT)
 	out.cTarget = matrix.SubInto(cTarget, f.sigma, sw)
 
@@ -627,28 +629,33 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 }
 
 // factorTarget builds the target's Woodbury operands in frame f: S =
-// Σ[:,Ω] (n×k) in ws.s and the factor of K = σ²I_k + Σ[Ω,Ω] in ws.chK.
-// eStepFast calls it every iteration, eStepWarm once per fit on an
-// identity-frame posterior. eStepExact keeps its own copy, because it is
-// the reference the fast paths are tested against.
+// Σ[:,Ω] (n×k) in ws.s, the factor of K = σ²I_k + Σ[Ω,Ω], taken from S's
+// Ω rows, in ws.chK, and the half-solve Vᵀ = S L_K⁻ᵀ in ws.wT (row r of
+// Vᵀ is L_K⁻¹ S[r,:]). eStepFast calls it every iteration, eStepWarm once
+// per fit on an identity-frame posterior. eStepExact keeps its own copy,
+// because it is the reference the fast paths are tested against.
 func (em *Session) factorTarget(f *frame) error {
 	n, k, ws := f.n, len(f.obsIdx), f.ws
+	s := ws.sBuf()
 	for col, idx := range f.obsIdx {
 		for r := 0; r < n; r++ {
-			ws.s.Data[r*k+col] = f.sigma.Data[r*n+idx]
+			s.Data[r*k+col] = f.sigma.Data[r*n+idx]
 		}
 	}
-	return em.factorKernel(ws, f.obsIdx)
-}
-
-// factorKernel factors K = σ²I_k + Σ[Ω,Ω] into ws.chK, taking Σ[Ω,Ω] from
-// the Ω rows of S = Σ[:,Ω], which ws.s must already hold.
-func (em *Session) factorKernel(ws *emWorkspace, obs []int) error {
-	k := len(obs)
-	for a, ia := range obs {
-		copy(ws.kmat.Data[a*k:(a+1)*k], ws.s.Data[ia*k:(ia+1)*k])
+	for a, ia := range f.obsIdx {
+		copy(ws.kmat.Data[a*k:(a+1)*k], s.Data[ia*k:(ia+1)*k])
 	}
 	ws.kmat.AddDiagonal(em.sigma2)
+	if err := em.factorKernel(ws); err != nil {
+		return err
+	}
+	ws.chK.ForwardSolveTInto(ws.wT, s)
+	return nil
+}
+
+// factorKernel factors the observation kernel K, which ws.kmat must hold,
+// into ws.chK.
+func (em *Session) factorKernel(ws *emWorkspace) error {
 	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
 	if err != nil {
 		return fmt.Errorf("core: observation kernel not factorable: %w", err)
@@ -724,9 +731,10 @@ func (em *Session) eStepExact() (*eResult, error) {
 		return out, nil
 	}
 	// S = Σ[:, Ω] (n×k), K = σ²I_k + Σ[Ω, Ω].
+	s := ws.sBuf()
 	for col, idx := range em.obsIdx {
 		for r := 0; r < n; r++ {
-			ws.s.Data[r*k+col] = em.sigma.Data[r*n+idx]
+			s.Data[r*k+col] = em.sigma.Data[r*n+idx]
 		}
 	}
 	for a, ia := range em.obsIdx {
@@ -742,8 +750,8 @@ func (em *Session) eStepExact() (*eResult, error) {
 	em.noteJitter(applied)
 	// Each row of S is one right-hand side: wT = S K⁻¹ (n×k), and the
 	// Woodbury correction S K⁻¹ Sᵀ is then a single transposed-B GEMM.
-	ws.chK.SolveTInto(ws.wT, ws.s)
-	sw := matrix.MulTransBInto(ws.swBuf(), ws.wT, ws.s)
+	ws.chK.SolveTInto(ws.wT, s)
+	sw := matrix.MulTransBInto(ws.swBuf(), ws.wT, s)
 	out.cTarget = matrix.SubInto(cTarget, em.sigma, sw).Symmetrize()
 	if !em.opts.DisableHealthChecks {
 		for i, idx := range em.obsIdx {
@@ -837,10 +845,21 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 	}
 	f := em.frame()
 	mf := float64(em.m)
-	rows := e.zFull.Rows
+	scale := 1 / (mf + em.opts.Pi)
+	mu := f.mu
+	if em.frozen {
+		// Frozen warm fit: Σ and σ² are pinned to the last cold/full fit's
+		// posterior so the cached operators in warm.go stay exact — the
+		// M-step propagates the new observations through μ only, from the
+		// rows' summed posterior means.
+		for i := range mu {
+			mu[i] = (e.zSum[i] + e.zTarget[i]) * scale
+		}
+		return nil
+	}
 
 	// μ = (Σ_i ẑ_i) / (M + π).
-	mu := f.mu
+	rows := e.zFull.Rows
 	for i := range mu {
 		mu[i] = 0
 	}
@@ -848,16 +867,8 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 		matrix.AxpyInPlace(1, e.zFull.RowView(i), mu)
 	}
 	matrix.AxpyInPlace(1, e.zTarget, mu)
-	scale := 1 / (mf + em.opts.Pi)
 	for i := range mu {
 		mu[i] *= scale
-	}
-
-	if em.frozen {
-		// Frozen warm fit: Σ and σ² are pinned to the last cold/full fit's
-		// posterior so the cached operators in warm.go stay exact — the
-		// M-step propagates the new observations through μ only.
-		return nil
 	}
 
 	// Σ update: sum of posterior covariances and centered outer products,

@@ -88,11 +88,12 @@ type subspace struct {
 	u     *matrix.Matrix // n×k: Q·(Σ′−αI)[Q,Ω]
 
 	// Frozen-refit work buffers (warm.go): Pᵀv and Ĉ′Pᵀv, and the per-fit
-	// operands of Σ[:,Ω′] for a window's observations Ω′.
+	// target operands for a window's observations Ω′ (frameTarget).
 	pt, pu []float64      // d
 	pk     *matrix.Matrix // k′×d: P[Ω′,:]
-	wt     *matrix.Matrix // k′×d: P[Ω′,:]·(Σ′−αI)
-	wq     *matrix.Matrix // k′×r: wt's Q columns
+	wt     *matrix.Matrix // k′×d: Wᵀ = P[Ω′,:]·(Σ′−αI)
+	ut     *matrix.Matrix // d×k′: Uᵀ = (L_K⁻¹Wᵀ)ᵀ
+	uq     *matrix.Matrix // k′×r: U's Q columns
 }
 
 // subspaceBuf returns the session's subspace-frame storage, allocating it
@@ -459,46 +460,4 @@ func (sp *subspace) project(dst, v []float64) []float64 {
 		matrix.AxpyInPlace(v[j], sp.q.RowView(j), t)
 	}
 	return dst
-}
-
-// columns writes S = Σ[:,Ω′] (n×k′) for a window's observed configurations
-// obs into s, from the frame: with G = Σ′−αI,
-//
-//	S = αE_Ω′ + P·G·P[Ω′,:]ᵀ
-//
-// formed as Wᵀ = P[Ω′,:]·G (k′×d, a k′×d by d×d product), then one n×r by
-// r×k′ product Q·(Wᵀ's Q columns)ᵀ for the rows outside Ω, Wᵀ's Ω columns
-// for Ω's rows (where Q vanishes), and α on each observation's own entry.
-// O(n·r·k′ + k′·d²), where a gather from a dense Σ would need the n² Σ.
-func (sp *subspace) columns(s *matrix.Matrix, obs []int) {
-	k, r, d, kw := len(sp.omega), sp.q.Cols, sp.n, len(obs)
-	pk := sized(&sp.pk, kw, d)
-	for c, j := range obs {
-		row := pk.RowView(c)
-		for a, ja := range sp.omega {
-			row[a] = 0
-			if ja == j {
-				row[a] = 1
-			}
-		}
-		copy(row[k:], sp.q.RowView(j)) // zero when j ∈ Ω
-	}
-	wt := matrix.MulTransBInto(sized(&sp.wt, kw, d), pk, sp.sigma) // Σ′ is symmetric
-	for i, v := range pk.Data {
-		wt.Data[i] -= sp.alpha * v
-	}
-	wq := sized(&sp.wq, kw, r)
-	for c := 0; c < kw; c++ {
-		copy(wq.RowView(c), wt.RowView(c)[k:])
-	}
-	matrix.MulTransBInto(s, sp.q, wq)
-	for a, ja := range sp.omega {
-		row := s.RowView(ja)
-		for c := range row {
-			row[c] = wt.Data[c*d+a]
-		}
-	}
-	for c, j := range obs {
-		s.Data[j*kw+c] += sp.alpha
-	}
 }

@@ -255,8 +255,9 @@ func TestFrameInLoopLLMatchesReference(t *testing.T) {
 // contract: a cold fit in a subspace frame touches no n×n workspace buffer
 // (Σ aside) and never builds the prior's Σ₀; frozen refits, after that cold
 // fit or after a restore, allocate only what the frozen path reads, which
-// excludes the target posterior covariance and its Woodbury product; and
-// the dense cold start (here the ExactEStep ablation) builds Σ₀ on first
+// excludes the target posterior covariance and its Woodbury product, the
+// rows' posterior means and right-hand sides, and S = Σ[:,Ω]; and the
+// dense cold start (here the ExactEStep ablation) builds Σ₀ on first
 // use.
 func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
@@ -304,6 +305,9 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	if ws.cTarget != nil || ws.sw != nil {
 		t.Error("frozen refits formed the dense target posterior covariance")
 	}
+	if ws.zFull != nil || ws.s != nil {
+		t.Error("frozen refits formed the rows' posterior means or Σ[:,Ω]")
+	}
 
 	restored := prior.NewSession()
 	if err := restored.Restore(s.State()); err != nil {
@@ -314,7 +318,7 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	}
 	rw := restored.ws
 	if rw.chS != nil || rw.chA != nil || rw.cFull != nil || rw.dev != nil || rw.sigmaBak != nil ||
-		rw.cTarget != nil || rw.sw != nil {
+		rw.cTarget != nil || rw.sw != nil || rw.zFull != nil || rw.rhsFull != nil || rw.s != nil {
 		t.Error("frozen refit allocated buffers only the dense paths read")
 	}
 

@@ -159,26 +159,32 @@ func TestFitFastMatchesExact(t *testing.T) {
 // bug: ensureObs used to reallocate every k-dependent buffer whenever the
 // observation count changed, so a session alternating between two window
 // sizes paid four allocations per fit forever. The buffers are now grow-only
-// backing stores re-sliced to exactly k.
+// backing stores re-sliced to exactly k. S = Σ[:,Ω], which only the paths
+// over a dense Σ read, is sized by its first-use accessor to the k ensureObs
+// last set, and reshapes without allocating as well.
 func TestEnsureObsReusesBuffers(t *testing.T) {
 	const n = 16
 	ws := newEMWorkspace(n, 3)
 	ws.ensureObs(n, 5)
 	ws.ensureObs(n, 9) // high-water mark
+	ws.sBuf()
 
 	allocs := testing.AllocsPerRun(10, func() {
 		ws.ensureObs(n, 5)
+		ws.sBuf()
 		ws.ensureObs(n, 9)
+		ws.sBuf()
 	})
 	if allocs != 0 {
 		t.Fatalf("ensureObs allocated %v times oscillating between seen sizes, want 0", allocs)
 	}
 
 	ws.ensureObs(n, 5)
-	if ws.s.Rows != n || ws.s.Cols != 5 || ws.wT.Cols != 5 || ws.kmat.Rows != 5 ||
-		len(ws.tObs) != 5 || ws.chK.Size() != 5 {
-		t.Fatalf("buffers not sized to k=5 after resize: s %dx%d wT cols %d kmat %d tObs %d chK %d",
-			ws.s.Rows, ws.s.Cols, ws.wT.Cols, ws.kmat.Rows, len(ws.tObs), ws.chK.Size())
+	s := ws.sBuf()
+	if s.Rows != n || s.Cols != 5 || ws.wT.Cols != 5 || ws.kmat.Rows != 5 ||
+		len(ws.tObs) != 5 || ws.tRow.Cols != 5 || ws.chK.Size() != 5 {
+		t.Fatalf("buffers not sized to k=5 after resize: s %dx%d wT cols %d kmat %d tObs %d tRow %d chK %d",
+			s.Rows, s.Cols, ws.wT.Cols, ws.kmat.Rows, len(ws.tObs), ws.tRow.Cols, ws.chK.Size())
 	}
 }
 

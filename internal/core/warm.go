@@ -12,32 +12,40 @@ import (
 // Across consecutive warm fits the session freezes Σ and σ² (the M-step
 // updates μ only — see mStep), which makes every expensive operator of the
 // E-step a constant of the fit sequence: the shared posterior covariance
-// Ĉ = σ²(I−σ²A⁻¹) with A = Σ+σ²I, the per-application products Ĉyᵢ/σ²,
-// log|A| and diag(Σ). buildA computes them once per posterior, in the frame
-// the posterior lives in (frame.go):
+// Ĉ = σ²(I−σ²A⁻¹) with A = Σ+σ²I, log|A|, diag(Σ) and two constants of the
+// database rows below. buildA computes them once per posterior, in the
+// frame the posterior lives in (frame.go):
 //
 //   - Identity frame (Σ′ = Σ, P = I): Ĉ is n×n and each EM iteration applies
-//     it with one n² matvec, the order every identity-frame fit has always
-//     used.
+//     it with one n² matvec.
 //   - Subspace frame, Σ = αI + P(Σ′−αI)Pᵀ: Ĉ is c⊥ = σ²α/(α+σ²) on V⊥ and
 //     Ĉ′ = σ²(I−σ²(Σ′+σ²I)⁻¹) on V, so buildA factors the d×d Σ′+σ²I,
-//     log|A| = log|Σ′+σ²I| + (n−d)·log(α+σ²), Ĉyᵢ/σ² = PĈ′Pᵀyᵢ/σ² (the
-//     database rows lie in V) and diag(Σ) comes from the structure —
-//     O(d³ + rows·n·d + n·r²) in all. An iteration applies
+//     log|A| = log|Σ′+σ²I| + (n−d)·log(α+σ²) and diag(Σ) comes from the
+//     structure — O(d³ + rows·n·d + n·r²) in all. An iteration applies
 //     Ĉμ = c⊥μ + P(Ĉ′−c⊥I)Pᵀμ in O(n·d): μ stays a dense n-vector, because
 //     each window's observations move it out of V.
 //
-// Each iteration adds O(rows·n) work on the database rows, and each fit
-// O(n·r·k + nk² + k³) target work. The likelihood watchdog needs no solve
-// against A: A⁻¹(yᵢ−μ) = (yᵢ−ẑᵢ)/σ², and ẑᵢ is already in hand. The target
-// posterior covariance Ĉ_M is formed only by its diagonal, because a frozen
-// fit reads nothing else of it (Result.Variance and the non-finite scan;
-// the M-step stops before the Σ and σ² updates).
+// No iteration reads a database row. The rows' posterior means
+// ẑᵢ = μ + Ĉ(yᵢ−μ)/σ² enter the M-step only through their sum and the
+// likelihood watchdog only through the sum of their quadratics, and both
+// sums follow from the rows' column means ȳ. With cμ = Ĉμ/σ², z̄ = Ĉȳ/σ²
+// and δ = ȳ−μ:
+//
+//	Σᵢ ẑᵢ = rows·(μ − cμ + z̄)
+//	Σᵢ (yᵢ−μ)ᵀA⁻¹(yᵢ−μ) = ll0 + rows·δᵀ(δ − z̄ + cμ)/σ²
+//
+// where ll0 = Σᵢ (yᵢ−ȳ)ᵀA⁻¹(yᵢ−ȳ) is a constant of the posterior: the
+// centred rows sum to zero, so the cross terms vanish, and
+// A⁻¹ = (I − Ĉ/σ²)/σ². An iteration therefore costs one application of Ĉ
+// plus O(n) and O(n·k) target work, and each fit O(n·r·k + k·d²) more
+// (frameTarget). The target posterior covariance Ĉ_M is formed only by its
+// diagonal, because a frozen fit reads nothing else of it (Result.Variance
+// and the non-finite scan; the M-step stops before the Σ and σ² updates).
 //
 // The target kernel K = σ²I+Σ[Ω,Ω] is factored once per fit and reused
 // across that fit's iterations. At a calibration window's ~20 observations
 // that factorization costs a few thousand multiply-adds, against the
-// O(n·r·k) that forms S and the O(n·d) applications of Ĉ the rest of a
+// O(n·r·k) that forms Vᵀ and the O(n·d) applications of Ĉ the rest of a
 // steady window costs, so nothing carries it from one fit to the next.
 //
 // Everything cached is a pure function of the posterior's frame (α, Ω, Q,
@@ -52,11 +60,11 @@ type warmCache struct {
 	// ops instead of re-deriving the identical bits — see Session.FrozenOps.
 	ops *frozenOps
 
-	cmu []float64 // per-iteration: Ĉ μ / σ²
+	zsum []float64 // per-iteration: Ĉμ, then Σᵢẑᵢ
 
-	// fitPrepared marks the per-fit target quantities (chK, S, wT and the
-	// workspace's vTarget) as current for this Fit's observation set; reset
-	// at every Fit entry.
+	// fitPrepared marks the per-fit target quantities (chK, Vᵀ in the
+	// workspace's wT, and its vTarget) as current for this Fit's observation
+	// set; reset at every Fit entry.
 	fitPrepared bool
 }
 
@@ -69,7 +77,8 @@ type warmCache struct {
 type frozenOps struct {
 	cHat    *matrix.Matrix // d×d: Ĉ′, Ĉ in frame coordinates (Ĉ itself when d = n)
 	cComp   float64        // c⊥ = σ²α/(α+σ²), Ĉ on the complement (zero when d = n)
-	cy      *matrix.Matrix // rows×n: Ĉ yᵢ / σ²
+	zbar    []float64      // n: z̄ = Ĉȳ/σ², ȳ the database column means
+	ll0     float64        // Σᵢ (yᵢ−ȳ)ᵀA⁻¹(yᵢ−ȳ)
 	diag    []float64      // n: diag(Σ)
 	logDetA float64        // log|Σ+σ²I|
 
@@ -125,7 +134,7 @@ func (em *Session) buildA() error {
 	d := sigma.Rows
 	ops := &frozenOps{
 		cHat: matrix.New(d, d),
-		cy:   matrix.New(rows, n),
+		zbar: make([]float64, n),
 		diag: make([]float64, n),
 	}
 	chA := matrix.NewCholeskyWorkspace(d)
@@ -138,46 +147,46 @@ func (em *Session) buildA() error {
 	ops.cHat.ScaleInPlace(-s2 * s2).AddDiagonal(s2)
 	ops.logDetA = chA.LogDet()
 
-	inv := 1 / s2
+	// ll0 = Σᵢ ‖L⁻¹(yᵢ−ȳ)‖² with L the factor chA still holds: the rows'
+	// centred coordinates (Pᵀ(yᵢ−ȳ) in a subspace frame, where the rows lie
+	// in V and A acts there as Σ′+σ²I), forward-solved in one pass.
+	ybar := em.prior.colMean
+	var dev *matrix.Matrix
 	if sp == nil {
-		rhsFull := em.ws.rhsFullBuf()
+		dev = em.ws.rhsFullBuf()
 		for i := 0; i < rows; i++ {
-			row := em.known.RowView(i)
-			rhs := rhsFull.RowView(i)
-			for j := range rhs {
-				rhs[j] = row[j] * inv
+			e := dev.RowView(i)
+			for j, y := range em.known.RowView(i) {
+				e[j] = y - ybar[j]
 			}
 		}
-		matrix.MulTransBInto(ops.cy, rhsFull, ops.cHat)
+		matrix.MulVecInto(ops.zbar, ops.cHat, ybar)
 		for j := range ops.diag {
 			ops.diag[j] = sigma.Data[j*n+j]
 		}
 	} else {
 		ops.logDetA += float64(n-d) * math.Log(sp.alpha+s2)
 		ops.cComp = s2 * sp.alpha / (sp.alpha + s2)
-		// Ĉyᵢ/σ² = PĈ′(Pᵀyᵢ/σ²): the frame coordinates of every row, then
-		// one product with Ĉ′ (d×d) and one lift (Q times the rows' Q
-		// coordinates, rows×r by r×n; Q vanishes on Ω, whose entries are
-		// the Ω coordinates). The coordinates run through project, which
-		// reads Q in its stored n×r layout: a GEMM would need Qᵀ, a second
-		// r×n copy of Q.
-		k, r := len(sp.omega), sp.q.Cols
-		rhs := sized(&sp.ws.rhsFull, rows, d)
+		// The coordinates run through project, which reads Q in its stored
+		// n×r layout: a GEMM would need Qᵀ, a second r×n copy of Q.
+		sp.mean = sp.project(growVec(sp.mean, d), ybar)
+		dev = sized(&sp.ws.rhsFull, rows, d)
 		for i := 0; i < rows; i++ {
-			y := sp.project(rhs.RowView(i), em.known.RowView(i))
-			for c := range y {
-				y[c] *= inv
+			e := sp.project(dev.RowView(i), em.known.RowView(i))
+			for c, m := range sp.mean {
+				e[c] -= m
 			}
 		}
-		cy := matrix.MulTransBInto(sized(&sp.ws.zFull, rows, d), rhs, ops.cHat)
-		matrix.MulTransBInto(ops.cy, sp.block(cy, 0, k, rows, r), sp.q)
-		for i := 0; i < rows; i++ {
-			row := ops.cy.RowView(i)
-			for a, j := range sp.omega {
-				row[j] = cy.Data[i*d+a]
-			}
-		}
+		sp.applyC(ops.zbar, ops, ybar)
 		sp.diag(ops.diag, sp.sigma, sp.alpha)
+	}
+	chA.ForwardSolveTInto(dev, dev)
+	for _, v := range dev.Data {
+		ops.ll0 += v * v
+	}
+	inv := 1 / s2
+	for j := range ops.zbar {
+		ops.zbar[j] *= inv
 	}
 	ops.paramsDigest = em.frozenParamsDigest()
 	em.ws.wc.ops = ops
@@ -250,11 +259,12 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 // eStepWarm is the frozen-parameter E-step: with Σ and σ² pinned, every
 // operator of the posterior comes from the cache and one iteration costs one
 // application of Ĉ (Ĉμ: O(n·d) in a subspace frame, one n² matvec in the
-// identity frame), O(rows·n) for the database rows' means and likelihood,
-// and O(nk+k²) target work. Posterior means and the log-likelihood are the
-// same quantities the general path evaluates, and the target posterior
-// variance is Ĉ_M's diagonal (vTarget, with no cTarget) — the health
-// watchdogs run the same per-iteration scans over them.
+// identity frame), O(n) for the database rows' summed means and
+// likelihood, and O(n·k) target work. The log-likelihood is the quantity
+// the general path evaluates, the rows' posterior means arrive as their sum
+// (zSum, in place of zFull) and the target posterior variance as Ĉ_M's
+// diagonal (vTarget, in place of cTarget) — the health watchdogs run the
+// same per-iteration scans over them.
 func (em *Session) eStepWarm() (*eResult, error) {
 	ws, wc, n := em.ws, &em.ws.wc, em.n
 	sp := em.heldFrame()
@@ -267,60 +277,30 @@ func (em *Session) eStepWarm() (*eResult, error) {
 	}
 	ops := wc.ops
 	s2 := em.sigma2
-	rows := em.known.Rows
 	health := !em.opts.DisableHealthChecks
 
-	// ẑᵢ = μ + Ĉ(yᵢ−μ)/σ² = μ + (Ĉyᵢ/σ²) − (Ĉμ/σ²): the cached per-app
-	// product plus one shared application of Ĉ.
-	wc.cmu = growVec(wc.cmu, n)
+	// One pass over μ turns cμ = Ĉμ/σ² into Σᵢẑᵢ = rows·(μ − cμ + z̄) and
+	// the rows' likelihood quadratic δᵀ(δ − z̄ + cμ) with δ = ȳ−μ (see the
+	// identities at the top of this file).
+	wc.zsum = growVec(wc.zsum, n)
 	if sp != nil {
-		sp.applyC(wc.cmu, ops, em.mu)
+		sp.applyC(wc.zsum, ops, em.mu)
 	} else {
-		matrix.MulVecInto(wc.cmu, ops.cHat, em.mu)
+		matrix.MulVecInto(wc.zsum, ops.cHat, em.mu)
 	}
-	inv := 1 / s2
-	for j := range wc.cmu {
-		wc.cmu[j] *= inv
+	inv, rows := 1/s2, float64(em.known.Rows)
+	zsum, ybar, zbar := wc.zsum[:n], em.prior.colMean[:n], ops.zbar[:n]
+	quad := 0.0
+	for j, m := range em.mu {
+		c := zsum[j] * inv
+		dl := ybar[j] - m
+		quad += dl * (dl - zbar[j] + c)
+		zsum[j] = rows * (m - c + zbar[j])
 	}
-	// Row i's likelihood quadratic dᵢᵀA⁻¹dᵢ with dᵢ = yᵢ−μ comes in the
-	// same pass: ẑᵢ−μ = (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and no solve
-	// is needed. Two rows per pass share each load of μ and Ĉμ/σ².
-	zFull := ws.zFullBuf()
-	mu, cmu := em.mu, wc.cmu[:n]
-	llRow := func(quad float64) {
-		if health {
-			out.ll += -0.5 * (quad*inv + ops.logDetA + float64(n)*ln2pi)
-		}
+	if health {
+		out.ll = -0.5 * (ops.ll0 + rows*(quad*inv+ops.logDetA+float64(n)*ln2pi))
 	}
-	i := 0
-	for ; i+2 <= rows; i += 2 {
-		z0, z1 := zFull.RowView(i)[:n], zFull.RowView(i + 1)[:n]
-		c0, c1 := ops.cy.RowView(i)[:n], ops.cy.RowView(i + 1)[:n]
-		y0, y1 := em.known.RowView(i)[:n], em.known.RowView(i + 1)[:n]
-		var q0, q1 float64
-		for j, m := range mu {
-			cm := cmu[j]
-			v0 := m + c0[j] - cm
-			v1 := m + c1[j] - cm
-			z0[j], z1[j] = v0, v1
-			q0 += (y0[j] - m) * (y0[j] - v0)
-			q1 += (y1[j] - m) * (y1[j] - v1)
-		}
-		llRow(q0)
-		llRow(q1)
-	}
-	for ; i < rows; i++ {
-		z, cyi, y := zFull.RowView(i)[:n], ops.cy.RowView(i)[:n], em.known.RowView(i)[:n]
-		quad := 0.0
-		for j, m := range mu {
-			v := m + cyi[j] - cmu[j]
-			z[j] = v
-			quad += (y[j] - m) * (y[j] - v)
-		}
-		llRow(quad)
-	}
-	out.zFull = zFull
-	out.cFull = ops.cHat
+	out.zSum = zsum
 	out.llValid = health
 	out.vTarget = ws.vTarget
 
@@ -332,19 +312,19 @@ func (em *Session) eStepWarm() (*eResult, error) {
 		return out, nil
 	}
 	if !wc.fitPrepared {
-		// Once per fit: S (from the frame, or gathered from the dense Σ),
-		// the factor of K, the half-solve Vᵀ = S L_K⁻ᵀ and the diagonal of
-		// Ĉ_M = Σ − VᵀV, whose entry r is Σ_rr − ‖row r of Vᵀ‖² — O(nk)
-		// where forming Ĉ_M costs O(n²k).
+		// Once per fit: the factor of K and the half-solve Vᵀ = S L_K⁻ᵀ with
+		// S = Σ[:,Ω] (from the frame's structure, or through S gathered from
+		// the dense Σ), then the diagonal of Ĉ_M = Σ − VᵀV, whose entry r is
+		// Σ_rr − ‖row r of Vᵀ‖² — O(nk) where forming Ĉ_M costs O(n²k).
+		var err error
 		if sp != nil {
-			sp.columns(ws.s, em.obsIdx)
-			if err := em.factorKernel(ws, em.obsIdx); err != nil {
-				return nil, err
-			}
-		} else if err := em.factorTarget(em.frame()); err != nil {
+			err = em.frameTarget(sp)
+		} else {
+			err = em.factorTarget(em.frame())
+		}
+		if err != nil {
 			return nil, err
 		}
-		ws.chK.ForwardSolveTInto(ws.wT, ws.s)
 		for r := 0; r < n; r++ {
 			v := ws.wT.RowView(r)
 			ws.vTarget[r] = ops.diag[r] - matrix.Dot(v, v)
@@ -352,20 +332,85 @@ func (em *Session) eStepWarm() (*eResult, error) {
 		wc.fitPrepared = true
 	}
 
-	// GP-form posterior mean: ẑ_M = μ + S K⁻¹ (y_Ω − μ_Ω).
+	// GP-form posterior mean: ẑ_M = μ + S K⁻¹(y_Ω − μ_Ω) = μ + Vᵀu with
+	// u = L_K⁻¹(y_Ω − μ_Ω), whose squared norm is the target's likelihood
+	// quadratic. tRow is u's 1×k view for the forward solve.
 	for i, idx := range em.obsIdx {
 		ws.tObs[i] = em.obsVal[i] - em.mu[idx]
 	}
+	ws.chK.ForwardSolveTInto(&ws.tRow, &ws.tRow)
 	if health {
-		copy(ws.hd[:k], ws.tObs)
-	}
-	ws.chK.SolveVecInto(ws.tObs, ws.tObs)
-	if health {
-		out.ll += llTarget(ws.chK, ws.hd[:k], ws.tObs)
+		out.ll += llTarget(ws.chK, ws.tObs, ws.tObs)
 		out.llValid = true
 	}
-	matrix.MulVecInto(ws.zTarget, ws.s, ws.tObs)
+	matrix.MulVecInto(ws.zTarget, ws.wT, ws.tObs)
 	matrix.AxpyInPlace(1, em.mu, ws.zTarget)
 	out.zTarget = ws.zTarget
 	return out, nil
+}
+
+// frameTarget prepares a window's target on a subspace-frame posterior
+// without forming S = Σ[:,Ω′] for its observations Ω′. With G = Σ′−αI and
+// Wᵀ = P[Ω′,:]·G (k′×d), S = αE_Ω′ + P·W, so
+//
+//	K  = (σ²+α)I + Wᵀ·P[Ω′,:]ᵀ
+//	Vᵀ = S L_K⁻ᵀ = P·Uᵀ + α·E_Ω′·L_K⁻ᵀ,   U = L_K⁻¹Wᵀ (k′×d).
+//
+// It factors K into chK and writes Vᵀ into wT: one n×r by r×k′ product
+// Q·U[:,Q]ᵀ for the rows outside Ω, U's Ω columns on Ω's rows (where Q
+// vanishes), and α·(column c of L_K⁻¹) added to row Ω′_c, which covers
+// configurations in both Ω and Ω′. O(n·r·k′ + k′·d²), where forming S and
+// solving for Vᵀ costs O(n·r·k′ + n·k′²).
+func (em *Session) frameTarget(sp *subspace) error {
+	ws, obs := em.ws, em.obsIdx
+	k, r, d, kw := len(sp.omega), sp.q.Cols, sp.n, len(obs)
+	pk := sized(&sp.pk, kw, d)
+	for c, j := range obs {
+		row := pk.RowView(c)
+		for a, ja := range sp.omega {
+			row[a] = 0
+			if ja == j {
+				row[a] = 1
+			}
+		}
+		copy(row[k:], sp.q.RowView(j)) // zero when j ∈ Ω
+	}
+	wt := matrix.MulTransBInto(sized(&sp.wt, kw, d), pk, sp.sigma) // Σ′ is symmetric
+	for i, v := range pk.Data {
+		wt.Data[i] -= sp.alpha * v
+	}
+	matrix.MulTransBInto(ws.kmat, wt, pk).AddDiagonal(em.sigma2 + sp.alpha)
+	if err := em.factorKernel(ws); err != nil {
+		return err
+	}
+	// Uᵀ = W L_K⁻ᵀ (d×k′): one forward solve per row of W, the transpose
+	// of Wᵀ; then U's Q columns (k′×r) as the product's second operand.
+	ut := sized(&sp.ut, d, kw)
+	for c := 0; c < kw; c++ {
+		for i, v := range wt.RowView(c) {
+			ut.Data[i*kw+c] = v
+		}
+	}
+	ws.chK.ForwardSolveTInto(ut, ut)
+	uq := sized(&sp.uq, kw, r)
+	for c := 0; c < kw; c++ {
+		for i := range uq.RowView(c) {
+			uq.Data[c*r+i] = ut.Data[(k+i)*kw+c]
+		}
+	}
+	vt := matrix.MulTransBInto(ws.wT, sp.q, uq)
+	for a, ja := range sp.omega {
+		copy(vt.RowView(ja), ut.RowView(a))
+	}
+	// Column c of L_K⁻¹ is the forward solve of e_c, row c of the identity;
+	// kmat, whose copy of K is spent once factored, holds them.
+	li := ws.kmat
+	for i := range li.Data {
+		li.Data[i] = 0
+	}
+	ws.chK.ForwardSolveTInto(li, li.AddDiagonal(1))
+	for c, j := range obs {
+		matrix.AxpyInPlace(sp.alpha, li.RowView(c), vt.RowView(j))
+	}
+	return nil
 }

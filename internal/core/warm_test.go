@@ -503,10 +503,11 @@ func fitBytesBudgetPaperSize(t *testing.T) {
 
 // TestIdentityFrameWarmBitsPinned pins the estimate and variance bits of an
 // n = 32 warm sequence, whose cold fit lands in the identity frame (24
-// full-rank rows plus 10 probes span every configuration). In that frame
-// the frozen refits run the dense operations in their historical order, so
-// the digest, recorded before frozen refits moved onto the cold fit's
-// frame, must not move.
+// full-rank rows plus 10 probes span every configuration), so that a change
+// to the identity-frame frozen refit moves this digest only on purpose. It
+// was last re-recorded when frozen refits took the database rows' posterior
+// means as one sum and the target's ẑ_M from a forward solve, which moved
+// the estimates at round-off.
 func TestIdentityFrameWarmBitsPinned(t *testing.T) {
 	known, truth, _ := kmeansLOO(t)
 	prior, err := NewPrior(known, Options{})
@@ -539,7 +540,7 @@ func TestIdentityFrameWarmBitsPinned(t *testing.T) {
 			h = fnvU64(h, math.Float64bits(res.Variance[i]))
 		}
 	}
-	const want uint64 = 0xf8d7c747c23e5f01
+	const want uint64 = 0xd8ff6ddc4ccd3f65
 	if h != want {
 		t.Fatalf("identity-frame warm sequence digest %#016x, want %#016x", h, want)
 	}
@@ -552,9 +553,11 @@ func TestIdentityFrameWarmBitsPinned(t *testing.T) {
 // the kmeans, swish and x264 leave-one-out perf and power priors at the
 // paper's n = 1024 and kmeans's two at n = 128. The power database's rank
 // of 19 and the odd window sizes reach the kernels' block remainders. The
-// digest was recorded before the frame build and the frozen refit moved
-// onto register-blocked kernels, which keep every output element's
-// reduction order, so it must not move.
+// register-blocked kernels keep every output element's reduction order, so
+// they must not move the digest. It was last re-recorded when frozen
+// refits took the database rows' posterior means as one sum and the target
+// without forming Σ[:,Ω′], which moved the refits' estimates, variances and
+// μ at round-off and left the cold fits' bits alone.
 func TestSubspaceFrameBitsPinned(t *testing.T) {
 	ctx := context.Background()
 	h := fnvOffset
@@ -638,7 +641,7 @@ func TestSubspaceFrameBitsPinned(t *testing.T) {
 			}
 		}
 	}
-	const want uint64 = 0xe9be31d06c1a6f20
+	const want uint64 = 0x0b22686089b98393
 	if h != want {
 		t.Fatalf("subspace-frame fit sequence digest %#016x, want %#016x", h, want)
 	}

@@ -257,6 +257,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, req *http.Request) {
 				len(body.ObsIdx), len(body.Perf), len(body.Power)))
 		return
 	}
+	// An index outside the space is the client's error, not a failed
+	// estimation: past the shard it would count against the tenant's rung.
+	n := s.cfg.Space.N()
+	for _, idx := range body.ObsIdx {
+		if idx < 0 || idx >= n {
+			s.writeError(w, http.StatusBadRequest,
+				fmt.Errorf("service: observation index %d out of range [0,%d)", idx, n))
+			return
+		}
+	}
 	r := getRequest()
 	r.ctx = req.Context()
 	r.op = opObserve
