@@ -413,3 +413,38 @@ func TestPriorDigestSensitivity(t *testing.T) {
 		}
 	}
 }
+
+// TestPriorDigestPinned pins Prior.Digest for the session fixture's prior
+// under the default options and under each option alone. Persisted
+// snapshots and journals record the digest and refuse state taken against
+// any other, so a change to the fold — or to the option set it packs —
+// must leave every reachable option set's digest where it was.
+func TestPriorDigestPinned(t *testing.T) {
+	known, _, _ := sessionFixture(t)
+	initMu := make([]float64, known.Cols)
+	for i := range initMu {
+		initMu[i] = float64(i) / 8
+	}
+	for _, c := range []struct {
+		name string
+		opts Options
+		want uint64
+	}{
+		{"default", Options{}, 0xc2c38b6ff511bedc},
+		{"ZeroInit", Options{ZeroInit: true}, 0xe1be5279000108fd},
+		{"StrictPaperSigma", Options{StrictPaperSigma: true}, 0xcaed53279d976dd4},
+		{"StrictConvergence", Options{StrictConvergence: true}, 0xd3171adf461d1ccc},
+		{"DisableHealthChecks", Options{DisableHealthChecks: true}, 0xa21c6c9152fb02fc},
+		{"InitMu", Options{InitMu: initMu}, 0xcb871b02116b2099},
+		{"Pi", Options{Pi: 2}, 0x95dc567e6a8d6939},
+		{"MaxIter", Options{MaxIter: 9}, 0xa9b5c2a829f0b96d},
+	} {
+		p, err := NewPrior(known, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Digest(); got != c.want {
+			t.Errorf("%s: digest %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
