@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: fmt build vet test race check check-full faults bench bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+.PHONY: fmt build vet test race check check-full faults bench bench-smoke fuzz-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
 
 # fmt fails when gofmt would rewrite any Go file, and lists those files.
 fmt:
@@ -20,12 +20,13 @@ race:
 
 # check is the PR gate: every file is gofmt-clean, everything builds, vet is
 # clean, the full test suite passes under the race detector, every benchmark
-# still compiles and single-steps, and the crash-safety and serve-mode
-# contracts hold against the real binary.
-check: fmt build vet race bench-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
+# still compiles and single-steps, every fuzz target survives a short
+# mutation run, and the crash-safety and serve-mode contracts hold against
+# the real binary.
+check: fmt build vet race bench-smoke fuzz-smoke restart-smoke serve-smoke plan-cache-smoke cluster-smoke
 
 # check-full renders leo-experiments -experiment all -size full (the
-# paper's 1024-configuration space, about 90 s) and diffs it against
+# paper's 1024-configuration space, about 15 s) and diffs it against
 # results_full.txt with the timing lines masked: the bit-identity gate for
 # the data-subspace frames, which only the paper size builds at scale.
 check-full:
@@ -94,6 +95,20 @@ bench:
 # measurement time.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
+
+# fuzz-smoke runs every fuzz target — the snapshot and journal decoders,
+# the tenant-meta codec, the hand-rolled JSON encoder, the /v1/plan query
+# parser and the /v1/observe handler — for FUZZTIME each: the regression
+# corpus plus a few seconds of fresh mutation. One -fuzz pattern per
+# invocation, because go test rejects several fuzz targets at once.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run=NONE -fuzz='^FuzzScanJournal$$' -fuzztime=$(FUZZTIME) ./internal/persist
+	$(GO) test -run=NONE -fuzz='^FuzzUnpackTenantMeta$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzAppendJSON$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzPlanQuery$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzObserveBody$$' -fuzztime=$(FUZZTIME) ./internal/service
 
 # faults runs the robustness sweep (ext-faults) on the small space.
 faults:

@@ -244,8 +244,8 @@ func overheadInputs(b *testing.B, env *experiments.Env) (*Matrix, []float64, []i
 
 // --- Ablation benches (DESIGN.md §4) ---
 
-// emAblationInputs prepares a cores-only fit, small enough for the naive
-// E-step.
+// emAblationInputs prepares the cores-only kmeans fit the ablation benches
+// share.
 func emAblationInputs(b *testing.B) (*Matrix, []int, []float64) {
 	b.Helper()
 	db, err := CollectProfiles(CoresOnlySpace(), Benchmarks(), 0, nil)
@@ -263,30 +263,6 @@ func emAblationInputs(b *testing.B) (*Matrix, []int, []float64) {
 	mask := profile.UniformMask(32, 6)
 	obs := profile.Observe(truePerf, mask, 0, nil)
 	return rest.Perf, obs.Indices, obs.Values
-}
-
-// BenchmarkEMSharedCovariance measures the default E-step, which factors one
-// shared posterior covariance for all fully observed applications.
-func BenchmarkEMSharedCovariance(b *testing.B) {
-	known, idx, val := emAblationInputs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Estimate(known, idx, val, core.Options{MaxIter: 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEMNaive measures the literal Eq. (3) E-step: one n×n
-// factorization per application per iteration.
-func BenchmarkEMNaive(b *testing.B) {
-	known, idx, val := emAblationInputs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Estimate(known, idx, val, core.Options{MaxIter: 4, NaiveEStep: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkEMInitOffline measures EM initialized from the offline mean

@@ -347,14 +347,11 @@ func serveFleet(ctx context.Context, space leo.Space, db *leo.Database, addr str
 		if err != nil {
 			fatal(err)
 		}
-		// Serving only ever reads Result.Estimate. Session refits never copy
-		// μ/Σ into their results; lean results keep any one-shot fit over
-		// these priors from handing them over too.
-		perfPrior, err := leo.NewModelPrior(rest.Perf, leo.ModelOptions{LeanResults: true})
+		perfPrior, err := leo.NewModelPrior(rest.Perf, leo.ModelOptions{})
 		if err != nil {
 			fatal(err)
 		}
-		powerPrior, err := leo.NewModelPrior(rest.Power, leo.ModelOptions{LeanResults: true})
+		powerPrior, err := leo.NewModelPrior(rest.Power, leo.ModelOptions{})
 		if err != nil {
 			fatal(err)
 		}

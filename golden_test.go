@@ -16,7 +16,7 @@ import (
 
 var (
 	updateGolden = flag.Bool("update", false, "rewrite the golden render a test checks from the current leo-experiments output")
-	fullGolden   = flag.Bool("full", false, "also run TestExperimentsGoldenFull, the paper-size render (about 90 s)")
+	fullGolden   = flag.Bool("full", false, "also run TestExperimentsGoldenFull, the paper-size render (about 15 s)")
 )
 
 // completedLine matches the per-experiment wall-clock trailer.

@@ -52,10 +52,10 @@ type OpsCarrier interface {
 }
 
 // HealthReporter is the optional Session capability exposing the numerical-
-// health account of the underlying fit — watchdog trips, exact-path rescues,
-// and the accumulated Cholesky jitter that marks a chronically
-// ill-conditioned covariance. The controller polls it after each Update to
-// feed its degradation ladder.
+// health account of the underlying fit — watchdog trips, frozen refits
+// rescued by a cold refit, and the accumulated Cholesky jitter that marks a
+// chronically ill-conditioned covariance. The controller polls it after
+// each Update to feed its degradation ladder.
 type HealthReporter interface {
 	Health() core.Health
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // TestValidReadingTable is the satellite audit of validReading: ±Inf, NaN,
-// zero, negatives, and — the subtle class — subnormals must all be rejected;
-// every normal positive float must pass.
+// zero, negatives, readings at or past maxReading, and — the subtle class —
+// subnormals must all be rejected; every normal positive float below the
+// ceiling must pass.
 func TestValidReadingTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -27,7 +28,9 @@ func TestValidReadingTable(t *testing.T) {
 		{"large power", 1e6, true},
 		{"tiny but normal", 0x1p-1022, true},
 		{"one ulp above normal floor", math.Nextafter(0x1p-1022, 1), true},
-		{"max float", math.MaxFloat64, true},
+		{"largest below the ceiling", math.Nextafter(0x1p128, 0), true},
+		{"ceiling", 0x1p128, false},
+		{"max float", math.MaxFloat64, false},
 		{"zero", 0, false},
 		{"negative zero", math.Copysign(0, -1), false},
 		{"negative", -1.5, false},

@@ -214,18 +214,31 @@ func (c *Controller) Report() DegradationReport {
 	return out
 }
 
-// validReading reports whether a sensor reading is physically plausible:
-// finite, strictly positive, and no smaller than the smallest normal float.
-// NaN meter dropouts, ±Inf, lost heartbeat batches (rate 0) and
-// sign-corrupted samples all fail; so do subnormals (< 2^-1022), which are
+// validReading reports whether a sensor reading is physically plausible and
+// one the model can hold: in [minNormalReading, maxReading). NaN meter
+// dropouts (which fail both comparisons), ±Inf, lost heartbeat batches
+// (rate 0) and sign-corrupted samples all fail; so do subnormals, which are
 // indistinguishable from a zeroed register and whose reciprocal — taken all
-// over the planner — overflows to +Inf.
+// over the planner — overflows to +Inf, and readings too large to fit.
 func validReading(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= minNormalReading
+	return v >= minNormalReading && v < maxReading
 }
 
 // minNormalReading is the smallest positive normal float64, 2^-1022.
 const minNormalReading = 0x1p-1022
+
+// maxReading bounds a reading the EM fit can hold. The fit's largest
+// intermediates are fourth powers of the data: σ² starts at a fraction of
+// the mean square of the database and the window and stays near it, and
+// the posterior covariance Ĉ = σ²I − σ⁴(Σ+σ²I)⁻¹ forms σ⁴. Readings below
+// 2^128 keep σ⁴ below 2^512. Sums over the fewer than 2^15 cells of a fit
+// at the paper's n = 1024, and division by a σ² no smaller than its 1e-9
+// floor (about 2^-30), add under 50 more bits, which leaves every
+// intermediate far from overflow at 2^1024 (TestReadingCeilingFits fits
+// windows of such readings at n = 32, 128 and 1024). A window carrying
+// 1.797e308 overflows the fit instead. No meter reads a rate or a power
+// anywhere near 2^128 ≈ 3.4e38.
+const maxReading = 0x1p128
 
 // checkEstimates guards the planner against poisoned estimator output
 // (NaN/Inf vectors must never reach internal/pareto as the only option): the

@@ -28,9 +28,11 @@ type Window struct {
 
 // FilterWindow screens one window's raw paired readings: a configuration
 // whose performance or power reading is faulted (NaN meter dropout, lost
-// heartbeat batch reading zero, subnormal underflow) is dropped whole —
-// core.Estimate rejects non-finite observations outright, and a
-// non-positive rate or power is physically impossible.
+// heartbeat batch reading zero, subnormal underflow) or too large for the
+// fit to hold (maxReading) is dropped whole — core.Estimate rejects
+// non-finite observations outright, a non-positive rate or power is
+// physically impossible, and a reading past the ceiling would overflow the
+// fit and count against the caller's degradation ladder.
 func FilterWindow(obsIdx []int, perfObs, powerObs []float64) Window {
 	w := Window{
 		ObsIdx: make([]int, 0, len(obsIdx)),

@@ -112,18 +112,6 @@ type Options struct {
 	InitMu []float64
 	// ZeroInit starts μ at zero instead of the offline mean (ablation).
 	ZeroInit bool
-	// NaiveEStep computes each application's posterior covariance with an
-	// independent n×n factorization instead of sharing one factorization
-	// across all fully observed applications (ablation; same math, much
-	// slower). It implies ExactEStep.
-	NaiveEStep bool
-	// ExactEStep runs the pre-symmetry-aware hot loop: the shared posterior
-	// covariance via an n-right-hand-side triangular solve against Σ+σ²I, the
-	// posterior means through Σ⁻¹μ, and the M-step as a sequence of rank-1
-	// updates followed by an explicit Symmetrize. Same math as the default
-	// fast path to round-off (≤1e-8 relative), at roughly 3× the flops —
-	// kept as an ablation and as a cross-check oracle for the fast kernels.
-	ExactEStep bool
 	// StrictPaperSigma applies the printed parenthesization of Eq. (4),
 	// adding the prior terms πμμ' + I outside the 1/(M+1) normalizer. The
 	// default places them inside, which matches the standard NIW MAP update
@@ -131,8 +119,8 @@ type Options struct {
 	StrictPaperSigma bool
 	// DisableHealthChecks turns off the per-iteration numerical-health
 	// watchdogs (the non-finite posterior scan, the log-likelihood
-	// regression detector, and the automatic exact-path fallback they
-	// drive). The watchdogs observe the fit without changing any of its
+	// regression detector, and the cold refit that rescues a frozen refit
+	// they trip). The watchdogs observe the fit without changing any of its
 	// floating-point results, so this exists for overhead measurement, not
 	// correctness.
 	DisableHealthChecks bool
@@ -152,14 +140,11 @@ type Options struct {
 	// estimate regardless (§5.5), so the capped estimate is the product, not
 	// an error.
 	StrictConvergence bool
-	// LeanResults makes the one-shot entry points (Estimate,
-	// EstimateContext, Prior.Estimate) leave Result.Mu and Result.Sigma nil
-	// instead of handing over their discarded session's parameters.
-	// Session.Fit never fills them either way: it copies nothing per fit,
-	// and a live session's parameters are read with Session.State. The fit
-	// itself is untouched: every other Result field carries the same bits,
-	// and the option is deliberately excluded from Prior.Digest so lean and
-	// full deployments can exchange persisted state.
+	// LeanResults is ignored: no fit copies μ or Σ into its Result any
+	// more, so there is nothing left for it to leave out. It is excluded
+	// from Prior.Digest.
+	//
+	// Deprecated: read a session's parameters with Session.State.
 	LeanResults bool
 }
 
@@ -185,7 +170,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the output of an EM fit.
+// Result is the output of an EM fit. The fitted population parameters μ
+// and Σ stay with the session that ran it, in the posterior's frame;
+// Session.State copies them out.
 type Result struct {
 	// Estimate is ẑ_M: the predicted value for every configuration of the
 	// target application. At observed indices it is the posterior (smoothed)
@@ -197,14 +184,6 @@ type Result struct {
 	// variance. The paper's CALOREE follow-on uses exactly this signal to
 	// decide when estimates are trustworthy.
 	Variance []float64
-	// Mu and Sigma are the fitted population mean and covariance, set only
-	// by the one-shot entry points (Estimate, EstimateContext,
-	// Prior.Estimate), which hand over their discarded session's own
-	// parameters rather than copies, and not under LeanResults. A
-	// Session.Fit result leaves them nil; Session.State returns a live
-	// session's parameters.
-	Mu    []float64
-	Sigma *matrix.Matrix
 	// Noise is the fitted measurement standard deviation σ.
 	Noise float64
 	// Iterations is the number of EM iterations executed; Converged reports

@@ -156,6 +156,9 @@ func TestEstimatePowerMetric(t *testing.T) {
 	}
 }
 
+// TestNaiveEStepMatchesFastPath holds a four-iteration fit on the cores-only
+// kmeans problem to the dense reference EM, whose E-step factors one
+// posterior per application.
 func TestNaiveEStepMatchesFastPath(t *testing.T) {
 	known, truth, _ := kmeansLOO(t)
 	mask := profile.UniformMask(32, 6)
@@ -165,7 +168,7 @@ func TestNaiveEStepMatchesFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Estimate(known, obs.Indices, obs.Values, Options{MaxIter: 4, NaiveEStep: true})
+	naive, err := refEM(known, obs.Indices, obs.Values, Options{MaxIter: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +250,7 @@ func TestEstimateConvergenceMetadata(t *testing.T) {
 	known, truth, _ := kmeansLOO(t)
 	mask := profile.UniformMask(32, 6)
 	obs := profile.Observe(truth, mask, 0, nil)
-	res, err := Estimate(known, obs.Indices, obs.Values, Options{MaxIter: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, st := fitSession(t, known, obs.Indices, obs.Values, Options{MaxIter: 50})
 	if !res.Converged {
 		t.Fatal("EM did not converge in 50 iterations")
 	}
@@ -260,10 +260,11 @@ func TestEstimateConvergenceMetadata(t *testing.T) {
 	if res.Noise <= 0 {
 		t.Fatalf("Noise = %g", res.Noise)
 	}
-	if len(res.Mu) != 32 || res.Sigma.Rows != 32 {
-		t.Fatal("result parameter shapes wrong")
+	sigma := st.DenseSigma()
+	if len(st.Mu) != 32 || sigma.Rows != 32 {
+		t.Fatal("fitted parameter shapes wrong")
 	}
-	if !res.Sigma.IsSymmetric(1e-9) {
+	if !sigma.IsSymmetric(1e-9) {
 		t.Fatal("fitted Σ not symmetric")
 	}
 }

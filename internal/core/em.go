@@ -17,8 +17,8 @@ import (
 //
 // The dense buffers are allocated the first time a path reads them, through
 // the accessors below: a session whose cold fits run in a data-subspace
-// frame (frame.go) and whose warm refits run frozen never allocates the
-// buffers only the dense cold path uses. The same type is a subspace
+// frame (frame.go) and whose warm refits run frozen never allocates the n×n
+// buffers only an identity-frame cold fit uses. The same type is a subspace
 // frame's d-dimensional workspace, whose dimension resize moves between
 // fits while every buffer keeps its high-water storage. The
 // observation-count-dependent buffers (stride-k indexing) are sized by
@@ -28,38 +28,25 @@ type emWorkspace struct {
 	kcap    int // current width of the k-dependent buffers (-1 = unsized)
 
 	// Allocated on first use; read them through the accessors.
-	chS      *matrix.Cholesky // n×n factor of Σ
-	chA      *matrix.Cholesky // n×n factor of Σ+σ²I
-	cFull    *matrix.Matrix   // n×n: shared posterior covariance
-	cTarget  *matrix.Matrix   // n×n: target posterior covariance
-	sw       *matrix.Matrix   // n×n: S K⁻¹ Sᵀ
-	rhsFull  *matrix.Matrix   // rows×n: E-step right-hand sides
-	zFull    *matrix.Matrix   // rows×n: posterior means, fully observed apps
-	dev      *matrix.Matrix   // n×(rows+1): one centered mean per column (M-step)
-	sigmaBak *matrix.Matrix   // n×n: start Σ of a non-frozen warm fit
-	s        *matrix.Matrix   // n×k: Σ[:,Ω], gathered from a dense Σ
+	chA     *matrix.Cholesky // n×n factor of Σ+σ²I
+	cFull   *matrix.Matrix   // n×n: shared posterior covariance
+	cTarget *matrix.Matrix   // n×n: target posterior covariance
+	sw      *matrix.Matrix   // n×n: S K⁻¹ Sᵀ
+	rhsFull *matrix.Matrix   // rows×n: E-step right-hand sides
+	zFull   *matrix.Matrix   // rows×n: posterior means, fully observed apps
+	dev     *matrix.Matrix   // n×(rows+1): one centered mean per column (M-step)
+	s       *matrix.Matrix   // n×k: Σ[:,Ω], gathered from a dense Σ
 
 	chK  *matrix.Cholesky // k×k factor of the observation kernel
-	wT   *matrix.Matrix   // n×k: S K⁻¹ (exact path) or S L_K⁻ᵀ (fast paths)
+	wT   *matrix.Matrix   // n×k: S L_K⁻ᵀ
 	kmat *matrix.Matrix   // k×k: σ²I + Σ[Ω,Ω]
 	tRow matrix.Matrix    // 1×k view of tObs, a forward-solve operand
 
-	sinvMu  []float64 // Σ⁻¹μ (exact path only)
-	rhs     []float64 // target right-hand side
 	zTarget []float64 // target posterior mean
 	vTarget []float64 // diag(Ĉ_M) of a frozen fit, which forms no cTarget
 	tObs    []float64 // k: observed-coordinate residual / K⁻¹ solve scratch
-	d       []float64 // centered-difference scratch (M-step, exact path)
 	prev    []float64 // previous estimate (convergence check)
 	hd      []float64 // health watchdog: log-likelihood residual scratch
-	hs      []float64 // health watchdog: log-likelihood solve scratch
-
-	// Start-parameter backup for the watchdog's exact-path fallback of a
-	// warm fit: the retry must restart from the same μ/Σ/σ² the diverged
-	// attempt did. (A cold fit's retry restarts from the prior instead.)
-	muBak     []float64
-	sigmaBakd bool // sigmaBak holds this fit's start Σ (skipped for frozen fits)
-	sigma2Bak float64
 
 	// wc caches the frozen-parameter operators consecutive warm fits share;
 	// see warm.go.
@@ -76,15 +63,10 @@ func newEMWorkspace(n, rows int) *emWorkspace {
 		chK:     matrix.NewCholeskyWorkspace(0),
 		wT:      matrix.New(n, 0),
 		kmat:    matrix.New(0, 0),
-		sinvMu:  make([]float64, n),
-		rhs:     make([]float64, n),
 		zTarget: make([]float64, n),
 		vTarget: make([]float64, n),
-		d:       make([]float64, n),
 		prev:    make([]float64, n),
 		hd:      make([]float64, n),
-		hs:      make([]float64, n),
-		muBak:   make([]float64, n),
 	}
 }
 
@@ -92,16 +74,14 @@ func newEMWorkspace(n, rows int) *emWorkspace {
 // a path reads it and otherwise reshapes it in place to the workspace's
 // current dimension (a no-op unless resize moved it). Callers overwrite the
 // contents before reading them.
-func (ws *emWorkspace) factorS() *matrix.Cholesky   { return sizedChol(&ws.chS, ws.n) }
-func (ws *emWorkspace) factorA() *matrix.Cholesky   { return sizedChol(&ws.chA, ws.n) }
-func (ws *emWorkspace) cFullBuf() *matrix.Matrix    { return sized(&ws.cFull, ws.n, ws.n) }
-func (ws *emWorkspace) cTargetBuf() *matrix.Matrix  { return sized(&ws.cTarget, ws.n, ws.n) }
-func (ws *emWorkspace) swBuf() *matrix.Matrix       { return sized(&ws.sw, ws.n, ws.n) }
-func (ws *emWorkspace) rhsFullBuf() *matrix.Matrix  { return sized(&ws.rhsFull, ws.rows, ws.n) }
-func (ws *emWorkspace) zFullBuf() *matrix.Matrix    { return sized(&ws.zFull, ws.rows, ws.n) }
-func (ws *emWorkspace) devBuf() *matrix.Matrix      { return sized(&ws.dev, ws.n, ws.rows+1) }
-func (ws *emWorkspace) sigmaBakBuf() *matrix.Matrix { return sized(&ws.sigmaBak, ws.n, ws.n) }
-func (ws *emWorkspace) sBuf() *matrix.Matrix        { return sized(&ws.s, ws.n, ws.kcap) }
+func (ws *emWorkspace) factorA() *matrix.Cholesky  { return sizedChol(&ws.chA, ws.n) }
+func (ws *emWorkspace) cFullBuf() *matrix.Matrix   { return sized(&ws.cFull, ws.n, ws.n) }
+func (ws *emWorkspace) cTargetBuf() *matrix.Matrix { return sized(&ws.cTarget, ws.n, ws.n) }
+func (ws *emWorkspace) swBuf() *matrix.Matrix      { return sized(&ws.sw, ws.n, ws.n) }
+func (ws *emWorkspace) rhsFullBuf() *matrix.Matrix { return sized(&ws.rhsFull, ws.rows, ws.n) }
+func (ws *emWorkspace) zFullBuf() *matrix.Matrix   { return sized(&ws.zFull, ws.rows, ws.n) }
+func (ws *emWorkspace) devBuf() *matrix.Matrix     { return sized(&ws.dev, ws.n, ws.rows+1) }
+func (ws *emWorkspace) sBuf() *matrix.Matrix       { return sized(&ws.s, ws.n, ws.kcap) }
 
 // sized returns *p shaped rows×cols, allocating it on first use and
 // otherwise reshaping it in place (grow-only storage).
@@ -141,36 +121,9 @@ func growVec(v []float64, n int) []float64 {
 // ensureObs.
 func (ws *emWorkspace) resize(n int) {
 	ws.n, ws.kcap = n, -1
-	for _, v := range [...]*[]float64{&ws.sinvMu, &ws.rhs, &ws.zTarget, &ws.vTarget, &ws.d, &ws.prev, &ws.hd, &ws.hs, &ws.muBak} {
+	for _, v := range [...]*[]float64{&ws.zTarget, &ws.vTarget, &ws.prev, &ws.hd} {
 		*v = growVec(*v, n)
 	}
-}
-
-// saveStart backs up the parameters a warm fit is about to start from, so a
-// watchdog-tripped attempt can be re-run on the exact path from the same
-// point.
-func (ws *emWorkspace) saveStart(s *Session) {
-	copy(ws.muBak, s.mu)
-	// A frozen fit pins Σ by construction (the M-step moves μ only), so the
-	// n² copy would back up a matrix the attempt cannot touch.
-	ws.sigmaBakd = !s.frozen
-	if ws.sigmaBakd {
-		matrix.CloneInto(ws.sigmaBakBuf(), s.sigma)
-	}
-	ws.sigma2Bak = s.sigma2
-}
-
-// restoreStart undoes whatever a diverged warm attempt left in the
-// parameters.
-func (ws *emWorkspace) restoreStart(s *Session) {
-	copy(s.mu, ws.muBak)
-	if ws.sigmaBakd {
-		matrix.CloneInto(s.sigma, ws.sigmaBak)
-	}
-	s.sigma2 = ws.sigma2Bak
-	// A warm fit starts from a fitted posterior, never from Σ₀, so the exact
-	// retry must factorize it instead of reusing the prior's factor.
-	s.freshSigma = false
 }
 
 // ensureObs sizes the k-dependent buffers for exactly k observations. The
@@ -196,30 +149,11 @@ func (ws *emWorkspace) ensureObs(n, k int) {
 	ws.tRow = matrix.Matrix{Rows: 1, Cols: k, Data: ws.tObs}
 }
 
-// newEMState builds a session preloaded with observations — the internal
-// equivalent of the old single-shot constructor, kept as the entry point for
-// the workspace tests and benchmarks. It panics on invalid input; exported
-// paths validate first.
-func newEMState(known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Options) *Session {
-	p, err := NewPrior(known, opts)
-	if err != nil {
-		panic(err)
-	}
-	s := p.NewSession()
-	for i, idx := range obsIdx {
-		if err := s.Add(idx, obsVal[i]); err != nil {
-			panic(err)
-		}
-	}
-	return s
-}
-
-// coldStart begins a cold fit. Fast-path fits run in the data-subspace
-// frame whenever it is smaller than the configuration space (frame.go); the
-// exact and naive ablations, and fits whose frame would be full, start in
-// the session's own coordinates (init).
+// coldStart begins a cold fit. It runs in the data-subspace frame whenever
+// that is smaller than the configuration space (frame.go); a fit whose
+// frame would be full starts in the session's own coordinates (init).
 func (em *Session) coldStart() {
-	if em.opts.ExactEStep || em.opts.NaiveEStep || !em.initSubspace() {
+	if !em.initSubspace() {
 		em.init()
 	}
 }
@@ -228,7 +162,7 @@ func (em *Session) coldStart() {
 // (the identity frame): μ from the offline mean (§5.5 reports this improves
 // accuracy), Σ from the offline sample covariance plus identity, and σ² at a
 // small fraction of the data's variance. All three come from the prior,
-// which builds Σ₀ and its factor on first use.
+// which builds Σ₀ on first use.
 func (em *Session) init() {
 	p := em.prior
 	if em.sub != nil {
@@ -244,10 +178,8 @@ func (em *Session) init() {
 	default:
 		copy(em.mu, p.colMean)
 	}
-	sigma0, chol0 := p.coldSigma()
-	matrix.CloneInto(em.sigmaBuf(), sigma0)
+	matrix.CloneInto(em.sigmaBuf(), p.coldSigma())
 	em.sigma2 = em.initialNoise()
-	em.freshSigma = chol0 != nil && !em.opts.NaiveEStep
 	em.ws.ensureObs(em.n, len(em.obsIdx))
 }
 
@@ -373,9 +305,7 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 			variance[i] = e.cTarget.At(i, i)
 		}
 	}
-	// μ and Σ stay with the session (Session.State copies them out); the
-	// one-shot entry points, which discard theirs, hand them over unless
-	// LeanResults is set.
+	// μ and Σ stay with the session; Session.State copies them out.
 	res := &Result{
 		Estimate:   estimate,
 		Variance:   variance,
@@ -414,7 +344,6 @@ type eResult struct {
 	zTarget   []float64      // posterior mean of the target app
 	cTarget   *matrix.Matrix // posterior covariance of the target app (nil when frozen)
 	vTarget   []float64      // a frozen E-step's diag(Ĉ_M), in place of cTarget
-	sinvMu    []float64      // Σ^{-1} μ, reused by both branches
 	targetObs int
 
 	// compFull and compTarget are Ĉ's and Ĉ_M's eigenvalue on a subspace
@@ -424,7 +353,7 @@ type eResult struct {
 	// ll is the observed-data log-likelihood of the parameters this E-step
 	// evaluated (same quantity as LogLikelihood, computed from the factors
 	// already in hand) — the regression watchdog's input. llValid is false
-	// when the path does not compute it (naive ablation, health checks off).
+	// when the health checks are off.
 	ll      float64
 	llValid bool
 }
@@ -436,27 +365,18 @@ type eResult struct {
 //
 //	Ĉ = (I/σ² + Σ^{-1})^{-1} = σ² · Σ (Σ + σ²I)^{-1} = σ²(I − σ²(Σ+σ²I)^{-1}),
 //
-// so it is computed once and shared — the key optimization ablated by
-// Options.NaiveEStep. The target application's posterior uses the Woodbury
-// identity on its |Ω| observed coordinates:
+// so it is computed once and shared. The target application's posterior
+// uses the Woodbury identity on its |Ω| observed coordinates:
 //
 //	Ĉ_M = Σ − Σ_{:,Ω} (σ²I + Σ_{Ω,Ω})^{-1} Σ_{Ω,:}
 //
-// The default path (eStepFast) exploits the symmetry of every posterior:
-// the shared covariance comes from the DPOTRI-style symmetric inverse (the
-// rightmost identity above), and the Woodbury correction is assembled as a
-// symmetric rank-k product — roughly a third of the exact path's flops.
-// Options.ExactEStep selects the pre-symmetry-aware evaluation, and
-// Options.NaiveEStep the one-factorization-per-application literal form.
+// A frozen refit runs eStepWarm from its operator cache (warm.go); every
+// other fit runs eStepFast in the frame the cold fit chose. The dense
+// reference EM the tests hold both to evaluates the same equations one
+// application at a time.
 func (em *Session) eStep(ctx context.Context) (*eResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceled(err)
-	}
-	if em.opts.NaiveEStep {
-		return em.eStepNaive()
-	}
-	if em.opts.ExactEStep || em.fallbackExact {
-		return em.eStepExact()
 	}
 	if em.frozen {
 		return em.eStepWarm()
@@ -467,37 +387,15 @@ func (em *Session) eStep(ctx context.Context) (*eResult, error) {
 // ln2pi is the Gaussian normalization constant log(2π).
 var ln2pi = math.Log(2 * math.Pi)
 
-// llRows accumulates the fully observed applications' share of the
+// llRowsFromMeans accumulates the fully observed applications' share of the
 // observed-data log-likelihood: each row contributes −½(quadᵢ + log|A| +
 // n·log 2π) with A = Σ+σ²I, whose factor in frame f must already sit in
 // f.ws.chA. A subspace frame adds log(α+σ²) per complement direction to
-// log|A|; the quadratic needs nothing, because yᵢ−μ lies in the frame. It
-// runs entirely in the hd/hs scratch vectors — zero allocations. The exact
-// E-step, the reference path, solves for every quadratic here; eStepFast
-// takes them from its posterior means (llRowsFromMeans).
-func (em *Session) llRows(f *frame) float64 {
-	ws, n := f.ws, f.n
-	logDet := ws.chA.LogDet()
-	if c := f.comp(); c > 0 {
-		logDet += float64(c) * math.Log(f.alpha+em.sigma2)
-	}
-	total := 0.0
-	for i := 0; i < f.known.Rows; i++ {
-		row := f.known.RowView(i)
-		for j := 0; j < n; j++ {
-			ws.hd[j] = row[j] - f.mu[j]
-		}
-		ws.chA.SolveVecInto(ws.hs, ws.hd)
-		total += -0.5 * (matrix.Dot(ws.hd, ws.hs) + logDet + float64(f.full)*ln2pi)
-	}
-	return total
-}
-
-// llRowsFromMeans is llRows without a solve per row: with dᵢ = yᵢ−μ the
-// posterior mean satisfies ẑᵢ−μ = (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and
-// the quadratic is dᵢᵀ(yᵢ−ẑᵢ)/σ², from the means z the E-step already
-// formed. It equals llRows to round-off; the frozen E-step (eStepWarm)
-// takes its quadratic the same way.
+// log|A|; the quadratic needs nothing, because yᵢ−μ lies in the frame. No
+// row needs a solve: with dᵢ = yᵢ−μ the posterior mean satisfies
+// ẑᵢ−μ = (I−σ²A⁻¹)dᵢ, so A⁻¹dᵢ = (yᵢ−ẑᵢ)/σ² and the quadratic is
+// dᵢᵀ(yᵢ−ẑᵢ)/σ², from the means z the E-step already formed. The frozen
+// E-step (eStepWarm) takes its quadratic the same way.
 func (em *Session) llRowsFromMeans(f *frame, z *matrix.Matrix) float64 {
 	logDet := f.ws.chA.LogDet()
 	if c := f.comp(); c > 0 {
@@ -525,14 +423,14 @@ func llTarget(chK *matrix.Cholesky, diff, solved []float64) float64 {
 	return -0.5 * (matrix.Dot(diff, solved) + chK.LogDet() + float64(k)*ln2pi)
 }
 
-// eStepFast is the production E-step, run in frame f (the session's own
+// eStepFast is the cold-fit E-step, run in frame f (the session's own
 // coordinates, or a cold fit's data subspace — see frame.go). Beyond
 // sharing the fully observed posterior, it does only the symmetric half of
 // the work:
 //
 //   - Ĉ = σ²(I − σ²(Σ+σ²I)⁻¹) via Cholesky.InverseInto — ~2n³/3 flops where
-//     the exact path's n-right-hand-side solve costs 2n³ — and never
-//     factorizes Σ itself (the GP-form means below don't need Σ⁻¹μ).
+//     an n-right-hand-side solve costs 2n³ — and never factorizes Σ itself
+//     (the GP-form means below don't need Σ⁻¹μ).
 //   - ẑ_i = μ + Ĉ(y_i−μ)/σ², algebraically equal to Ĉ(y_i/σ² + Σ⁻¹μ)
 //     because Ĉ(I/σ² + Σ⁻¹) = I.
 //   - The Woodbury correction S K⁻¹ Sᵀ = VᵀV with Vᵀ = S L_K⁻ᵀ: one
@@ -540,9 +438,9 @@ func llTarget(chK *matrix.Cholesky, diff, solved []float64) float64 {
 //     ẑ_M = μ + S K⁻¹(y_Ω − μ_Ω) reuses the same factor.
 //
 // Every matrix it produces is exactly symmetric by construction (the
-// symmetric kernels mirror bits), so the exact path's Symmetrize passes
-// disappear. Everything runs in the frame's workspace; after the first
-// iteration it allocates nothing.
+// symmetric kernels mirror bits), so no Symmetrize pass is needed.
+// Everything runs in the frame's workspace; after the first iteration it
+// allocates nothing.
 func (em *Session) eStepFast(f *frame) (*eResult, error) {
 	ws := f.ws
 	out := &ws.e
@@ -632,8 +530,7 @@ func (em *Session) eStepFast(f *frame) (*eResult, error) {
 // Σ[:,Ω] (n×k) in ws.s, the factor of K = σ²I_k + Σ[Ω,Ω], taken from S's
 // Ω rows, in ws.chK, and the half-solve Vᵀ = S L_K⁻ᵀ in ws.wT (row r of
 // Vᵀ is L_K⁻¹ S[r,:]). eStepFast calls it every iteration, eStepWarm once
-// per fit on an identity-frame posterior. eStepExact keeps its own copy,
-// because it is the reference the fast paths are tested against.
+// per fit on an identity-frame posterior.
 func (em *Session) factorTarget(f *frame) error {
 	n, k, ws := f.n, len(f.obsIdx), f.ws
 	s := ws.sBuf()
@@ -664,181 +561,16 @@ func (em *Session) factorKernel(ws *emWorkspace) error {
 	return nil
 }
 
-// eStepExact is the pre-symmetry-aware evaluation of Eq. (3), selected by
-// Options.ExactEStep: the shared covariance through a full n-right-hand-side
-// triangular solve, posterior means through Σ⁻¹μ, and explicit Symmetrize
-// passes. Same math as eStepFast to round-off; kept as an ablation and as
-// the oracle the fast path is property-tested against.
-func (em *Session) eStepExact() (*eResult, error) {
-	n, ws := em.n, em.ws
-	out := &ws.e
-	*out = eResult{targetObs: len(em.obsIdx)}
-
-	chS := ws.factorS()
-	if em.freshSigma {
-		// Cold start: Σ is exactly the prior's Σ₀, whose factor the prior
-		// already computed — copy it instead of refactorizing.
-		_, chol0 := em.prior.coldSigma()
-		chS.CopyFrom(chol0)
-		em.freshSigma = false
-	} else {
-		applied, err := chS.FactorizeJitter(em.sigma, matrix.DefaultJitter, matrix.DefaultJitterTries)
-		if err != nil {
-			return nil, fmt.Errorf("core: Σ not factorable: %w", err)
-		}
-		em.noteJitter(applied)
-	}
-	out.sinvMu = chS.SolveVecInto(ws.sinvMu, em.mu)
-
-	// Shared covariance for fully observed applications.
-	zFull := ws.zFullBuf()
-	if em.known.Rows > 0 {
-		chA, cFull, rhsFull := ws.factorA(), ws.cFullBuf(), ws.rhsFullBuf()
-		if err := chA.FactorizeShift(em.sigma, em.sigma2); err != nil {
-			return nil, fmt.Errorf("core: Σ+σ²I not factorable: %w", err)
-		}
-		// SolveTInto yields Σ(Σ+σ²I)⁻¹ transposed relative to the textbook
-		// order; symmetrizing erases the distinction exactly.
-		chA.SolveTInto(cFull, em.sigma)
-		out.cFull = cFull.ScaleInPlace(em.sigma2).Symmetrize()
-
-		inv := 1 / em.sigma2
-		for i := 0; i < em.known.Rows; i++ {
-			row := em.known.RowView(i)
-			rhs := rhsFull.RowView(i)
-			for j := range rhs {
-				rhs[j] = row[j]*inv + out.sinvMu[j]
-			}
-		}
-		// ẑ_i = Ĉ rhs_i for every app at once; Ĉ is symmetric so the
-		// transposed-B kernel applies it directly.
-		out.zFull = matrix.MulTransBInto(zFull, rhsFull, out.cFull)
-		if !em.opts.DisableHealthChecks {
-			out.ll += em.llRows(em.frame())
-			out.llValid = true
-		}
-	} else {
-		out.zFull = zFull // 0×n
-	}
-
-	// Target application via Woodbury on the observed coordinates.
-	k := len(em.obsIdx)
-	cTarget := ws.cTargetBuf()
-	if k == 0 {
-		out.cTarget = matrix.CloneInto(cTarget, em.sigma)
-		copy(ws.zTarget, em.mu)
-		out.zTarget = ws.zTarget
-		return out, nil
-	}
-	// S = Σ[:, Ω] (n×k), K = σ²I_k + Σ[Ω, Ω].
-	s := ws.sBuf()
-	for col, idx := range em.obsIdx {
-		for r := 0; r < n; r++ {
-			s.Data[r*k+col] = em.sigma.Data[r*n+idx]
-		}
-	}
-	for a, ia := range em.obsIdx {
-		for b, ib := range em.obsIdx {
-			ws.kmat.Data[a*k+b] = em.sigma.Data[ia*n+ib]
-		}
-	}
-	ws.kmat.AddDiagonal(em.sigma2)
-	applied, err := ws.chK.FactorizeJitter(ws.kmat, matrix.DefaultJitter, matrix.DefaultJitterTries)
-	if err != nil {
-		return nil, fmt.Errorf("core: observation kernel not factorable: %w", err)
-	}
-	em.noteJitter(applied)
-	// Each row of S is one right-hand side: wT = S K⁻¹ (n×k), and the
-	// Woodbury correction S K⁻¹ Sᵀ is then a single transposed-B GEMM.
-	ws.chK.SolveTInto(ws.wT, s)
-	sw := matrix.MulTransBInto(ws.swBuf(), ws.wT, s)
-	out.cTarget = matrix.SubInto(cTarget, em.sigma, sw).Symmetrize()
-	if !em.opts.DisableHealthChecks {
-		for i, idx := range em.obsIdx {
-			ws.hd[i] = em.obsVal[i] - em.mu[idx]
-		}
-		ws.chK.SolveVecInto(ws.hs[:k], ws.hd[:k])
-		out.ll += llTarget(ws.chK, ws.hd[:k], ws.hs[:k])
-		out.llValid = true
-	}
-
-	copy(ws.rhs, out.sinvMu)
-	inv := 1 / em.sigma2
-	for i, idx := range em.obsIdx {
-		ws.rhs[idx] += em.obsVal[i] * inv
-	}
-	out.zTarget = matrix.MulVecInto(ws.zTarget, out.cTarget, ws.rhs)
-	return out, nil
-}
-
-// eStepNaive computes Eq. (3) literally: one n×n factorization per
-// application. It exists to quantify the value of the shared-covariance
-// fast path; results are identical up to round-off. Unlike the fast path it
-// allocates freely — it is the ablation baseline, not a production path.
-func (em *Session) eStepNaive() (*eResult, error) {
-	n := em.n
-	out := &eResult{targetObs: len(em.obsIdx)}
-
-	chS, applied, err := matrix.NewCholeskyJitter(em.sigma, matrix.DefaultJitter, matrix.DefaultJitterTries)
-	if err != nil {
-		return nil, fmt.Errorf("core: Σ not factorable: %w", err)
-	}
-	em.noteJitter(applied)
-	sigmaInv := chS.Inverse()
-	out.sinvMu = sigmaInv.MulVec(em.mu)
-	inv := 1 / em.sigma2
-
-	posterior := func(mask []int, values []float64) (*matrix.Matrix, []float64, error) {
-		a := sigmaInv.Clone()
-		for _, idx := range mask {
-			a.Set(idx, idx, a.At(idx, idx)+inv)
-		}
-		chA, appliedA, err := matrix.NewCholeskyJitter(a, matrix.DefaultJitter, matrix.DefaultJitterTries)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: naive posterior not factorable: %w", err)
-		}
-		em.noteJitter(appliedA)
-		c := chA.Inverse()
-		rhs := matrix.CloneVec(out.sinvMu)
-		for i, idx := range mask {
-			rhs[idx] += values[i] * inv
-		}
-		return c, c.MulVec(rhs), nil
-	}
-
-	fullMask := make([]int, n)
-	for i := range fullMask {
-		fullMask[i] = i
-	}
-	out.zFull = matrix.New(em.known.Rows, n)
-	for i := 0; i < em.known.Rows; i++ {
-		c, z, err := posterior(fullMask, em.known.RowView(i))
-		if err != nil {
-			return nil, err
-		}
-		out.cFull = c // identical for every fully observed app
-		out.zFull.SetRow(i, z)
-	}
-	c, z, err := posterior(em.obsIdx, em.obsVal)
-	if err != nil {
-		return nil, err
-	}
-	out.cTarget, out.zTarget = c, z
-	return out, nil
-}
-
 // mStep applies Eq. (4): closed-form updates of μ, Σ and σ² given the
 // E-step posteriors, in the frame the E-step ran in. It writes μ and Σ in
 // place — the E-step result it consumes lives in separate workspace
 // buffers, so nothing it reads can alias what it writes. A canceled context
 // aborts before any parameter is touched, leaving the session consistent.
 //
-// The Σ and σ² updates have a fast and an exact form. The fast form batches
-// the M+1 centered outer products into one symmetric rank-(M+1) kernel and
-// hoists the shared trace out of the σ² accumulation; it preserves exact
-// symmetry end to end, so the final Symmetrize disappears. The exact form
-// (Options.ExactEStep or NaiveEStep) reproduces the pre-symmetry-aware
-// reduction orders bit for bit.
+// The Σ update batches the M+1 centered outer products into one symmetric
+// rank-(M+1) kernel, and the σ² update hoists the shared trace out of its
+// accumulation; Σ stays exactly symmetric end to end, with no Symmetrize
+// pass.
 func (em *Session) mStep(ctx context.Context, e *eResult) error {
 	if err := ctx.Err(); err != nil {
 		return canceled(err)
@@ -848,7 +580,7 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 	scale := 1 / (mf + em.opts.Pi)
 	mu := f.mu
 	if em.frozen {
-		// Frozen warm fit: Σ and σ² are pinned to the last cold/full fit's
+		// Frozen warm fit: Σ and σ² are pinned to the last cold fit's
 		// posterior so the cached operators in warm.go stay exact — the
 		// M-step propagates the new observations through μ only, from the
 		// rows' summed posterior means.
@@ -882,37 +614,21 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 	} else {
 		copy(sigma.Data, e.cTarget.Data)
 	}
-	exact := em.opts.ExactEStep || em.opts.NaiveEStep || em.fallbackExact
-	if exact {
-		d := em.ws.d
-		for i := 0; i < rows; i++ {
-			z := e.zFull.RowView(i)
-			for j := range d {
-				d[j] = z[j] - mu[j]
-			}
-			matrix.OuterAccumInto(sigma, 1, d, d)
-		}
-		for j := range d {
-			d[j] = e.zTarget[j] - mu[j]
-		}
-		matrix.OuterAccumInto(sigma, 1, d, d)
-	} else {
-		// One batched symmetric rank-(M+1) update over the centered means
-		// (one per column of dev, so Σ += dev·devᵀ) replaces M+1
-		// full-square rank-1 passes.
-		dev, w := f.ws.devBuf(), rows+1
-		n := f.n
-		for i := 0; i < rows; i++ {
-			z := e.zFull.RowView(i)
-			for j := 0; j < n; j++ {
-				dev.Data[j*w+i] = z[j] - mu[j]
-			}
-		}
+	// One batched symmetric rank-(M+1) update over the centered means (one
+	// per column of dev, so Σ += dev·devᵀ) replaces M+1 full-square rank-1
+	// passes.
+	dev, w := f.ws.devBuf(), rows+1
+	n := f.n
+	for i := 0; i < rows; i++ {
+		z := e.zFull.RowView(i)
 		for j := 0; j < n; j++ {
-			dev.Data[j*w+rows] = e.zTarget[j] - mu[j]
+			dev.Data[j*w+i] = z[j] - mu[j]
 		}
-		matrix.SyrkAccumInto(sigma, 1, dev)
 	}
+	for j := 0; j < n; j++ {
+		dev.Data[j*w+rows] = e.zTarget[j] - mu[j]
+	}
+	matrix.SyrkAccumInto(sigma, 1, dev)
 
 	// πμμᵀ goes through the symmetric rank-1 update: each product lands in
 	// both mirrored entries, so Σ stays exactly symmetric for any π.
@@ -939,13 +655,8 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 			f.alpha = (a + 1) * norm
 		}
 	}
-	if exact {
-		// The rank-1 updates above round asymmetrically; the fast path's
-		// symmetric kernels make this pass unnecessary.
-		sigma.Symmetrize()
-	}
 
-	em.sigma2 = em.mStepSigma2(e, rows, exact)
+	em.sigma2 = em.mStepSigma2(e, rows)
 	return nil
 }
 
@@ -953,12 +664,11 @@ func (em *Session) mStep(ctx context.Context, e *eResult) error {
 //
 //	σ² = Σ_i tr(diag(L_i)(Ĉ_i + (ẑ_i−y_i)(ẑ_i−y_i)')) / ‖L‖²_F.
 //
-// Every fully observed application contributes the same tr(Ĉ) term; the
-// fast form accumulates it once as tr(Ĉ)·(M−1) instead of re-adding it per
-// application, while the exact form keeps the historical order. In a
-// subspace frame tr(Ĉ) gains Ĉ's eigenvalue once per complement direction;
-// the residuals need nothing, because ẑᵢ−yᵢ lies in the frame.
-func (em *Session) mStepSigma2(e *eResult, rows int, exact bool) float64 {
+// Every fully observed application contributes the same tr(Ĉ) term, so it
+// is accumulated once as tr(Ĉ)·(M−1) instead of re-added per application.
+// In a subspace frame tr(Ĉ) gains Ĉ's eigenvalue once per complement
+// direction; the residuals need nothing, because ẑᵢ−yᵢ lies in the frame.
+func (em *Session) mStepSigma2(e *eResult, rows int) float64 {
 	f := em.frame()
 	n := f.n
 	num := 0.0
@@ -967,15 +677,10 @@ func (em *Session) mStepSigma2(e *eResult, rows int, exact bool) float64 {
 		if c := f.comp(); c > 0 {
 			trFull += float64(c) * e.compFull
 		}
-		if !exact {
-			num = trFull * float64(rows)
-		}
+		num = trFull * float64(rows)
 		for i := 0; i < rows; i++ {
 			row := f.known.RowView(i)
 			z := e.zFull.RowView(i)
-			if exact {
-				num += trFull
-			}
 			for j := 0; j < n; j++ {
 				d := z[j] - row[j]
 				num += d * d

@@ -24,9 +24,9 @@ import (
 // observations at frame coordinates 0..k−1, plus three scalar terms for the
 // complement V⊥, on which Σ, Ĉ and Ĉ_M all act as multiples of the
 // identity: the α recurrence (mStep), (n−d)·log(α+σ²) in log|Σ+σ²I|
-// (llRows), and Ĉ's complement trace in the σ² update (mStepSigma2). A cold
-// fit at the paper's n = 1024 then costs O(n·r² + iters·d³ + n²·d) instead
-// of O(iters·n³).
+// (llRowsFromMeans), and Ĉ's complement trace in the σ² update
+// (mStepSigma2). A cold fit at the paper's n = 1024 then costs
+// O(n·rows·r + iters·d³) instead of O(iters·n³).
 //
 // The basis is P = [E_Ω | Q]: the observed coordinates' unit vectors, then a
 // rank-revealing orthonormal basis Q of the database rows (and InitMu) with
@@ -37,8 +37,8 @@ import (
 // lifted to a dense n-vector, because the next window's observations move
 // it out of V, but Σ = αI + P(Σ′−αI)Pᵀ is kept as (α, Q, Ω, Σ′). Frozen
 // refits never change Σ, so they act on it through that structure
-// (warm.go), and a dense Σ is formed only where a dense path needs one
-// (materialize).
+// (warm.go). No fit forms the dense Σ; SessionState.DenseSigma does, for a
+// caller that wants it (materialize).
 
 // frameRankTol is the rank tolerance of subspace.basis: a candidate whose
 // residual, once the basis so far is projected out, is at most frameRankTol
@@ -116,22 +116,8 @@ func (em *Session) heldFrame() *subspace {
 }
 
 // sigmaBuf returns the session's dense Σ, allocating it on first use: only
-// identity-frame posteriors and the dense paths hold one.
+// identity-frame posteriors hold one.
 func (em *Session) sigmaBuf() *matrix.Matrix { return sized(&em.sigma, em.n, em.n) }
-
-// toIdentity moves a subspace-frame posterior into the identity frame,
-// materializing Σ into the session's dense Σ. The dense paths call it first:
-// the exact and naive E-steps, the watchdog's rescue of a warm fit, and
-// non-frozen warm fits, which update Σ itself.
-func (em *Session) toIdentity() {
-	sp := em.heldFrame()
-	if sp == nil {
-		return
-	}
-	sp.materialize(em.sigmaBuf())
-	sp.held = false
-	em.ws.wc.invalidate()
-}
 
 // frame returns the coordinates the fast E- and M-steps run in: the
 // subspace frame while a cold fit runs in one, otherwise the session's own
@@ -241,7 +227,6 @@ func (em *Session) initSubspace() bool {
 	f.sigma.AddDiagonal(1)
 
 	em.sigma2 = em.initialNoise()
-	em.freshSigma = false
 	f.ws.ensureObs(d, k)
 	sp.z = growVec(sp.z, n)
 	sp.active = true
@@ -403,8 +388,8 @@ func (sp *subspace) diag(dst []float64, m *matrix.Matrix, alpha float64) {
 //
 // where "Q" stands for the configurations outside Ω. The first block is
 // one computed triangle mirrored, and the Ω rows are written to their
-// columns too, so Σ is exactly symmetric. O(n²·d): only the dense paths
-// (toIdentity) and SessionState.DenseSigma call it.
+// columns too, so Σ is exactly symmetric. O(n²·d): only
+// SessionState.DenseSigma calls it.
 func (sp *subspace) materialize(sigma *matrix.Matrix) {
 	n, k, r := sp.full, len(sp.omega), sp.q.Cols
 	g := sp.block(sp.sigma, k, k, r, r).AddDiagonal(-sp.alpha)

@@ -25,45 +25,6 @@ type frameCase struct {
 	rank int
 }
 
-// fitFrameVsExact fits c cold on the default path and on the ExactEStep
-// oracle and requires TestFitFastMatchesExact's agreement: 1e-8 on every
-// Result field, equal iteration counts, and an exactly symmetric Σ.
-func fitFrameVsExact(t *testing.T, c frameCase) {
-	t.Helper()
-	const tol = 1e-8
-	fast, err := Estimate(c.known, c.obsIdx, c.obsVal, c.opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactOpts := c.opts
-	exactOpts.ExactEStep = true
-	exact, err := Estimate(c.known, c.obsIdx, c.obsVal, exactOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Iterations != exact.Iterations {
-		t.Fatalf("iteration counts diverged: frame %d, exact %d", fast.Iterations, exact.Iterations)
-	}
-	if d := maxAbsDiffVec(fast.Estimate, exact.Estimate); d > tol {
-		t.Errorf("Estimate differs by %g", d)
-	}
-	if d := maxAbsDiffVec(fast.Variance, exact.Variance); d > tol {
-		t.Errorf("Variance differs by %g", d)
-	}
-	if d := maxAbsDiffVec(fast.Mu, exact.Mu); d > tol {
-		t.Errorf("Mu differs by %g", d)
-	}
-	if d := fast.Sigma.MaxAbsDiff(exact.Sigma); d > tol {
-		t.Errorf("Sigma differs by %g", d)
-	}
-	if d := math.Abs(fast.Noise - exact.Noise); d > tol {
-		t.Errorf("Noise differs by %g", d)
-	}
-	if !fast.Sigma.IsSymmetric(0) {
-		t.Error("frame-fit Sigma is not exactly symmetric")
-	}
-}
-
 // frameDim starts c's cold fit and reports the frame dimension it chose: d
 // for a subspace frame, n when the fit fell back to the identity frame.
 func frameDim(t *testing.T, c frameCase) int {
@@ -85,7 +46,7 @@ func observe(rng *rand.Rand, truth []float64, k int) ([]int, []float64) {
 
 // TestFrameFitMatchesExactProperty drives randomized shapes (n, rows, k and
 // the option ablations that change the cold start or the M-step) through
-// frame fits and the dense ExactEStep oracle. Random databases are
+// frame fits and the dense reference EM at 1e-8. Random databases are
 // generic, so the frame is d = k + min(rows, n−k) (+1 for InitMu) wide.
 // Thirty more shapes run with a π that is not a power of two, under which Σ
 // must still come out exactly symmetric.
@@ -127,7 +88,7 @@ func TestFrameFitMatchesExactProperty(t *testing.T) {
 			if d < n {
 				subspace++
 			}
-			fitFrameVsExact(t, c)
+			requireMatchesReference(t, c.known, c.obsIdx, c.obsVal, c.opts, 1e-8)
 		})
 	}
 	for trial := 0; trial < 60; trial++ {
@@ -145,7 +106,8 @@ func TestFrameFitMatchesExactProperty(t *testing.T) {
 // rank decisions matter — empty sides, a full frame, an empty frame (zero
 // rows and no observations: everything is complement), and databases whose
 // rows are duplicated, zero, confined to Ω or of rank one — plus the option
-// ablations, each against ExactEStep and with d = k + rank checked white-box.
+// ablations, each against the dense reference EM and with d = k + rank
+// checked white-box.
 func TestFrameDegenerateInputs(t *testing.T) {
 	const n, rows = 14, 6
 	rng := rand.New(rand.NewSource(67))
@@ -213,7 +175,7 @@ func TestFrameDegenerateInputs(t *testing.T) {
 			if d, want := frameDim(t, c), len(c.obsIdx)+c.rank; d != want {
 				t.Fatalf("frame dimension %d, want k+rank = %d", d, want)
 			}
-			fitFrameVsExact(t, c)
+			requireMatchesReference(t, c.known, c.obsIdx, c.obsVal, c.opts, 1e-8)
 		})
 	}
 }
@@ -252,40 +214,60 @@ func TestFrameInLoopLLMatchesReference(t *testing.T) {
 }
 
 // TestFrameFitLeavesDenseBuffersUnallocated pins the lazy-allocation
-// contract: a cold fit in a subspace frame touches no n×n workspace buffer
-// (Σ aside) and never builds the prior's Σ₀; frozen refits, after that cold
-// fit or after a restore, allocate only what the frozen path reads, which
-// excludes the target posterior covariance and its Woodbury product, the
-// rows' posterior means and right-hand sides, and S = Σ[:,Ω]; and the
-// dense cold start (here the ExactEStep ablation) builds Σ₀ on first
-// use.
+// contract: a cold fit in a subspace frame, a one-shot Prior.Estimate
+// included, forms no dense Σ, touches no n×n workspace buffer and never
+// builds the prior's Σ₀; frozen refits, after that cold fit or after a
+// restore, allocate only what the frozen path reads, which excludes the
+// target posterior covariance and its Woodbury product, the rows' posterior
+// means and right-hand sides, and S = Σ[:,Ω]; and a cold start whose frame
+// would span every configuration builds Σ₀ on first use.
 func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
+	ctx := context.Background()
 	prior, err := NewPrior(known, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dense := func(s *Session) string {
+		ws := s.ws
+		for name, m := range map[string]*matrix.Matrix{"Σ": s.sigma, "cFull": ws.cFull, "cTarget": ws.cTarget,
+			"sw": ws.sw, "rhsFull": ws.rhsFull, "zFull": ws.zFull, "dev": ws.dev, "S": ws.s} {
+			if m != nil {
+				return name
+			}
+		}
+		if ws.chA != nil {
+			return "Σ+σ²I factor"
+		}
+		return ""
+	}
+
+	// The one-shot fit's session is discarded; the hook catches it.
+	var oneShot *Session
+	healthTestHook = func(em *Session, iter int) { oneShot = em }
+	_, err = prior.Estimate(ctx, obsIdx, obsVal)
+	healthTestHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oneShot == nil || oneShot.heldFrame() == nil {
+		t.Fatal("one-shot fit did not keep a subspace frame")
+	}
+	if name := dense(oneShot); name != "" {
+		t.Errorf("one-shot Prior.Estimate allocated the dense %s", name)
+	}
+
 	s := prior.NewSession()
 	for i, idx := range obsIdx {
 		if err := s.Add(idx, obsVal[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Fit(context.Background()); err != nil {
+	if _, err := s.Fit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ws := s.ws
-	for name, m := range map[string]*matrix.Matrix{"cFull": ws.cFull, "cTarget": ws.cTarget,
-		"sw": ws.sw, "rhsFull": ws.rhsFull, "zFull": ws.zFull, "dev": ws.dev, "sigmaBak": ws.sigmaBak} {
-		if m != nil {
-			t.Errorf("frame cold fit allocated the dense %s buffer", name)
-		}
-	}
-	if ws.chS != nil || ws.chA != nil {
-		t.Error("frame cold fit allocated a dense Cholesky workspace")
-	}
-	if prior.sigma0 != nil || prior.chol0 != nil {
-		t.Error("frame cold fit built the prior's Σ₀")
+	if name := dense(s); name != "" {
+		t.Errorf("frame cold fit allocated the dense %s", name)
 	}
 	// Frozen refits on the same session: one with the same observations,
 	// one with the first dropped (a fresh kernel factorization).
@@ -298,39 +280,38 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 				}
 			}
 		}
-		if _, err := s.Fit(context.Background()); err != nil {
+		if _, err := s.Fit(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if ws.cTarget != nil || ws.sw != nil {
-		t.Error("frozen refits formed the dense target posterior covariance")
-	}
-	if ws.zFull != nil || ws.s != nil {
-		t.Error("frozen refits formed the rows' posterior means or Σ[:,Ω]")
+	if name := dense(s); name != "" {
+		t.Errorf("frozen refits allocated the dense %s", name)
 	}
 
 	restored := prior.NewSession()
 	if err := restored.Restore(s.State()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restored.Fit(context.Background()); err != nil {
+	if _, err := restored.Fit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	rw := restored.ws
-	if rw.chS != nil || rw.chA != nil || rw.cFull != nil || rw.dev != nil || rw.sigmaBak != nil ||
-		rw.cTarget != nil || rw.sw != nil || rw.zFull != nil || rw.rhsFull != nil || rw.s != nil {
-		t.Error("frozen refit allocated buffers only the dense paths read")
+	if name := dense(restored); name != "" {
+		t.Errorf("frozen refit after a restore allocated the dense %s", name)
+	}
+	if prior.sigma0 != nil {
+		t.Error("frame fits built the prior's Σ₀")
 	}
 
-	exact, err := NewPrior(known, Options{ExactEStep: true})
-	if err != nil {
+	// Every configuration observed: the frame is the whole space.
+	all := make([]int, prior.n)
+	for j := range all {
+		all[j] = j
+	}
+	if _, err := prior.Estimate(ctx, all, known.RowView(0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exact.Estimate(context.Background(), obsIdx, obsVal); err != nil {
-		t.Fatal(err)
-	}
-	if exact.sigma0 == nil || exact.chol0 == nil {
-		t.Error("dense cold start did not build Σ₀ and its factor")
+	if prior.sigma0 == nil {
+		t.Error("identity-frame cold start did not build Σ₀")
 	}
 }
 

@@ -133,73 +133,6 @@ func TestFrozenFrameMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-// TestFrozenFrameRescueFromMaterializedSigma: a frozen refit on a
-// subspace-frame posterior whose μ is poisoned trips the non-finite scan,
-// and the watchdog re-runs it on the exact path from the materialized Σ —
-// bit-identical to an ExactEStep refit of the same posterior held densely.
-func TestFrozenFrameRescueFromMaterializedSigma(t *testing.T) {
-	prior, truth := warmTestSetup(t)
-	ctx := context.Background()
-	n := prior.Configurations()
-	rng := rand.New(rand.NewSource(49))
-	perm := rng.Perm(n)
-	s := prior.NewSession()
-	for _, j := range perm[:20] {
-		if err := s.Add(j, truth[j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.Fit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if s.heldFrame() == nil {
-		t.Fatal("cold fit left no subspace frame")
-	}
-	start := s.State()
-	window := perm[10:30]
-
-	exactPrior, err := NewPrior(prior.known, Options{ExactEStep: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := exactPrior.NewSession()
-	if err := oracle.Restore(identityState(start)); err != nil {
-		t.Fatal(err)
-	}
-	for _, sess := range []*Session{s, oracle} {
-		sess.ClearObservations()
-		for _, j := range window {
-			if err := sess.Add(j, truth[j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	poisoned := false
-	healthTestHook = func(em *Session, iter int) {
-		if em == s && em.frozen && !em.fallbackExact && iter == 1 {
-			em.mu[0] = math.NaN()
-			poisoned = true
-		}
-	}
-	got, err := s.Fit(ctx)
-	healthTestHook = nil
-	if err != nil {
-		t.Fatalf("rescue failed: %v", err)
-	}
-	if !poisoned || s.Health().Fallbacks != 1 {
-		t.Fatalf("poisoned=%v fallbacks=%d, want a rescued frozen refit", poisoned, s.Health().Fallbacks)
-	}
-	if s.heldFrame() != nil {
-		t.Fatal("the rescue did not move the posterior to the identity frame")
-	}
-	want, err := oracle.Fit(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitEqual(t, got, want, "rescued frozen refit")
-	samePosterior(t, "rescued posterior", s.State(), oracle.State())
-}
-
 // denseFrozenRefit is the reference a frozen refit is held to, sharing no
 // code with the production E-step: from μ, the dense Σ and σ², iters EM
 // iterations with Σ and σ² pinned, then a final E-step. Every database

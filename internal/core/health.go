@@ -7,11 +7,13 @@ import (
 	"leo/internal/matrix"
 )
 
-// ErrNumericalHealth reports a tripped numerical-health watchdog: the fast
-// EM path produced a non-finite posterior or a log-likelihood regression
-// large enough to indicate divergence. It is a hard failure for the run that
-// raised it, but Session.Fit catches it and retries the fit once on the
-// exact E-step before surfacing anything to the caller.
+// ErrNumericalHealth reports a tripped numerical-health watchdog: an EM run
+// produced a non-finite posterior or a log-likelihood regression large
+// enough to indicate divergence. It is a hard failure for the run that
+// raised it. Session.Fit rescues a frozen refit's trip with one cold refit
+// of the same observations from the prior; a cold fit's trip is returned
+// to the caller like any other hard fit error, and the session starts cold
+// on its next Fit.
 type ErrNumericalHealth struct {
 	// Iteration is the EM iteration (0-based) at which the watchdog fired.
 	Iteration int
@@ -38,7 +40,7 @@ func IsNumericalHealth(err error) bool { return wraps[*ErrNumericalHealth](err) 
 // fields surface how often (and how hard) the Cholesky jitter ladder had to
 // shift Σ to keep it factorable — a chronically ill-conditioned covariance
 // shows up here long before it becomes a hard factorization failure — and
-// Fallbacks counts fits rescued by the one-shot exact-path retry.
+// Fallbacks counts frozen refits rescued by a cold refit.
 type Health struct {
 	// JitterEvents counts factorizations that needed a nonzero identity
 	// shift; JitterShift is the sum of the shifts applied.
@@ -47,8 +49,8 @@ type Health struct {
 	// NonFinite and LLRegressions count watchdog trips by cause.
 	NonFinite     int
 	LLRegressions int
-	// Fallbacks counts fits that tripped a watchdog on the fast path and
-	// were re-run (successfully or not) on the exact E-step.
+	// Fallbacks counts frozen refits that tripped a watchdog and were
+	// re-run (successfully or not) as a cold fit of the same observations.
 	Fallbacks int
 }
 
@@ -76,7 +78,7 @@ func (em *Session) noteJitter(applied float64) {
 // penalized observed-data objective, so the unpenalized log-likelihood the
 // E-step evaluates may legitimately creep down by small amounts — but a
 // collapse by more than HealthLLDrop·(1+|previous|) (or to NaN) means the
-// fast path has diverged and the fit cannot be trusted.
+// fit has diverged and cannot be trusted.
 func (em *Session) checkLL(ll, prev float64, havePrev bool, iter int) error {
 	if math.IsNaN(ll) || math.IsInf(ll, 0) {
 		em.health.NonFinite++

@@ -51,33 +51,52 @@ func TestHealthCleanFit(t *testing.T) {
 	}
 }
 
-// TestHealthNonFiniteFallback: poisoning μ with a NaN mid-fit trips the
-// non-finite scan on the fast path; Session.Fit restores the start
-// parameters and silently re-runs the fit on the exact E-step, producing a
-// usable (finite) estimate and accounting the rescue in Health. The poison
-// goes into the frame the fit runs in — a cold fit's data-subspace frame
-// here — since that is where the in-flight μ lives.
-func TestHealthNonFiniteFallback(t *testing.T) {
-	s := healthSession(t, Options{})
-	poisoned := false
-	healthTestHook = func(em *Session, iter int) {
-		// Poison only the fast-path attempt: the rescue re-run (fallbackExact)
-		// must be allowed to proceed cleanly.
-		if iter == 1 && !em.fallbackExact && !poisoned {
-			if em.frame() == &em.own {
-				t.Error("cold fast-path fit did not run in a subspace frame")
-			}
-			poisoned = true
-			em.frame().mu[0] = math.NaN()
+// warmHealthSession is healthSession after its cold fit, holding a new
+// window: the first half of the fixture's observations at 5% higher values,
+// so its next Fit is a frozen refit.
+func warmHealthSession(t *testing.T, opts Options) *Session {
+	t.Helper()
+	s := healthSession(t, opts)
+	if _, err := s.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	idx, val := s.Observations()
+	s.ClearObservations()
+	for i := range idx[:len(idx)/2] {
+		if err := s.Add(idx[i], 1.05*val[i]); err != nil {
+			t.Fatal(err)
 		}
 	}
-	defer func() { healthTestHook = nil }()
+	return s
+}
 
+// poisonFrozen makes the healthTestHook put a NaN into μ at the second
+// iteration of s's frozen refits only, so the cold refit that rescues one
+// runs clean. It reports whether the poison went in.
+func poisonFrozen(t *testing.T, s *Session) *bool {
+	poisoned := new(bool)
+	healthTestHook = func(em *Session, iter int) {
+		if em == s && em.frozen && iter == 1 {
+			em.mu[0] = math.NaN()
+			*poisoned = true
+		}
+	}
+	t.Cleanup(func() { healthTestHook = nil })
+	return poisoned
+}
+
+// TestHealthNonFiniteFallback: poisoning μ with a NaN mid-way through a
+// frozen refit trips the non-finite scan; Session.Fit re-runs the window as
+// a cold fit from the prior, producing a usable (finite) estimate and
+// accounting the rescue in Health.
+func TestHealthNonFiniteFallback(t *testing.T) {
+	s := warmHealthSession(t, Options{})
+	poisoned := poisonFrozen(t, s)
 	res, err := s.Fit(context.Background())
 	if err != nil {
 		t.Fatalf("fallback should have rescued the fit: %v", err)
 	}
-	if !poisoned {
+	if !*poisoned {
 		t.Fatal("test hook never fired")
 	}
 	for i, v := range res.Estimate {
@@ -98,47 +117,71 @@ func TestHealthNonFiniteFallback(t *testing.T) {
 	}
 }
 
-// TestHealthFallbackMatchesExact: the rescue re-runs from the same start
-// parameters, so its result is bit-identical to an ExactEStep fit of the
-// same session state.
-func TestHealthFallbackMatchesExact(t *testing.T) {
-	rescued := healthSession(t, Options{})
-	healthTestHook = func(em *Session, iter int) {
-		if iter == 0 && !em.fallbackExact {
-			em.frame().mu[0] = math.NaN()
+// TestHealthFallbackMatchesColdFit: the rescue of a tripped frozen refit is
+// a cold fit of the window's observations from the prior, so its result and
+// the posterior it leaves are bit-identical to a fresh session's cold fit of
+// the same observations — in a subspace frame and, with every configuration
+// observed, in the identity frame.
+func TestHealthFallbackMatchesColdFit(t *testing.T) {
+	ctx := context.Background()
+	for _, frame := range []string{"subspace", "identity"} {
+		rescued := warmHealthSession(t, Options{})
+		if frame == "identity" {
+			for j := 0; j < rescued.n; j++ {
+				if err := rescued.Add(j, rescued.known.At(0, j)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	got, err := rescued.Fit(context.Background())
-	healthTestHook = nil
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := healthSession(t, Options{ExactEStep: true})
-	want, err := exact.Fit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Estimate {
-		if got.Estimate[i] != want.Estimate[i] {
-			t.Fatalf("estimate[%d]: rescue %g != exact %g", i, got.Estimate[i], want.Estimate[i])
+		poisoned := poisonFrozen(t, rescued)
+		got, err := rescued.Fit(ctx)
+		healthTestHook = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !*poisoned || rescued.Health().Fallbacks != 1 {
+			t.Fatalf("%s: poisoned=%v fallbacks=%d, want a rescued frozen refit",
+				frame, *poisoned, rescued.Health().Fallbacks)
+		}
+		if held := rescued.heldFrame() != nil; held != (frame == "subspace") {
+			t.Fatalf("%s: rescued posterior held in a subspace frame: %v", frame, held)
+		}
+		cold := rescued.prior.NewSession()
+		idx, val := rescued.Observations()
+		for i := range idx {
+			if err := cold.Add(idx[i], val[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := cold.Fit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, frame+" rescued frozen refit", got, want, rescued.State(), cold.State())
+		if got.Iterations != want.Iterations {
+			t.Fatalf("%s: rescue ran %d iterations, cold fit %d", frame, got.Iterations, want.Iterations)
 		}
 	}
 }
 
-// TestHealthExactPathSurfacesTrip: when the exact path itself (ExactEStep)
-// trips a watchdog there is no further fallback — the error surfaces to the
-// caller and the session reverts to a cold start.
-func TestHealthExactPathSurfacesTrip(t *testing.T) {
-	s := healthSession(t, Options{ExactEStep: true})
+// TestHealthColdTripSurfaces: a cold fit that trips a watchdog has nothing
+// to fall back to. The error surfaces to the caller, no rescue is counted,
+// the session reverts to a cold start, and its next Fit succeeds with the
+// bits of a fresh session's cold fit.
+func TestHealthColdTripSurfaces(t *testing.T) {
+	s := healthSession(t, Options{})
 	healthTestHook = func(em *Session, iter int) {
 		if iter == 1 {
-			em.mu[0] = math.NaN()
+			if em.frame() == &em.own {
+				t.Error("cold fit did not run in a subspace frame")
+			}
+			em.frame().mu[0] = math.NaN()
 		}
 	}
-	defer func() { healthTestHook = nil }()
 	_, err := s.Fit(context.Background())
+	healthTestHook = nil
 	if err == nil {
-		t.Fatal("expected a watchdog error from the exact path")
+		t.Fatal("expected a watchdog error from the cold fit")
 	}
 	if !IsNumericalHealth(err) {
 		t.Fatalf("error is not ErrNumericalHealth: %v", err)
@@ -146,6 +189,19 @@ func TestHealthExactPathSurfacesTrip(t *testing.T) {
 	if s.warm {
 		t.Fatal("session still warm after a hard numerical failure")
 	}
+	if h := s.Health(); h.NonFinite == 0 || h.Fallbacks != 0 {
+		t.Fatalf("health %+v, want a non-finite trip and no fallback", h)
+	}
+	got, err := s.Fit(context.Background())
+	if err != nil {
+		t.Fatalf("next fit after a trip: %v", err)
+	}
+	fresh := healthSession(t, Options{})
+	want, err := fresh.Fit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "fit after a cold trip", got, want, s.State(), fresh.State())
 }
 
 // TestHealthDisabled: with DisableHealthChecks the hook-poisoned NaN is not
@@ -170,18 +226,24 @@ func TestHealthDisabled(t *testing.T) {
 	}
 }
 
-// TestHealthLLRegression: a forced collapse of the parameters between
-// iterations (μ driven far from the data) makes the observed-data
-// log-likelihood crater; the regression detector must catch it.
-func TestHealthLLRegression(t *testing.T) {
-	s := healthSession(t, Options{ExactEStep: true}) // no fallback: trip surfaces
-	healthTestHook = func(em *Session, iter int) {
-		if iter == 2 {
-			for i := range em.mu {
-				em.mu[i] += 1e6
-			}
+// collapseMu makes the healthTestHook drive the in-flight μ far from the
+// data at the third iteration.
+func collapseMu(em *Session, iter int) {
+	if iter == 2 {
+		mu := em.frame().mu
+		for i := range mu {
+			mu[i] += 1e6
 		}
 	}
+}
+
+// TestHealthLLRegression: a forced collapse of the parameters between
+// iterations (μ driven far from the data) makes the observed-data
+// log-likelihood crater; the regression detector must catch it. The fit is
+// cold, so the trip surfaces.
+func TestHealthLLRegression(t *testing.T) {
+	s := healthSession(t, Options{})
+	healthTestHook = collapseMu
 	defer func() { healthTestHook = nil }()
 	_, err := s.Fit(context.Background())
 	if err == nil || !IsNumericalHealth(err) {
@@ -195,14 +257,8 @@ func TestHealthLLRegression(t *testing.T) {
 // TestHealthLLRegressionDisabled: HealthLLDrop < 0 turns the regression
 // detector off while keeping the non-finite scans.
 func TestHealthLLRegressionDisabled(t *testing.T) {
-	s := healthSession(t, Options{ExactEStep: true, HealthLLDrop: -1})
-	healthTestHook = func(em *Session, iter int) {
-		if iter == 2 {
-			for i := range em.mu {
-				em.mu[i] += 1e6
-			}
-		}
-	}
+	s := healthSession(t, Options{HealthLLDrop: -1})
+	healthTestHook = collapseMu
 	defer func() { healthTestHook = nil }()
 	if _, err := s.Fit(context.Background()); err != nil {
 		t.Fatalf("regression detector should be off: %v", err)
@@ -215,9 +271,10 @@ func TestHealthLLRegressionDisabled(t *testing.T) {
 // TestHealthInLoopLLMatchesReference: the alloc-free in-loop log-likelihood
 // must agree with the standalone LogLikelihood evaluation of the same
 // parameters — same quantity, different factorization path, so agreement is
-// to round-off rather than bit-exact. That covers the dense fast and exact
-// E-steps and the frozen warm E-step, which takes each database row's
-// quadratic from its posterior mean instead of a solve against Σ+σ²I.
+// to round-off rather than bit-exact. That covers the E-step over a dense Σ
+// in the identity frame and the frozen warm E-step, both of which take each
+// database row's quadratic from its posterior mean instead of a solve
+// against Σ+σ²I.
 func TestHealthInLoopLLMatchesReference(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
 	ctx := context.Background()
@@ -248,16 +305,14 @@ func TestHealthInLoopLLMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, exact := range []bool{false, true} {
-		s := newEMState(known, obsIdx, obsVal, Options{ExactEStep: exact}.withDefaults())
-		s.init()
-		s.ws.ensureObs(s.n, len(obsIdx))
-		check(fmt.Sprintf("exact=%v", exact), s)
-	}
+	s := newEMState(known, obsIdx, obsVal, Options{}.withDefaults())
+	s.init()
+	s.ws.ensureObs(s.n, len(obsIdx))
+	check("identity frame", s)
 
 	// Frozen: a cold fit, then a new window set up the way Fit sets up a
 	// warm refit.
-	s := newEMState(known, obsIdx, obsVal, Options{}.withDefaults())
+	s = newEMState(known, obsIdx, obsVal, Options{}.withDefaults())
 	if _, err := s.Fit(ctx); err != nil {
 		t.Fatal(err)
 	}

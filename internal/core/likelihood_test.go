@@ -103,11 +103,8 @@ func TestEMImprovesLikelihood(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Estimate(known, obs.Indices, obs.Values, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := LogLikelihood(known, obs.Indices, obs.Values, res.Mu, res.Sigma, res.Noise)
+	res, st := fitSession(t, known, obs.Indices, obs.Values, Options{})
+	after, err := LogLikelihood(known, obs.Indices, obs.Values, st.Mu, st.DenseSigma(), res.Noise)
 	if err != nil {
 		t.Fatal(err)
 	}

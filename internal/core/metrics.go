@@ -40,7 +40,7 @@ var (
 	mHealthLLRegressions = metrics.NewCounter("leo_core_health_ll_regressions_total",
 		"EM fits aborted by the log-likelihood regression detector")
 	mHealthFallbacks = metrics.NewCounter("leo_core_health_fallbacks_total",
-		"fits re-run on the exact E-step after a fast-path watchdog trip")
+		"frozen refits re-run as a cold fit after a watchdog trip")
 	mJitterEvents = metrics.NewCounter("leo_core_jitter_events_total",
 		"covariance factorizations that needed a nonzero jitter-ladder shift")
 	mJitterShift = metrics.NewGauge("leo_core_jitter_shift_sum",

@@ -29,8 +29,8 @@ func canceled(cause error) error {
 // learner): everything that depends only on the fully observed application
 // database, computed once and shared. It holds the column means, the running
 // sum of squares that seeds σ², and — built on first use — the initial
-// covariance Σ₀ = I + sample covariance with its Cholesky factor: the state
-// every cold EM fit would otherwise recompute from scratch.
+// covariance Σ₀ = I + sample covariance: the state every cold EM fit would
+// otherwise recompute from scratch.
 //
 // A Prior's model is immutable once built and the whole object is safe for
 // concurrent use: any number of goroutines may call NewSession and run the
@@ -46,12 +46,11 @@ type Prior struct {
 	sumSq   float64   // Σ v² over the database, in row-major order
 	count   int       // number of database entries
 
-	// Σ₀ and its factor, read through coldSigma. Only cold starts in a
-	// session's own coordinates need them (frame.go), so a prior whose fits
-	// all run in data-subspace frames never builds the n×n pair.
+	// Σ₀, read through coldSigma. Only cold starts in a session's own
+	// coordinates need it (frame.go), so a prior whose fits all run in
+	// data-subspace frames never builds the n×n matrix.
 	sigma0Once sync.Once
-	sigma0     *matrix.Matrix   // initial Σ: identity + sample covariance
-	chol0      *matrix.Cholesky // factor of sigma0 (nil if not factorable)
+	sigma0     *matrix.Matrix // initial Σ: identity + sample covariance
 
 	// Session free list (see Session.Release). A session's EM workspace is a
 	// few n×n matrices — recycling it turns admission in a churning fleet
@@ -94,11 +93,10 @@ func NewPrior(known *matrix.Matrix, opts Options) (*Prior, error) {
 	return p, nil
 }
 
-// coldSigma returns Σ₀ and its Cholesky factor (nil when Σ₀ is not
-// factorable), building both on the first call. Only cold starts in a
-// session's own coordinates read them: identity-frame fits, the exact and
-// naive ablations, and the watchdog's rescue of a cold fit.
-func (p *Prior) coldSigma() (*matrix.Matrix, *matrix.Cholesky) {
+// coldSigma returns Σ₀, building it on the first call. Only cold starts in
+// a session's own coordinates read it: fits whose data-subspace frame would
+// span every configuration.
+func (p *Prior) coldSigma() *matrix.Matrix {
 	p.sigma0Once.Do(func() {
 		// Initial Σ exactly as the EM cold start defines it (§5.5): identity
 		// plus the offline sample covariance, symmetrized.
@@ -112,15 +110,8 @@ func (p *Prior) coldSigma() (*matrix.Matrix, *matrix.Cholesky) {
 			}
 			p.sigma0.Symmetrize()
 		}
-		// Pre-factor Σ₀ so a cold session's first exact E-step can skip its
-		// factorization. A failure here is not fatal: the session falls back
-		// to factorizing (with jitter) itself.
-		ch := matrix.NewCholeskyWorkspace(n)
-		if _, err := ch.FactorizeJitter(p.sigma0, matrix.DefaultJitter, matrix.DefaultJitterTries); err == nil {
-			p.chol0 = ch
-		}
 	})
-	return p.sigma0, p.chol0
+	return p.sigma0
 }
 
 // Configurations returns n, the width of the configuration space.
@@ -137,9 +128,9 @@ func (p *Prior) Options() Options { return p.opts }
 // package-level Estimate, minus rebuilding the offline model. Validation
 // matches Estimate too — mismatched lengths, duplicate or out-of-range
 // indices and non-finite values are rejected with the same errors. The fit
-// runs in a session that is discarded afterwards, so unless LeanResults is
-// set the Result's Mu and Sigma are that session's own parameters, not
-// copies.
+// runs in a session that is discarded afterwards, so nothing of its
+// posterior beyond the Result survives; to read the fitted μ and Σ, fit a
+// session and take its State.
 func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*Result, error) {
 	if len(obsIdx) != len(obsVal) {
 		return nil, fmt.Errorf("core: %d observation indices but %d values", len(obsIdx), len(obsVal))
@@ -168,12 +159,7 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 			return nil, err
 		}
 	}
-	res, err := s.Fit(ctx)
-	if res != nil && !p.opts.LeanResults {
-		s.toIdentity()
-		res.Mu, res.Sigma = s.mu, s.sigma
-	}
-	return res, err
+	return s.Fit(ctx)
 }
 
 // NewSession creates an independent fitting session over this prior. Sessions
@@ -224,9 +210,7 @@ func (s *Session) Release() {
 	}
 	s.Reset()
 	s.health = Health{}
-	s.fallbackExact = false
 	s.frozen = false
-	s.freshSigma = false
 	s.sigma2 = 0
 	s.ws.wc.invalidate()
 	p := s.prior
@@ -264,10 +248,6 @@ type Session struct {
 	sigma2 float64
 	warm   bool
 
-	// freshSigma marks that sigma is exactly the prior's Σ₀, so the first
-	// E-step may copy the pre-computed factor instead of refactorizing.
-	freshSigma bool
-
 	// sub is the data-subspace frame a cold fit runs in (frame.go),
 	// allocated on the session's first frame fit, and the fitted
 	// posterior's frame afterwards; own is the identity frame over the
@@ -275,16 +255,13 @@ type Session struct {
 	sub *subspace
 	own frame
 
-	// fallbackExact forces the exact E-step for the remainder of the current
-	// Fit: set (once, by Fit itself) when a numerical-health watchdog trips
-	// on the fast path, cleared when the fit ends.
-	fallbackExact bool
-	health        Health
+	health Health
 
 	// frozen marks the current Fit as a frozen-parameter warm refit: Σ and
 	// σ² stay pinned, the E-step runs from the warm operator cache, and the
 	// M-step updates μ only. Recomputed at every Fit entry (see warm.go for
-	// the cache it enables); cleared for the watchdog's exact-path retry.
+	// the cache it enables); cleared for the cold refit that rescues a
+	// tripped one.
 	frozen bool
 
 	ws *emWorkspace
@@ -344,8 +321,15 @@ func (s *Session) Reset() {
 
 // Fit runs EM over the prior's database plus the session's observations and
 // returns the target prediction. The first call (and any call after
-// ForgetPosterior) cold-starts from the prior; subsequent calls warm-start
-// from the previous posterior, which typically converges in fewer iterations.
+// ForgetPosterior) cold-starts from the prior. Later calls are frozen
+// refits: they warm-start from the previous posterior with Σ and σ² pinned
+// and move μ only, for at most WarmMaxIter iterations (warm.go). A prior
+// with no database rows has nothing to pin Σ against, so every fit on it is
+// cold.
+//
+// A frozen refit that trips a numerical-health watchdog is re-run once as a
+// cold fit of the same observations, counted in Health.Fallbacks. A cold fit
+// that trips returns its *ErrNumericalHealth like any other hard failure.
 //
 // Cancellation is checked between EM iterations: on a canceled or expired
 // context Fit returns an error wrapping both ErrCanceled and ctx.Err(), and
@@ -364,57 +348,25 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		// A frame lives for one fit; whatever the last fit left is stale.
 		s.sub.active = false
 	}
-	maxIter := s.opts.MaxIter
-	warmStart := s.warm
-	if s.warm {
-		// Incremental update: the parameters already sit near the fixed
-		// point, so a couple of iterations propagate the new observations.
-		maxIter = s.opts.WarmMaxIter
-		s.ws.ensureObs(s.n, len(s.obsIdx))
-	} else {
-		s.coldStart()
-	}
-	// A warm refit against a populated database freezes Σ/σ² and runs from
-	// the operator cache (warm.go); every other shape of fit may rewrite
-	// Σ/σ² or clobber the cached factor, so the cache dies with it. The
-	// per-fit target preparation is redone for every fit's observation set.
-	s.frozen = warmStart && s.known.Rows > 0 && !s.opts.ExactEStep && !s.opts.NaiveEStep
-	if !s.frozen {
-		s.ws.wc.invalidate()
-		if warmStart {
-			// A non-frozen warm fit updates Σ itself, on the dense paths.
-			s.toIdentity()
-		}
-	}
+	// The per-fit target preparation is redone for every fit's observation
+	// set.
 	s.ws.wc.fitPrepared = false
-	// The watchdogs can rescue a diverged fast-path fit by re-running it on
-	// the exact E-step, but only from the exact parameters this fit started
-	// with. A cold fit's are the prior's, which init reproduces; a warm fit's
-	// must be backed up before the first attempt can corrupt them.
-	canFallback := !s.opts.DisableHealthChecks && !s.opts.ExactEStep && !s.opts.NaiveEStep
-	if canFallback && warmStart {
-		s.ws.saveStart(s)
-	}
-	res, err := s.run(ctx, maxIter)
-	if canFallback && IsNumericalHealth(err) {
-		s.health.Fallbacks++
-		mHealthFallbacks.Inc()
-		if warmStart {
-			// A frozen attempt left Σ in its frame untouched; the exact
-			// retry runs on the materialized Σ.
-			s.ws.restoreStart(s)
-			s.toIdentity()
-		} else {
-			s.init()
+	warm := s.warm && s.known.Rows > 0
+	var (
+		res *Result
+		err error
+	)
+	if warm {
+		s.frozen = true
+		s.ws.ensureObs(s.n, len(s.obsIdx))
+		res, err = s.run(ctx, s.opts.WarmMaxIter)
+		if IsNumericalHealth(err) {
+			s.health.Fallbacks++
+			mHealthFallbacks.Inc()
+			res, err = s.fitCold(ctx)
 		}
-		// The retry runs the exact E-step with full M-step updates: Σ/σ²
-		// will move and the exact path reuses the cached factor workspaces,
-		// so the frozen-fit cache cannot survive it.
-		s.frozen = false
-		s.ws.wc.invalidate()
-		s.fallbackExact = true
-		res, err = s.run(ctx, maxIter)
-		s.fallbackExact = false
+	} else {
+		res, err = s.fitCold(ctx)
 	}
 	if err != nil && !IsNotConverged(err) {
 		// Hard failure (numerical or canceled): the parameters may be
@@ -422,7 +374,7 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		s.warm = false
 		return nil, err
 	}
-	if warmStart {
+	if warm {
 		mEMFitsWarm.Inc()
 	} else {
 		mEMFitsCold.Inc()
@@ -434,4 +386,13 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		return res, nil
 	}
 	return res, err
+}
+
+// fitCold runs a cold fit from the prior's starting parameters. It rewrites
+// Σ and σ², so the frozen-refit operator cache dies with it.
+func (s *Session) fitCold(ctx context.Context) (*Result, error) {
+	s.frozen = false
+	s.ws.wc.invalidate()
+	s.coldStart()
+	return s.run(ctx, s.opts.MaxIter)
 }

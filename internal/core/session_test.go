@@ -148,14 +148,58 @@ func TestSessionNoData(t *testing.T) {
 	}
 }
 
+// TestEmptyPriorRefitsCold: a prior with no database rows has nothing to
+// freeze Σ against, so a warm session's next Fit is a cold fit of its
+// observations, bit for bit.
+func TestEmptyPriorRefitsCold(t *testing.T) {
+	prior, err := NewPrior(matrix.New(0, 16), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, fresh := prior.NewSession(), prior.NewSession()
+	add := func(s *Session, from, to int) {
+		for j := from; j < to; j++ {
+			if err := s.Add(2*j, 50+float64(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	add(warm, 0, 6)
+	if _, err := warm.Fit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	add(warm, 6, 8)
+	got, err := warm.Fit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(fresh, 0, 8)
+	want, err := fresh.Fit(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.frozen || got.Iterations != want.Iterations {
+		t.Fatalf("second fit frozen=%v after %d iterations, want a cold fit's %d", warm.frozen, got.Iterations, want.Iterations)
+	}
+	sameResult(t, "refit on an empty prior", got, want, warm.State(), fresh.State())
+}
+
 // TestPriorConcurrentSessions: one Prior shared across goroutines, each with
 // its own Session, must produce identical results with no data races (run
-// under -race in CI). The ExactEStep prior's sessions cold-start from Σ₀,
-// so their first fits race to build it lazily.
+// under -race in CI). With every configuration observed the frame spans the
+// whole space, so those sessions cold-start from Σ₀ in the identity frame
+// and their first fits race to build it lazily.
 func TestPriorConcurrentSessions(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
-	for _, opts := range []Options{{}, {ExactEStep: true}} {
-		prior, err := NewPrior(known, opts)
+	all := make([]int, known.Cols)
+	for j := range all {
+		all[j] = j
+	}
+	for _, obs := range []struct {
+		idx []int
+		val []float64
+	}{{obsIdx, obsVal}, {all, matrix.CloneVec(known.RowView(0))}} {
+		prior, err := NewPrior(known, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,8 +211,8 @@ func TestPriorConcurrentSessions(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				s := prior.NewSession()
-				for i, idx := range obsIdx {
-					if err := s.Add(idx, obsVal[i]); err != nil {
+				for i, idx := range obs.idx {
+					if err := s.Add(idx, obs.val[i]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -188,7 +232,7 @@ func TestPriorConcurrentSessions(t *testing.T) {
 			}
 			for i := range results[0].Estimate {
 				if results[w].Estimate[i] != results[0].Estimate[i] {
-					t.Fatalf("exact=%v: worker %d diverged at estimate[%d]", opts.ExactEStep, w, i)
+					t.Fatalf("k=%d: worker %d diverged at estimate[%d]", len(obs.idx), w, i)
 				}
 			}
 		}

@@ -44,8 +44,7 @@ func (st *SessionState) identity() bool { return st.SigmaFrame.Rows == len(st.Mu
 
 // DenseSigma returns the posterior covariance Σ as a dense n×n matrix (a
 // fresh copy), or nil for a cold state. For a subspace frame it forms
-// αI + P(Σ′−αI)Pᵀ with the same arithmetic a session uses when a dense path
-// needs its Σ.
+// αI + P(Σ′−αI)Pᵀ in O(n²·d); no fit ever does.
 func (st *SessionState) DenseSigma() *matrix.Matrix {
 	if !st.Warm || st.SigmaFrame == nil {
 		return nil
@@ -207,9 +206,6 @@ func (s *Session) Restore(st *SessionState) error {
 			s.holdFrame(st)
 		}
 		s.warm = true
-		// The restored Σ is the fitted posterior, not the prior's Σ₀, so the
-		// precomputed cold-start factor must not be reused.
-		s.freshSigma = false
 	}
 	return nil
 }
@@ -237,8 +233,8 @@ func (s *Session) holdFrame(st *SessionState) {
 func (s *Session) PriorDigest() uint64 { return s.prior.Digest() }
 
 // PriorState is the serializable identity of a Prior: the offline database
-// and the options. Everything the Prior precomputes (column means, Σ₀ and
-// its factor, the running sum of squares) is a pure function of these two.
+// and the options. Everything the Prior precomputes (column means, Σ₀, the
+// running sum of squares) is a pure function of these two.
 type PriorState struct {
 	Known *matrix.Matrix
 	Opts  Options
@@ -285,7 +281,9 @@ func (p *Prior) computeDigest() uint64 {
 	h = fnvU64(h, math.Float64bits(o.Pi))
 	h = fnvU64(h, math.Float64bits(o.SigmaFloor))
 	h = fnvU64(h, math.Float64bits(o.HealthLLDrop))
-	h = fnvU64(h, packBools(o.ZeroInit, o.NaiveEStep, o.ExactEStep,
+	// The two false slots held the retired exact and naive E-step options;
+	// packing them as false keeps every persisted digest valid.
+	h = fnvU64(h, packBools(o.ZeroInit, false, false,
 		o.StrictPaperSigma, o.StrictConvergence, o.DisableHealthChecks, o.InitMu != nil))
 	for _, v := range o.InitMu {
 		h = fnvU64(h, math.Float64bits(v))

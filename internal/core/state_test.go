@@ -397,8 +397,6 @@ func TestPriorDigestSensitivity(t *testing.T) {
 		"WarmMaxIter":      {WarmMaxIter: 3},
 		"Tol":              {Tol: 1e-4},
 		"Pi":               {Pi: 2},
-		"ExactEStep":       {ExactEStep: true},
-		"NaiveEStep":       {NaiveEStep: true},
 		"ZeroInit":         {ZeroInit: true},
 		"StrictPaperSigma": {StrictPaperSigma: true},
 		"HealthLLDrop":     {HealthLLDrop: -1},

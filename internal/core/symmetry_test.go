@@ -45,10 +45,10 @@ func maxAbsDiffVec(a, b []float64) float64 {
 }
 
 // TestEStepFastMatchesNaiveEdgeCases pins the symmetry-aware E-step against
-// the literal per-application evaluation across the Woodbury edge cases: no
-// observations, a single observation, every coordinate observed, and a
-// random duplicate-free Ω in between. Run under -race in CI, it also guards
-// the parallel kernels feeding the fast path.
+// the dense reference's per-application evaluation (refEStep) across the
+// Woodbury edge cases: no observations, a single observation, every
+// coordinate observed, and a random duplicate-free Ω in between. Run under
+// -race in CI, it also guards the parallel kernels feeding the fast path.
 func TestEStepFastMatchesNaiveEdgeCases(t *testing.T) {
 	const n, rows, tol = 12, 5, 1e-8
 	rng := rand.New(rand.NewSource(31))
@@ -76,32 +76,11 @@ func TestEStepFastMatchesNaiveEdgeCases(t *testing.T) {
 			}
 			fast := newEMState(known, idx, vals, Options{}.withDefaults())
 			fast.init()
-			naive := newEMState(known, idx, vals, Options{NaiveEStep: true}.withDefaults())
-			naive.init()
-
 			ef, err := fast.eStep(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			en, err := naive.eStep(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiffVec(ef.zTarget, en.zTarget); d > tol {
-				t.Errorf("zTarget: fast vs naive differ by %g", d)
-			}
-			if !ef.cTarget.Equal(en.cTarget, tol) {
-				t.Error("cTarget mismatch between fast and naive E-step")
-			}
-			if !ef.zFull.Equal(en.zFull, tol) {
-				t.Error("zFull mismatch between fast and naive E-step")
-			}
-			if ef.cFull == nil || en.cFull == nil {
-				t.Fatal("missing shared covariance")
-			}
-			if !ef.cFull.Equal(en.cFull, tol) {
-				t.Error("cFull mismatch between fast and naive E-step")
-			}
+			requireEStepMatchesReference(t, fast, ef, tol)
 			if !ef.cTarget.IsSymmetric(0) {
 				t.Error("fast cTarget is not exactly symmetric")
 			}
@@ -110,10 +89,9 @@ func TestEStepFastMatchesNaiveEdgeCases(t *testing.T) {
 }
 
 // TestFitFastMatchesExact runs whole fits — not single steps — through the
-// default symmetry-aware path and the Options.ExactEStep ablation and
-// requires them to agree to round-off. ExactEStep reproduces the pre-fast-
-// path numerics, so this is the end-to-end guarantee that the kernel rewrite
-// changed flop counts, not results.
+// production path and the dense reference EM and requires them to agree to
+// round-off: the end-to-end guarantee that the symmetric kernels and the
+// shared posterior covariance changed flop counts, not results.
 func TestFitFastMatchesExact(t *testing.T) {
 	const n, rows, tol = 16, 6, 1e-8
 	rng := rand.New(rand.NewSource(37))
@@ -124,35 +102,7 @@ func TestFitFastMatchesExact(t *testing.T) {
 		vals[i] = truth[j] + 0.01*rng.NormFloat64()
 	}
 
-	fast, err := Estimate(known, idx, vals, Options{})
-	if err != nil && !IsNotConverged(err) {
-		t.Fatal(err)
-	}
-	exact, err := Estimate(known, idx, vals, Options{ExactEStep: true})
-	if err != nil && !IsNotConverged(err) {
-		t.Fatal(err)
-	}
-	if fast.Iterations != exact.Iterations {
-		t.Fatalf("iteration counts diverged: fast %d, exact %d", fast.Iterations, exact.Iterations)
-	}
-	if d := maxAbsDiffVec(fast.Estimate, exact.Estimate); d > tol {
-		t.Errorf("Estimate differs by %g", d)
-	}
-	if d := maxAbsDiffVec(fast.Variance, exact.Variance); d > tol {
-		t.Errorf("Variance differs by %g", d)
-	}
-	if d := maxAbsDiffVec(fast.Mu, exact.Mu); d > tol {
-		t.Errorf("Mu differs by %g", d)
-	}
-	if !fast.Sigma.Equal(exact.Sigma, tol) {
-		t.Error("Sigma differs beyond tolerance")
-	}
-	if d := math.Abs(fast.Noise - exact.Noise); d > tol {
-		t.Errorf("Noise differs by %g", d)
-	}
-	if !fast.Sigma.IsSymmetric(0) {
-		t.Error("fast-path Sigma is not exactly symmetric")
-	}
+	requireMatchesReference(t, known, idx, vals, Options{}, tol)
 }
 
 // TestEnsureObsReusesBuffers is the regression test for the buffer-thrash
@@ -188,9 +138,9 @@ func TestEnsureObsReusesBuffers(t *testing.T) {
 	}
 }
 
-// TestMStepSigma2HandComputed checks the Eq. (4) noise update against a 3×3
-// example worked out by hand, in both the hoisted (trFull·rows) and the
-// historical per-row accumulation orders:
+// TestMStepSigma2HandComputed checks the Eq. (4) noise update, with its
+// shared trace hoisted (trFull·rows), against a 3×3 example worked out by
+// hand:
 //
 //	tr(Ĉ)·2 = 1.2, ‖ẑ₀−y₀‖² = 0.5, ‖ẑ₁−y₁‖² = 1.0,
 //	target (idx 1): Ĉ_M[1,1] + (2−2.5)² = 0.4 + 0.25 = 0.65
@@ -223,10 +173,7 @@ func TestMStepSigma2HandComputed(t *testing.T) {
 	}
 
 	want := 3.35 / 7
-	for _, exact := range []bool{false, true} {
-		got := em.mStepSigma2(e, 2, exact)
-		if math.Abs(got-want) > 1e-15 {
-			t.Errorf("mStepSigma2(exact=%v) = %.17g, want %.17g", exact, got, want)
-		}
+	if got := em.mStepSigma2(e, 2); math.Abs(got-want) > 1e-15 {
+		t.Errorf("mStepSigma2 = %.17g, want %.17g", got, want)
 	}
 }

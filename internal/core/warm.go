@@ -51,8 +51,8 @@ import (
 // Everything cached is a pure function of the posterior's frame (α, Ω, Q,
 // Σ′; Σ itself in the identity frame), σ² and the prior database, so a
 // rebuild from scratch reproduces the same bits; the cache is invalidated
-// whenever a non-frozen fit (cold, exact, naive, watchdog fallback) or a
-// Restore may change Σ or σ².
+// whenever a cold fit (including the one that rescues a tripped frozen
+// refit) or a Restore may change Σ or σ².
 type warmCache struct {
 	// ops is the A-side operator set, immutable once built (invalidation
 	// drops the pointer; a rebuild allocates fresh). Immutability is what

@@ -432,8 +432,8 @@ func TestFitBytesBudget(t *testing.T) {
 // fitBytesBudgetPaperSize pins, at the paper's n = 1024, that no step of a
 // session's life on the frame path allocates an n×n matrix (8·n² bytes,
 // 8.39 MB): opening a session, a cold fit, capturing a warm subspace-frame
-// session's State, and the first frozen refit after a cold fit, which
-// builds the operators.
+// session's State, the first frozen refit after a cold fit, which builds
+// the operators, and a one-shot Prior.Estimate.
 func fitBytesBudgetPaperSize(t *testing.T) {
 	space := platform.Paper()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
@@ -491,6 +491,15 @@ func fitBytesBudgetPaperSize(t *testing.T) {
 			s.State()
 		}},
 		{"first frozen refit", fit(masks[1])},
+		{"Prior.Estimate", func() {
+			vals := make([]float64, len(masks[0]))
+			for i, idx := range masks[0] {
+				vals[i] = truth[idx]
+			}
+			if _, err := prior.Estimate(ctx, masks[0], vals); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, step := range steps {
 		b := bytes(step.run)

@@ -120,7 +120,7 @@ func TestRelChangeLengthMismatch(t *testing.T) {
 }
 
 // TestEStepWorkspaceMatchesNaive cross-checks the workspace fast path
-// against the literal per-app implementation on a real fit.
+// against the dense reference's per-application E-step on a real fit.
 func TestEStepWorkspaceMatchesNaive(t *testing.T) {
 	space := platform.CoresOnly()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
@@ -141,24 +141,26 @@ func TestEStepWorkspaceMatchesNaive(t *testing.T) {
 
 	fast := newEMState(rest.Perf, obs.Indices, obs.Values, Options{}.withDefaults())
 	fast.init()
-	naive := newEMState(rest.Perf, obs.Indices, obs.Values, Options{NaiveEStep: true}.withDefaults())
-	naive.init()
-
 	ef, err := fast.eStep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := naive.eStep(context.Background())
+	requireEStepMatchesReference(t, fast, ef, 1e-6)
+}
+
+// newEMState builds a session preloaded with observations, for the tests
+// and benchmarks that drive the E- and M-steps directly. It panics on
+// invalid input.
+func newEMState(known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Options) *Session {
+	p, err := NewPrior(known, opts)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	const tol = 1e-6
-	for i := range ef.zTarget {
-		if math.Abs(ef.zTarget[i]-en.zTarget[i]) > tol {
-			t.Fatalf("zTarget[%d]: fast %g vs naive %g", i, ef.zTarget[i], en.zTarget[i])
+	s := p.NewSession()
+	for i, idx := range obsIdx {
+		if err := s.Add(idx, obsVal[i]); err != nil {
+			panic(err)
 		}
 	}
-	if !ef.cTarget.Equal(en.cTarget, tol) {
-		t.Fatal("cTarget mismatch between fast and naive E-step")
-	}
+	return s
 }

@@ -32,12 +32,17 @@ type CovarianceReport struct {
 // summarizes the learned correlation structure.
 func Fig04(ctx context.Context, env *Env) (*CovarianceReport, error) {
 	// Fit with every application fully observed and an unobserved target;
-	// the fitted Σ is the population covariance.
-	res, err := core.EstimateContext(ctx, env.DB.Perf, nil, nil, core.Options{})
+	// the fitted Σ is the population covariance, which the session holds in
+	// its frame and DenseSigma forms.
+	prior, err := core.NewPrior(env.DB.Perf, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	sigma := res.Sigma
+	s := prior.NewSession()
+	if _, err := s.Fit(ctx); err != nil {
+		return nil, err
+	}
+	sigma := s.State().DenseSigma()
 	corr := func(a, b int) float64 {
 		va, vb := sigma.At(a, a), sigma.At(b, b)
 		if va <= 0 || vb <= 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -117,6 +118,44 @@ func TestObserveRejectsOutOfRangeIndex(t *testing.T) {
 	}
 }
 
+// TestObserveDropsReadingPastCeiling: a reading too large for the fit to
+// hold (1.797e308, finite) is client input the filter drops, not a fit
+// failure. The window is answered 200 with dropped: 1, the tenant keeps its
+// rung, and its estimates are bit-identical to those of a tenant on a fresh
+// server sent the same window without that pair.
+func TestObserveDropsReadingPastCeiling(t *testing.T) {
+	f := newFixture(t)
+	win := observeWindow(f, "alpha", 12)
+	huge := win
+	huge.ObsIdx = append(append([]int(nil), win.ObsIdx...), 20)
+	huge.Perf = append(append([]float64(nil), win.Perf...), math.MaxFloat64)
+	huge.Power = append(append([]float64(nil), win.Power...), f.truePower[20])
+
+	var est [2][2][]float64
+	for i, body := range []observeBody{huge, win} {
+		_, ts := startServer(t, f.config())
+		register(t, ts.URL, "alpha", "kmeans", f.idle)
+		code, reply := postJSON(t, ts.URL+"/v1/observe", body)
+		if code != http.StatusOK {
+			t.Fatalf("window %d: %d %s", i, code, reply["error"])
+		}
+		var dropped int
+		var rung string
+		if err := json.Unmarshal(reply["dropped"], &dropped); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(reply["rung"], &rung); err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 - i; dropped != want || rung != "LEO" {
+			t.Fatalf("window %d: dropped %d on rung %q, want %d on LEO", i, dropped, rung, want)
+		}
+		est[i] = fetchEstimates(t, ts.URL, "alpha")
+	}
+	requireSameVector(t, "perf", est[0][0], est[1][0])
+	requireSameVector(t, "power", est[0][1], est[1][1])
+}
+
 // FuzzObserveBody drives /v1/observe in process, through Server.Handler
 // and httptest.NewRecorder, against one registered tenant that already
 // holds estimates. No body may panic, every reply must be JSON, and a body
@@ -175,6 +214,9 @@ func FuzzObserveBody(f *testing.F) {
 		with(func(b *observeBody) { b.ObsIdx[3] = b.ObsIdx[2] }),
 		with(func(b *observeBody) { b.Perf[0], b.Power[1] = 1.7976931348623157e308, -1.7976931348623157e308 }),
 		with(func(b *observeBody) { b.Perf[2], b.Power[3] = 5e-324, 0 }),
+		with(func(b *observeBody) {
+			b.ObsIdx, b.Perf, b.Power = append(b.ObsIdx, 20), append(b.Perf, 1.797e308), append(b.Power, fx.truePower[20])
+		}),
 		[]byte(`{"tenant":"alpha","obs_idx":[0,1,2,3],"perf":[1,2,3,4],"power":[1,2,3,"x"]}`),
 		[]byte(`{"tenant":"alpha","obs_idx":[1.5],"perf":[1],"power":[1]}`),
 		[]byte(`{"tenant":"alpha"`),

@@ -249,7 +249,7 @@ func TestRecoveryDiscardsSnapshotOnPriorChange(t *testing.T) {
 	// The same journal without its snapshot, for the journal-only recovery.
 	journalOnly := copyStateDir(t, dir, false)
 
-	changed := newFixtureWith(t, platform.Small(), core.Options{LeanResults: true, Pi: 2}, core.Options{LeanResults: true})
+	changed := newFixtureWith(t, platform.Small(), core.Options{Pi: 2}, core.Options{})
 	cfg2 := changed.config()
 	cfg2.Shards = 1
 	cfg2.StateDir = dir
@@ -276,7 +276,7 @@ func TestRecoveryDiscardsSnapshotOnPriorChange(t *testing.T) {
 // replays its journal from sequence 0, with estimates bit-identical to a
 // journal-only recovery's.
 func TestRecoveryFromV1SnapshotReplaysJournal(t *testing.T) {
-	f := newFixtureWith(t, platform.CoresOnly(), core.Options{LeanResults: true}, core.Options{LeanResults: true})
+	f := newFixtureWith(t, platform.CoresOnly(), core.Options{}, core.Options{})
 	cfg := f.config()
 	cfg.Shards = 1
 	cfg.StateDir = copyStateDir(t, "testdata/v1-state", true)

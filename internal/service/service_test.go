@@ -28,9 +28,7 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
-	// LeanResults matches the production serve configuration (leo-runtime
-	// -serve): the service only reads Result.Estimate.
-	return newFixtureWith(t, platform.Small(), core.Options{LeanResults: true}, core.Options{LeanResults: true})
+	return newFixtureWith(t, platform.Small(), core.Options{}, core.Options{})
 }
 
 // newFixtureWith is newFixture over space, with the performance and power

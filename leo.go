@@ -155,11 +155,9 @@ type (
 	// ModelOptions configures LEO's EM fit.
 	ModelOptions = core.Options
 	// ModelResult is the output of one EM fit: the estimate, its posterior
-	// variance, the noise level and convergence facts. FitModel and
-	// FitModelContext also return the fitted population parameters (Mu,
-	// Sigma), handing over their discarded session's own rather than
-	// copies, unless ModelOptions.LeanResults is set. A ModelSession's fits
-	// leave Mu and Sigma nil; read its parameters with State.
+	// variance, the noise level and convergence facts. It carries no copy
+	// of the fitted population parameters μ and Σ: fit a ModelSession and
+	// read them with its State (SessionState.DenseSigma forms Σ densely).
 	ModelResult = core.Result
 )
 
@@ -182,8 +180,10 @@ func NewExhaustiveEstimator(truth []float64) Estimator { return baseline.NewExha
 // estimate (e.g. phase-dependent truth).
 func NewOracleEstimator(fn func() []float64) Estimator { return baseline.NewOracle(fn) }
 
-// FitModel runs LEO's EM directly, returning the fitted parameters along
-// with the prediction.
+// FitModel runs one cold LEO fit directly and returns its prediction, the
+// prediction's posterior variance and the fitted noise level. The fit's
+// session is discarded; use NewModelPrior and a ModelSession to keep or
+// inspect the fitted parameters.
 func FitModel(known *Matrix, obsIdx []int, obsVal []float64, opts ModelOptions) (*ModelResult, error) {
 	return core.Estimate(known, obsIdx, obsVal, opts)
 }

@@ -103,7 +103,7 @@ func TestPublicAPIFitModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Noise <= 0 || len(res.Mu) != 32 || res.Sigma.Rows != 32 {
+	if res.Noise <= 0 || len(res.Estimate) != 32 || len(res.Variance) != 32 {
 		t.Fatalf("FitModel result = %+v", res)
 	}
 }
