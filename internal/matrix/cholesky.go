@@ -293,16 +293,6 @@ func NewCholeskyJitter(a *Matrix, jitter float64, maxTries int) (*Cholesky, floa
 	return c, applied, nil
 }
 
-// CopyFrom copies src's factorization into the receiver, which must have the
-// same size. It lets a precomputed factor seed a reusable workspace without
-// paying for (or re-deriving) the factorization.
-func (c *Cholesky) CopyFrom(src *Cholesky) {
-	if c.n != src.n {
-		panic(fmt.Sprintf("matrix: CopyFrom size %d != %d", src.n, c.n))
-	}
-	copy(c.l.Data, src.l.Data)
-}
-
 // Size returns the dimension of the factored matrix.
 func (c *Cholesky) Size() int { return c.n }
 

@@ -8,9 +8,8 @@
 // tiled GEMM, and the multi-RHS solves — fan out across goroutines for large
 // operands while keeping each output element's reduction order fixed, so
 // results are bit-identical at every worker count (see DESIGN.md §7). The
-// *Into variants (MulInto, SubInto, CloneInto, OuterAccumInto, MulVecInto,
-// SolveTInto) write into caller-owned buffers so steady-state loops allocate
-// nothing.
+// *Into variants (MulInto, SubInto, CloneInto, MulVecInto, SolveTInto)
+// write into caller-owned buffers so steady-state loops allocate nothing.
 package matrix
 
 import (
@@ -328,13 +327,6 @@ func SubInto(dst, a, b *Matrix) *Matrix {
 func CloneInto(dst, src *Matrix) *Matrix {
 	dst.CopyFrom(src)
 	return dst
-}
-
-// OuterAccumInto accumulates dst += s * x*yᵀ and returns dst — the
-// buffer-reusing spelling of AddScaledOuter for call sites that pair it with
-// the other *Into kernels.
-func OuterAccumInto(dst *Matrix, s float64, x, y []float64) *Matrix {
-	return dst.AddScaledOuter(s, x, y)
 }
 
 // MulVecInto computes dst = m * x and returns dst. dst must have length

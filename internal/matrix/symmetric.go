@@ -22,7 +22,7 @@ func SyrkInto(dst *Matrix, alpha float64, a *Matrix) *Matrix {
 // SyrkAccumInto accumulates dst += α·a·aᵀ and returns dst. dst must be
 // exactly symmetric on entry: only its lower triangle accumulates, and the
 // mirror then overwrites the upper triangle with the lower. It replaces a
-// sequence of m rank-1 OuterAccumInto calls with one batched rank-m update.
+// sequence of m rank-1 AddScaledOuter calls with one batched rank-m update.
 func SyrkAccumInto(dst *Matrix, alpha float64, a *Matrix) *Matrix {
 	return syrk(dst, alpha, a, a, true)
 }
