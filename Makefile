@@ -98,17 +98,16 @@ bench-smoke:
 
 # fuzz-smoke runs every fuzz target — the snapshot and journal decoders,
 # the tenant-meta codec, the hand-rolled JSON encoder, the /v1/plan query
-# parser and the /v1/observe handler — for FUZZTIME each: the regression
+# parser and the /v1/observe handler — for 10 s each: the regression
 # corpus plus a few seconds of fresh mutation. One -fuzz pattern per
 # invocation, because go test rejects several fuzz targets at once.
-FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=$(FUZZTIME) ./internal/persist
-	$(GO) test -run=NONE -fuzz='^FuzzScanJournal$$' -fuzztime=$(FUZZTIME) ./internal/persist
-	$(GO) test -run=NONE -fuzz='^FuzzUnpackTenantMeta$$' -fuzztime=$(FUZZTIME) ./internal/service
-	$(GO) test -run=NONE -fuzz='^FuzzAppendJSON$$' -fuzztime=$(FUZZTIME) ./internal/service
-	$(GO) test -run=NONE -fuzz='^FuzzPlanQuery$$' -fuzztime=$(FUZZTIME) ./internal/service
-	$(GO) test -run=NONE -fuzz='^FuzzObserveBody$$' -fuzztime=$(FUZZTIME) ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeSnapshot$$' -fuzztime=10s ./internal/persist
+	$(GO) test -run=NONE -fuzz='^FuzzScanJournal$$' -fuzztime=10s ./internal/persist
+	$(GO) test -run=NONE -fuzz='^FuzzUnpackTenantMeta$$' -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzAppendJSON$$' -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzPlanQuery$$' -fuzztime=10s ./internal/service
+	$(GO) test -run=NONE -fuzz='^FuzzObserveBody$$' -fuzztime=10s ./internal/service
 
 # faults runs the robustness sweep (ext-faults) on the small space.
 faults:

@@ -15,15 +15,6 @@ import (
 // benchFit prepares a leave-one-out fit at the given space and runs it b.N
 // times.
 func benchFit(b *testing.B, space platform.Space, samples int, opts Options) {
-	benchFitWith(b, space, samples, func(known *matrix.Matrix, idx []int, val []float64) error {
-		_, err := Estimate(known, idx, val, opts)
-		return err
-	})
-}
-
-// benchFitWith prepares kmeans' leave-one-out fit inputs at the given space
-// and runs fit on them b.N times.
-func benchFitWith(b *testing.B, space platform.Space, samples int, fit func(*matrix.Matrix, []int, []float64) error) {
 	b.Helper()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
 	if err != nil {
@@ -42,7 +33,7 @@ func benchFitWith(b *testing.B, space platform.Space, samples int, fit func(*mat
 	obs := profile.Observe(truth, mask, 0.01, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := fit(rest.Perf, obs.Indices, obs.Values); err != nil {
+		if _, err := Estimate(rest.Perf, obs.Indices, obs.Values, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,20 +43,11 @@ func BenchmarkEstimateCoresOnly(b *testing.B) {
 	benchFit(b, platform.CoresOnly(), 6, Options{})
 }
 
-// BenchmarkEMSharedCovariance and BenchmarkEMReference are the
-// shared-covariance ablation (DESIGN.md §4) on the cores-only fit at four
-// iterations: the production E-step factors one posterior covariance for
-// every fully observed application, the dense reference EM
-// (reference_test.go) one per application.
+// BenchmarkEMSharedCovariance times the cores-only fit at four iterations,
+// whose E-step factors one posterior covariance for every fully observed
+// application (DESIGN.md §4).
 func BenchmarkEMSharedCovariance(b *testing.B) {
 	benchFit(b, platform.CoresOnly(), 6, Options{MaxIter: 4})
-}
-
-func BenchmarkEMReference(b *testing.B) {
-	benchFitWith(b, platform.CoresOnly(), 6, func(known *matrix.Matrix, idx []int, val []float64) error {
-		_, err := refEM(known, idx, val, Options{MaxIter: 4})
-		return err
-	})
 }
 
 func BenchmarkEstimateSmall(b *testing.B) {

@@ -157,8 +157,7 @@ func TestEstimatePowerMetric(t *testing.T) {
 }
 
 // TestNaiveEStepMatchesFastPath holds a four-iteration fit on the cores-only
-// kmeans problem to the dense reference EM, whose E-step factors one
-// posterior per application.
+// kmeans problem to the dense reference EM.
 func TestNaiveEStepMatchesFastPath(t *testing.T) {
 	known, truth, _ := kmeansLOO(t)
 	mask := profile.UniformMask(32, 6)

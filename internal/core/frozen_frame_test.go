@@ -133,78 +133,30 @@ func TestFrozenFrameMatchesDenseProperty(t *testing.T) {
 	}
 }
 
-// denseFrozenRefit is the reference a frozen refit is held to, sharing no
-// code with the production E-step: from μ, the dense Σ and σ², iters EM
-// iterations with Σ and σ² pinned, then a final E-step. Every database
-// row's posterior mean is formed explicitly as ẑᵢ = μ + ΣA⁻¹(yᵢ−μ) with
-// A = Σ+σ²I, the target's by Woodbury as ẑ_M = μ + SK⁻¹(y_Ω − μ_Ω) with
-// S = Σ[:,Ω] and K = σ²I + Σ[Ω,Ω], and μ ← (Σᵢẑᵢ + ẑ_M)/(M + π). It returns
-// the final ẑ_M, the diagonal of Ĉ_M = Σ − SK⁻¹Sᵀ and the final μ.
-func denseFrozenRefit(t *testing.T, known, sigma *matrix.Matrix, mu0 []float64, s2, pi float64,
+// denseFrozenRefit is the reference a frozen refit is held to: from μ, the
+// dense Σ and σ², iters rounds of refEStep and refMStep keeping only the
+// new μ — Σ and σ² stay pinned — then a final refEStep. It returns the
+// final ẑ_M, the diagonal of Ĉ_M and the final μ.
+func denseFrozenRefit(t *testing.T, known, sigma *matrix.Matrix, mu0 []float64, s2 float64, opts Options,
 	iters int, obsIdx []int, obsVal []float64) (est, variance, mu []float64) {
 	t.Helper()
-	n, rows, k := len(mu0), known.Rows, len(obsIdx)
-	chA, err := matrix.NewCholesky(sigma.Clone().AddDiagonal(s2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kmat := matrix.New(k, k)
-	for a, ia := range obsIdx {
-		for b, ib := range obsIdx {
-			kmat.Set(a, b, sigma.At(ia, ib))
-		}
-	}
-	var chK *matrix.Cholesky
-	if k > 0 {
-		if chK, err = matrix.NewCholesky(kmat.AddDiagonal(s2)); err != nil {
+	eStep := func(mu []float64) *refE {
+		e, err := refEStep(known, obsIdx, obsVal, mu, sigma, s2)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return e
 	}
-	sigmaCols := func(j int) []float64 { // S's row j: Σ[j,Ω]
-		s := make([]float64, k)
-		for c, jc := range obsIdx {
-			s[c] = sigma.At(j, jc)
-		}
-		return s
-	}
-	mu = append([]float64(nil), mu0...)
-	eStep := func() (zSum, zM []float64) {
-		zSum = make([]float64, n)
-		for i := 0; i < rows; i++ {
-			z := matrix.AddVec(mu, sigma.MulVec(chA.SolveVec(matrix.SubVec(known.RowView(i), mu))))
-			for j, v := range z {
-				zSum[j] += v
-			}
-		}
-		zM = append([]float64(nil), mu...)
-		if k > 0 {
-			r := make([]float64, k)
-			for c, j := range obsIdx {
-				r[c] = obsVal[c] - mu[j]
-			}
-			x := chK.SolveVec(r)
-			for j := range zM {
-				zM[j] += matrix.Dot(sigmaCols(j), x)
-			}
-		}
-		return zSum, zM
-	}
+	mu = mu0
 	for it := 0; it < iters; it++ {
-		zSum, zM := eStep()
-		for j := range mu {
-			mu[j] = (zSum[j] + zM[j]) / (float64(rows+1) + pi)
-		}
+		mu, _, _ = refMStep(known, obsIdx, obsVal, eStep(mu), opts)
 	}
-	_, est = eStep()
-	variance = make([]float64, n)
+	e := eStep(mu)
+	variance = make([]float64, len(mu))
 	for j := range variance {
-		variance[j] = sigma.At(j, j)
-		if k > 0 {
-			s := sigmaCols(j)
-			variance[j] -= matrix.Dot(s, chK.SolveVec(s))
-		}
+		variance[j] = e.cM.At(j, j)
 	}
-	return est, variance, mu
+	return e.zM, variance, mu
 }
 
 // TestFrozenRefitMatchesDenseEM holds frozen refits, on a cold fit's
@@ -300,7 +252,7 @@ func TestFrozenRefitMatchesDenseEM(t *testing.T) {
 						name, w, s.frozen, res.Iterations, s.opts.WarmMaxIter)
 				}
 				est, variance, mu := denseFrozenRefit(t, known, st.DenseSigma(), st.Mu, st.Sigma2,
-					opts.Pi, s.opts.WarmMaxIter, win, vals)
+					s.opts, s.opts.WarmMaxIter, win, vals)
 				what := fmt.Sprintf("%s window %d (k=%d) %s frame", name, w, len(win), frame)
 				for _, c := range []struct {
 					what      string

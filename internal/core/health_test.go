@@ -134,6 +134,7 @@ func TestHealthFallbackMatchesColdFit(t *testing.T) {
 			}
 		}
 		poisoned := poisonFrozen(t, rescued)
+		cold0, warm0 := mEMFitsCold.Value(), mEMFitsWarm.Value()
 		got, err := rescued.Fit(ctx)
 		healthTestHook = nil
 		if err != nil {
@@ -142,6 +143,9 @@ func TestHealthFallbackMatchesColdFit(t *testing.T) {
 		if !*poisoned || rescued.Health().Fallbacks != 1 {
 			t.Fatalf("%s: poisoned=%v fallbacks=%d, want a rescued frozen refit",
 				frame, *poisoned, rescued.Health().Fallbacks)
+		}
+		if dc, dw := mEMFitsCold.Value()-cold0, mEMFitsWarm.Value()-warm0; dc != 1 || dw != 0 {
+			t.Fatalf("%s: rescue counted %d cold and %d warm fits, want 1 cold", frame, dc, dw)
 		}
 		if held := rescued.heldFrame() != nil; held != (frame == "subspace") {
 			t.Fatalf("%s: rescued posterior held in a subspace frame: %v", frame, held)

@@ -363,6 +363,8 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 		if IsNumericalHealth(err) {
 			s.health.Fallbacks++
 			mHealthFallbacks.Inc()
+			// The rescue is a cold fit, and is counted as one.
+			warm = false
 			res, err = s.fitCold(ctx)
 		}
 	} else {

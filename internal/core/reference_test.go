@@ -10,18 +10,17 @@ import (
 )
 
 // The dense reference EM: the oracle every fit path is held to. It
-// evaluates Eq. (3) and Eq. (4) as printed, one application at a time, in
-// configuration coordinates with every covariance an n×n matrix. It is
-// written to be read against the paper, not to be fast, and shares no code
-// with the production E- and M-steps: a fully observed application is the
-// target's Eq. (3) with every configuration observed, so one posterior
-// serves both.
+// evaluates Eq. (3) and Eq. (4) as printed, in configuration coordinates
+// with every covariance an n×n matrix. It is written to be read against
+// the paper, not to be fast, and shares no code with the production E- and
+// M-steps: a fully observed application is the target's Eq. (3) with every
+// configuration observed, so one posterior serves both.
 
-// refE is one reference E-step: each database row's posterior mean and
-// covariance, then the target's.
+// refE is one reference E-step: each database row's posterior mean and the
+// posterior covariance the rows share, then the target's.
 type refE struct {
 	z  [][]float64
-	c  []*matrix.Matrix
+	c  *matrix.Matrix
 	zM []float64
 	cM *matrix.Matrix
 }
@@ -36,18 +35,22 @@ type refFit struct {
 	Converged              bool
 }
 
-// refPosterior is Eq. (3) for one application observed at idx with values
-// vals, in its Gaussian-conditioning form: with S = Σ[:,O] and
-// K = Σ[O,O] + σ²I,
+// refPosterior is Eq. (3) for applications observed at the same
+// configurations O = idx, one values vector each, in its
+// Gaussian-conditioning form: with S = Σ[:,O] and K = Σ[O,O] + σ²I, each
+// application's posterior mean and the covariance they share are
 //
 //	ẑ = μ + S K⁻¹ (y_O − μ_O),   Ĉ = Σ − S K⁻¹ Sᵀ.
 //
 // With nothing observed the posterior is the prior N(μ, Σ).
-func refPosterior(mu []float64, sigma *matrix.Matrix, s2 float64, idx []int, vals []float64) ([]float64, *matrix.Matrix, error) {
+func refPosterior(mu []float64, sigma *matrix.Matrix, s2 float64, idx []int, vals ...[]float64) ([][]float64, *matrix.Matrix, error) {
 	n, k := len(mu), len(idx)
-	z, c := matrix.CloneVec(mu), sigma.Clone()
+	z := make([][]float64, len(vals))
 	if k == 0 {
-		return z, c, nil
+		for a := range z {
+			z[a] = matrix.CloneVec(mu)
+		}
+		return z, sigma.Clone(), nil
 	}
 	s := matrix.New(n, k)
 	for j := 0; j < n; j++ {
@@ -63,18 +66,15 @@ func refPosterior(mu []float64, sigma *matrix.Matrix, s2 float64, idx []int, val
 	if err != nil {
 		return nil, nil, fmt.Errorf("reference: observation kernel not factorable: %w", err)
 	}
+	sk := ch.SolveTInto(matrix.New(n, k), s) // S K⁻¹, one row of S per solve
 	r := make([]float64, k)
-	for a, ia := range idx {
-		r[a] = vals[a] - mu[ia]
-	}
-	u := ch.SolveVec(r)
-	for j := 0; j < n; j++ {
-		z[j] += matrix.Dot(s.RowView(j), u)
-		x := ch.SolveVec(s.RowView(j)) // K⁻¹ S[j,:]ᵀ
-		for l := 0; l < n; l++ {
-			c.Set(l, j, c.At(l, j)-matrix.Dot(s.RowView(l), x))
+	for a, y := range vals {
+		for b, ib := range idx {
+			r[b] = y[b] - mu[ib]
 		}
+		z[a] = matrix.AddVec(mu, sk.MulVec(r))
 	}
+	c := sigma.Sub(matrix.MulTransBInto(matrix.New(n, n), sk, s))
 	return z, c.Symmetrize(), nil
 }
 
@@ -85,17 +85,21 @@ func refEStep(known *matrix.Matrix, obsIdx []int, obsVal, mu []float64, sigma *m
 	for j := range all {
 		all[j] = j
 	}
-	e := &refE{}
-	for i := 0; i < known.Rows; i++ {
-		z, c, err := refPosterior(mu, sigma, s2, all, known.RowView(i))
-		if err != nil {
-			return nil, err
-		}
-		e.z, e.c = append(e.z, z), append(e.c, c)
+	rows := make([][]float64, known.Rows)
+	for i := range rows {
+		rows[i] = known.RowView(i)
 	}
+	e := &refE{}
 	var err error
-	e.zM, e.cM, err = refPosterior(mu, sigma, s2, obsIdx, obsVal)
-	return e, err
+	if e.z, e.c, err = refPosterior(mu, sigma, s2, all, rows...); err != nil {
+		return nil, err
+	}
+	zM, cM, err := refPosterior(mu, sigma, s2, obsIdx, obsVal)
+	if err != nil {
+		return nil, err
+	}
+	e.zM, e.cM = zM[0], cM
+	return e, nil
 }
 
 // refStart returns the cold start §5.5 defines: μ₀ the offline column means
@@ -146,7 +150,6 @@ func refMStep(known *matrix.Matrix, obsIdx []int, obsVal []float64, e *refE, opt
 	n, rows := known.Cols, known.Rows
 	m := float64(rows + 1)
 	zs := append(append([][]float64(nil), e.z...), e.zM)
-	cs := append(append([]*matrix.Matrix(nil), e.c...), e.cM)
 	mu := make([]float64, n)
 	for _, z := range zs {
 		for j, v := range z {
@@ -158,8 +161,12 @@ func refMStep(known *matrix.Matrix, obsIdx []int, obsVal []float64, e *refE, opt
 	}
 	sigma := matrix.New(n, n)
 	for a, z := range zs {
+		c := e.c
+		if a == rows {
+			c = e.cM
+		}
 		d := matrix.SubVec(z, mu)
-		sigma.AddInPlace(cs[a]).AddScaledOuter(1, d, d)
+		sigma.AddInPlace(c).AddScaledOuter(1, d, d)
 	}
 	if opts.StrictPaperSigma {
 		sigma.ScaleInPlace(1/(m+1)).AddScaledOuter(opts.Pi, mu, mu).AddDiagonal(1)
@@ -168,7 +175,7 @@ func refMStep(known *matrix.Matrix, obsIdx []int, obsVal []float64, e *refE, opt
 	}
 	num := 0.0
 	for i := 0; i < rows; i++ {
-		num += e.c[i].Trace()
+		num += e.c.Trace()
 		for j, y := range known.RowView(i) {
 			num += (e.z[i][j] - y) * (e.z[i][j] - y)
 		}
@@ -352,8 +359,10 @@ func requireEStepMatchesReference(t *testing.T, s *Session, e *eResult, tol floa
 		if d := maxAbsDiffVec(e.zFull.RowView(i), ref.z[i]); d > tol {
 			t.Errorf("zFull row %d differs from the reference by %g", i, d)
 		}
-		if d := e.cFull.MaxAbsDiff(ref.c[i]); d > tol {
-			t.Errorf("cFull differs from row %d's reference covariance by %g", i, d)
+	}
+	if len(ref.z) > 0 {
+		if d := e.cFull.MaxAbsDiff(ref.c); d > tol {
+			t.Errorf("cFull differs from the reference by %g", d)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func maxAbsDiffVec(a, b []float64) float64 {
 }
 
 // TestEStepFastMatchesNaiveEdgeCases pins the symmetry-aware E-step against
-// the dense reference's per-application evaluation (refEStep) across the
+// the dense reference's E-step (refEStep) across the
 // Woodbury edge cases: no observations, a single observation, every
 // coordinate observed, and a random duplicate-free Ω in between. Run under
 // -race in CI, it also guards the parallel kernels feeding the fast path.

@@ -120,7 +120,7 @@ func TestRelChangeLengthMismatch(t *testing.T) {
 }
 
 // TestEStepWorkspaceMatchesNaive cross-checks the workspace fast path
-// against the dense reference's per-application E-step on a real fit.
+// against the dense reference's E-step on a real fit.
 func TestEStepWorkspaceMatchesNaive(t *testing.T) {
 	space := platform.CoresOnly()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
