@@ -165,9 +165,18 @@ func (a *App) Power(s platform.Space, c platform.Config) float64 {
 	if err := s.CheckConfig(c); err != nil {
 		panic(err)
 	}
-	fNorm := s.Frequency(c.Speed) / platform.BaseFreqGHz
-	dyn := math.Pow(fNorm, a.FreqExp)
+	return a.power(c, a.dynScale(s, c.Speed))
+}
 
+// dynScale returns (f/f_base)^FreqExp, the dynamic-power multiplier at
+// speed setting sp.
+func (a *App) dynScale(s platform.Space, sp int) float64 {
+	return math.Pow(s.Frequency(sp)/platform.BaseFreqGHz, a.FreqExp)
+}
+
+// power is Power for a checked configuration c whose speed's dynamic-power
+// multiplier is dyn.
+func (a *App) power(c platform.Config, dyn float64) float64 {
 	physBusy := float64(c.Threads)
 	htBusy := 0.0
 	if c.Threads > platform.PhysicalCores {
@@ -227,11 +236,17 @@ func (a *App) PerfVector(s platform.Space) []float64 {
 }
 
 // PowerVector returns the ground-truth power of every configuration in index
-// order (the paper's y_i vector for power).
+// order (the paper's y_i vector for power). It is Power at every
+// configuration, with the dynamic-power multiplier computed once per speed.
 func (a *App) PowerVector(s platform.Space) []float64 {
+	dyn := make([]float64, s.Speeds)
+	for sp := range dyn {
+		dyn[sp] = a.dynScale(s, sp)
+	}
 	out := make([]float64, s.N())
 	for i := range out {
-		out[i] = a.Power(s, s.ConfigAt(i))
+		c := s.ConfigAt(i)
+		out[i] = a.power(c, dyn[c.Speed])
 	}
 	return out
 }

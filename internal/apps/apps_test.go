@@ -264,6 +264,22 @@ func TestVectorsMatchPointQueries(t *testing.T) {
 	}
 }
 
+// TestPowerVectorMatchesPower: PowerVector computes each speed's
+// dynamic-power multiplier once, and must still return Power's bits at
+// every configuration of every space.
+func TestPowerVectorMatchesPower(t *testing.T) {
+	for _, s := range []platform.Space{platform.Paper(), platform.Small(), platform.CoresOnly()} {
+		for _, a := range Suite() {
+			power := a.PowerVector(s)
+			for i, v := range power {
+				if want := a.Power(s, s.ConfigAt(i)); math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("%s on %+v: PowerVector[%d] = %v, Power = %v", a.Name, s, i, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFluidanimatePhases(t *testing.T) {
 	a := MustByName("fluidanimate")
 	if a.NumPhases() != 2 {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"leo/internal/matrix"
-)
+import "leo/internal/matrix"
 
 // Data-subspace frames (DESIGN.md §16).
 //
@@ -26,12 +22,17 @@ import (
 // identity: the α recurrence (mStep), (n−d)·log(α+σ²) in log|Σ+σ²I|
 // (llRowsFromMeans), and Ĉ's complement trace in the σ² update
 // (mStepSigma2). A cold fit at the paper's n = 1024 then costs
-// O(n·rows·r + iters·d³) instead of O(iters·n³).
+// O(n·rows·r + n·r² + iters·d³) instead of O(iters·n³).
 //
-// The basis is P = [E_Ω | Q]: the observed coordinates' unit vectors, then a
-// rank-revealing orthonormal basis Q of the database rows (and InitMu) with
-// their Ω entries zeroed. When d = n the frame is the whole space and the
-// fit runs in the identity frame — the session's own coordinates — instead.
+// The basis is P = [E_Ω | Q]: the observed coordinates' unit vectors, then
+// an orthonormal basis Q of the database rows (and InitMu) with their Ω
+// entries zeroed, built by Gram–Schmidt with one reorthogonalization pass
+// (subspace.basis), whose R factor holds the rows' Q coordinates. When
+// d = n the frame is the whole space and the fit runs in the identity frame
+// — the session's own coordinates — instead. The three n-dimensional steps
+// of a frame build (the basis, the rows' coordinates and the variance
+// diagonal, subspace.diag) run serially, four rows per pass, and need no
+// n×r scratch beyond Q itself.
 //
 // The fitted posterior stays in its cold fit's frame (DESIGN.md §16): μ is
 // lifted to a dense n-vector, because the next window's observations move
@@ -76,16 +77,17 @@ type subspace struct {
 	held   bool  // the session's posterior Σ is (α, Q, Ω, Σ′) of this frame
 	omega  []int // Ω: the configurations of frame coordinates 0..k−1 (owned)
 
-	cand  *matrix.Matrix // basis candidates; Qᵀ (r×n) once basis returns
-	norms []float64      // candidates' norms before projection, then residual norms
-	q     *matrix.Matrix // n×r: Q, zero on Ω's rows
-	obs   []int          // 0..k−1, the observations' frame coordinates
-	mean  []float64      // d: Pᵀ × the database column means
-	devT  *matrix.Matrix // d×rows: centered database coordinates
-	z     []float64      // n: the last lifted vector
-	blk   *matrix.Matrix // a block of a d×d frame matrix
-	h     *matrix.Matrix // n×r: Q times an r×r block
-	u     *matrix.Matrix // n×k: Q·(Σ′−αI)[Q,Ω]
+	cand *matrix.Matrix // Qᵀ (r×n): the accepted basis candidates
+	rf   *matrix.Matrix // nc×nc: row i is candidate i's components along Q
+	coef []float64      // one projection pass's coefficients
+	q    *matrix.Matrix // n×r: Q, zero on Ω's rows
+	obs  []int          // 0..k−1, the observations' frame coordinates
+	mean []float64      // d: Pᵀ × the database column means
+	devT *matrix.Matrix // d×rows: centered database coordinates
+	z    []float64      // n: the last lifted vector
+	blk  *matrix.Matrix // a block of a d×d frame matrix
+	h    *matrix.Matrix // n×r: Q times an r×r block (materialize only)
+	u    *matrix.Matrix // n×k: Q·(Σ′−αI)[Q,Ω]
 
 	// Frozen-refit work buffers (warm.go): Pᵀv and Ĉ′Pᵀv, and the per-fit
 	// target operands for a window's observations Ω′ (frameTarget).
@@ -175,16 +177,15 @@ func (em *Session) initSubspace() bool {
 	f := &sp.frame
 	f.n, f.full, f.alpha = d, n, 1
 	f.ws.resize(d)
-	// The database rows' coordinates: their Ω entries, then Qᵀyᵢ for every
-	// row at once from the Qᵀ basis left in sp.cand.
-	qty := matrix.MulTransBInto(sized(&sp.blk, rows, r), em.known, sp.cand)
+	// The database rows' coordinates: their Ω entries, then Qᵀyᵢ, which is
+	// row i of the basis build's R factor.
 	f.known = sized(&f.known, rows, d)
 	for i := 0; i < rows; i++ {
 		row, y := f.known.RowView(i), em.known.RowView(i)
 		for a, j := range sp.omega {
 			row[a] = y[j]
 		}
-		copy(row[k:], qty.RowView(i))
+		copy(row[k:], sp.rf.RowView(i)[:r])
 	}
 	sp.obs = sp.obs[:0]
 	for i := 0; i < k; i++ {
@@ -235,110 +236,87 @@ func (em *Session) initSubspace() bool {
 
 // basis builds Qᵀ, an orthonormal basis of the database rows (and initMu)
 // with their Ω entries zeroed, into sp.cand (r×n) and returns its rank r.
-// It is pivoted modified Gram–Schmidt: each step accepts the candidate with
-// the largest residual relative to its own norm, re-orthogonalizes it
-// against the accepted rows, and projects it out of the rest; candidates
-// whose relative residual falls to frameRankTol are dropped. Q's Ω entries
-// stay exactly zero.
+// It is left-looking classical Gram–Schmidt with one full second pass
+// ("twice is enough": Giraud, Langou and Rozložník, 2005). The candidates
+// are taken in order: each is projected against the accepted rows twice and
+// is accepted when its residual exceeds frameRankTol of its own norm. Q's Ω
+// entries stay exactly zero.
 //
-// A step's projection coefficients for all remaining candidates come from
-// one MulVecInto over the contiguous tail, and projectOut fuses each axpy
-// with the residual norm the next step's pivot search reads. The
-// reorthogonalization stays one dot and axpy at a time: each of its dots
-// reads the previous update.
+// Both passes' coefficients, and an accepted candidate's residual norm, are
+// its row of R (sp.rf, nc×nc): candidate i is Σ_c R[i,c]·q_c to round-off
+// (to frameRankTol of its norm when dropped), so R's row i is its Q
+// coordinates. Its components along directions accepted after it are zero:
+// they were orthogonalized against it.
+//
+// A pass is one MulVecInto for the coefficients, then subtractRows.
 func (sp *subspace) basis(known *matrix.Matrix, initMu []float64, obsIdx []int) int {
 	nc, n := known.Rows, known.Cols
 	if initMu != nil {
 		nc++
 	}
 	cand := sized(&sp.cand, nc, n)
-	copy(cand.Data, known.Data)
-	if initMu != nil {
-		copy(cand.RowView(nc-1), initMu)
+	rf := sized(&sp.rf, nc, nc)
+	for i := range rf.Data {
+		rf.Data[i] = 0
 	}
-	// The candidates' norms before projection, then their residual norms.
-	sp.norms = growVec(sp.norms, 2*nc)
-	norms, res := sp.norms[:nc], sp.norms[nc:]
-	for i := 0; i < nc; i++ {
-		row := cand.RowView(i)
-		for _, j := range obsIdx {
-			row[j] = 0
-		}
-		norms[i] = matrix.Norm2(row)
-		res[i] = norms[i]
-	}
+	sp.coef = growVec(sp.coef, nc)
 	r := 0
-	for ; r < nc; r++ {
-		piv, best := -1, frameRankTol
-		for i := r; i < nc; i++ {
-			if norms[i] == 0 {
-				continue
+	for i := 0; i < nc; i++ {
+		// The candidate goes into the first unaccepted row; a dropped one is
+		// overwritten by the next.
+		v := cand.RowView(r)
+		if i < known.Rows {
+			copy(v, known.RowView(i))
+		} else {
+			copy(v, initMu)
+		}
+		for _, j := range obsIdx {
+			v[j] = 0
+		}
+		norm := matrix.Norm2(v)
+		ri := rf.RowView(i)
+		if r > 0 {
+			acc := matrix.Matrix{Rows: r, Cols: n, Data: cand.Data[:r*n]}
+			t := sp.coef[:r]
+			for pass := 0; pass < 2; pass++ {
+				matrix.MulVecInto(t, &acc, v)
+				subtractRows(v, &acc, t)
+				for c, x := range t {
+					ri[c] += x
+				}
 			}
-			if rel := res[i] / norms[i]; rel > best {
-				piv, best = i, rel
+		}
+		if res := matrix.Norm2(v); res > frameRankTol*norm {
+			inv := 1 / res
+			for j := range v {
+				v[j] *= inv
 			}
-		}
-		if piv < 0 {
-			break
-		}
-		q := cand.RowView(r)
-		if piv != r {
-			pr := cand.RowView(piv)
-			for j := range q {
-				q[j], pr[j] = pr[j], q[j]
-			}
-			norms[r], norms[piv] = norms[piv], norms[r]
-			res[r], res[piv] = res[piv], res[r]
-		}
-		for c := 0; c < r; c++ {
-			qc := cand.RowView(c)
-			matrix.AxpyInPlace(-matrix.Dot(qc, q), qc, q)
-		}
-		inv := 1 / matrix.Norm2(q)
-		for j := range q {
-			q[j] *= inv
-		}
-		if lo := r + 1; lo < nc {
-			tail := matrix.Matrix{Rows: nc - lo, Cols: n, Data: cand.Data[lo*n : nc*n]}
-			matrix.MulVecInto(res[lo:], &tail, q)
-			projectOut(cand, res, q, lo, nc)
+			ri[r] = res
+			r++
 		}
 	}
 	cand.Reshape(r, n)
 	return r
 }
 
-// projectOut subtracts from each candidate i in [lo, hi) its component
-// res[i]·q along the unit vector q, then leaves the residual's norm in
-// res[i]: the axpy and Norm2 of one step in a single pass, four candidates
-// per pass, each on its own chain in ascending order.
-func projectOut(cand *matrix.Matrix, res, q []float64, lo, hi int) {
-	n := len(q)
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0 := cand.Data[i*n : (i+1)*n][:n]
-		r1 := cand.Data[(i+1)*n : (i+2)*n][:n]
-		r2 := cand.Data[(i+2)*n : (i+3)*n][:n]
-		r3 := cand.Data[(i+3)*n : (i+4)*n][:n]
-		a0, a1, a2, a3 := -res[i], -res[i+1], -res[i+2], -res[i+3]
-		var s0, s1, s2, s3 float64
-		for j, qv := range q {
-			v0 := r0[j] + a0*qv
-			v1 := r1[j] + a1*qv
-			v2 := r2[j] + a2*qv
-			v3 := r3[j] + a3*qv
-			r0[j], r1[j], r2[j], r3[j] = v0, v1, v2, v3
-			s0 += v0 * v0
-			s1 += v1 * v1
-			s2 += v2 * v2
-			s3 += v3 * v3
+// subtractRows writes v −= aᵀt, the combination of a's rows with weights t,
+// taking four rows per pass over v: one load and store of each entry per
+// four rows.
+func subtractRows(v []float64, a *matrix.Matrix, t []float64) {
+	n := len(v)
+	c := 0
+	for ; c+4 <= len(t); c += 4 {
+		a0 := a.Data[c*n : (c+1)*n][:n]
+		a1 := a.Data[(c+1)*n : (c+2)*n][:n]
+		a2 := a.Data[(c+2)*n : (c+3)*n][:n]
+		a3 := a.Data[(c+3)*n : (c+4)*n][:n]
+		t0, t1, t2, t3 := t[c], t[c+1], t[c+2], t[c+3]
+		for j := range v {
+			v[j] -= t0*a0[j] + t1*a1[j] + t2*a2[j] + t3*a3[j]
 		}
-		res[i], res[i+1], res[i+2], res[i+3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
 	}
-	for ; i < hi; i++ {
-		row := cand.RowView(i)
-		matrix.AxpyInPlace(-res[i], q, row)
-		res[i] = matrix.Norm2(row)
+	for ; c < len(t); c++ {
+		matrix.AxpyInPlace(-t[c], a.RowView(c), v)
 	}
 }
 
@@ -365,16 +343,42 @@ func (sp *subspace) block(m *matrix.Matrix, r0, c0, rows, cols int) *matrix.Matr
 }
 
 // diag writes the diagonal of αI + P(m−αI)Pᵀ, the configuration-coordinate
-// form of the frame matrix m with complement eigenvalue alpha:
-// m[a,a] at Ω_a, where P_j is a unit vector, and
-// alpha(1−‖Q_j‖²) + Q_j m[Q,Q] Q_jᵀ elsewhere. O(n·r²).
+// form of the frame matrix m with complement eigenvalue alpha: m[a,a] at
+// Ω_a, where P_j is a unit vector, and α + Q_j·G·Q_jᵀ elsewhere, with
+// G = m[Q,Q] − αI read from its lower triangle as
+// Σ_c q_c·(G_cc·q_c + 2·Σ_{b<c} G_cb·q_b). Four rows of Q per pass, each
+// row on its own chains: O(n·r²/2) multiply-adds and no n×r product.
 func (sp *subspace) diag(dst []float64, m *matrix.Matrix, alpha float64) {
-	k, r := len(sp.omega), sp.q.Cols
-	h := sized(&sp.h, sp.full, r)
-	matrix.MulTransBInto(h, sp.q, sp.block(m, k, k, r, r)) // the block is symmetric
-	for j := range dst {
-		qj := sp.q.RowView(j)
-		dst[j] = alpha*(1-matrix.Dot(qj, qj)) + matrix.Dot(h.RowView(j), qj)
+	k, r, n := len(sp.omega), sp.q.Cols, len(dst)
+	row := func(j int) []float64 {
+		// A last pass short of four rows repeats row n−1 and stores only
+		// the rows it owns.
+		j = min(j, n-1)
+		return sp.q.Data[j*r : (j+1)*r][:r]
+	}
+	for j := 0; j < n; j += 4 {
+		q0, q1, q2, q3 := row(j), row(j+1), row(j+2), row(j+3)
+		var s0, s1, s2, s3 float64
+		for c := 0; c < r; c++ {
+			g := m.Data[(k+c)*m.Cols+k:][:c+1]
+			var t0, t1, t2, t3 float64
+			for b, gv := range g[:c] {
+				t0 += gv * q0[b]
+				t1 += gv * q1[b]
+				t2 += gv * q2[b]
+				t3 += gv * q3[b]
+			}
+			gc := g[c] - alpha
+			s0 += q0[c] * (2*t0 + gc*q0[c])
+			s1 += q1[c] * (2*t1 + gc*q1[c])
+			s2 += q2[c] * (2*t2 + gc*q2[c])
+			s3 += q3[c] * (2*t3 + gc*q3[c])
+		}
+		for i, s := range [4]float64{s0, s1, s2, s3} {
+			if j+i < n {
+				dst[j+i] = alpha + s
+			}
+		}
 	}
 	for a, j := range sp.omega {
 		dst[j] = m.At(a, a)

@@ -215,12 +215,13 @@ func TestFrameInLoopLLMatchesReference(t *testing.T) {
 
 // TestFrameFitLeavesDenseBuffersUnallocated pins the lazy-allocation
 // contract: a cold fit in a subspace frame, a one-shot Prior.Estimate
-// included, forms no dense Σ, touches no n×n workspace buffer and never
-// builds the prior's Σ₀; frozen refits, after that cold fit or after a
-// restore, allocate only what the frozen path reads, which excludes the
-// target posterior covariance and its Woodbury product, the rows' posterior
-// means and right-hand sides, and S = Σ[:,Ω]; and a cold start whose frame
-// would span every configuration builds Σ₀ on first use.
+// included, forms no dense Σ, touches no n×n workspace buffer, forms no
+// n×r product for the variance diagonal and never builds the prior's Σ₀;
+// frozen refits, after that cold fit or after a restore, allocate only what
+// the frozen path reads, which excludes the target posterior covariance and
+// its Woodbury product, the rows' posterior means and right-hand sides, and
+// S = Σ[:,Ω]; and a cold start whose frame would span every configuration
+// builds Σ₀ on first use.
 func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	known, obsIdx, obsVal := sessionFixture(t)
 	ctx := context.Background()
@@ -239,10 +240,14 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 		if ws.chA != nil {
 			return "Σ+σ²I factor"
 		}
+		if s.sub != nil && s.sub.h != nil {
+			return "n×r product Q·G"
+		}
 		return ""
 	}
 
-	// The one-shot fit's session is discarded; the hook catches it.
+	// The one-shot fit's session goes back to the free list; the hook
+	// catches it.
 	var oneShot *Session
 	healthTestHook = func(em *Session, iter int) { oneShot = em }
 	_, err = prior.Estimate(ctx, obsIdx, obsVal)
@@ -319,9 +324,12 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 // numerics matter: at the paper's n = 1024 the power database has rank 19
 // off Ω (its five smallest genuine directions sit between 1e-8 and 1e-12 of
 // their rows' norms), so the basis must keep exactly those, stay
-// orthonormal to round-off (which takes the reorthogonalization pass:
-// plain modified Gram–Schmidt loses four digits here), vanish on Ω, and
-// span every database row.
+// orthonormal to round-off (which takes the second Gram–Schmidt pass: one
+// pass loses digits here), vanish on Ω, and span every database row. Each
+// candidate's coordinates, read from the basis build's R factor, must match
+// an explicit Qᵀyᵢ, with and without InitMu. InitMu is the left-out
+// application's own vector: one direction more for perf, and inside the
+// power database's span to 1e-16, where it is dropped.
 func TestFrameBasisPaperSize(t *testing.T) {
 	space := platform.Paper()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
@@ -332,7 +340,7 @@ func TestFrameBasisPaperSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, _, _, err := db.LeaveOneOut(target)
+	rest, perf, power, err := db.LeaveOneOut(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,46 +349,134 @@ func TestFrameBasisPaperSize(t *testing.T) {
 	for _, c := range []struct {
 		metric string
 		known  *matrix.Matrix
+		truth  []float64
 		rank   int
-	}{{"perf", rest.Perf, rest.Perf.Rows}, {"power", rest.Power, 19}} {
-		sp := &subspace{}
-		r := sp.basis(c.known, nil, mask)
-		if r != c.rank {
-			t.Fatalf("%s: basis rank %d, want %d", c.metric, r, c.rank)
-		}
-		worst := 0.0
-		for a := 0; a < r; a++ {
-			qa := sp.cand.RowView(a)
-			for _, j := range mask {
-				if qa[j] != 0 {
-					t.Fatalf("%s: basis vector %d is nonzero on Ω", c.metric, a)
-				}
+		rankMu int // with InitMu
+	}{{"perf", rest.Perf, perf, rest.Perf.Rows, rest.Perf.Rows + 1}, {"power", rest.Power, power, 19, 19}} {
+		for _, initMu := range [][]float64{nil, c.truth} {
+			name, rank := c.metric, c.rank
+			cands := c.known.Clone()
+			if initMu != nil {
+				name, rank = name+"+InitMu", c.rankMu
+				cands = matrix.New(c.known.Rows+1, n)
+				copy(cands.Data, c.known.Data)
+				cands.SetRow(c.known.Rows, initMu)
 			}
-			for b := 0; b <= a; b++ {
-				d := matrix.Dot(qa, sp.cand.RowView(b))
-				if a == b {
-					d--
-				}
-				worst = math.Max(worst, math.Abs(d))
+			sp := &subspace{}
+			r := sp.basis(c.known, initMu, mask)
+			if r != rank {
+				t.Fatalf("%s: basis rank %d, want %d", name, r, rank)
 			}
-		}
-		if worst > 1e-13 {
-			t.Errorf("%s: basis off orthonormal by %g", c.metric, worst)
-		}
-		// Every row, Ω zeroed, must lie in the span to the rank tolerance.
-		for i := 0; i < c.known.Rows; i++ {
-			y := matrix.CloneVec(c.known.RowView(i))
-			for _, j := range mask {
-				y[j] = 0
-			}
-			norm := matrix.Norm2(y)
+			worst := 0.0
 			for a := 0; a < r; a++ {
 				qa := sp.cand.RowView(a)
-				matrix.AxpyInPlace(-matrix.Dot(qa, y), qa, y)
+				for _, j := range mask {
+					if qa[j] != 0 {
+						t.Fatalf("%s: basis vector %d is nonzero on Ω", name, a)
+					}
+				}
+				for b := 0; b <= a; b++ {
+					d := matrix.Dot(qa, sp.cand.RowView(b))
+					if a == b {
+						d--
+					}
+					worst = math.Max(worst, math.Abs(d))
+				}
 			}
-			if res := matrix.Norm2(y) / norm; res > 1e-12 {
-				t.Errorf("%s: row %d leaves the frame by %g of its norm", c.metric, i, res)
+			if worst > 1e-13 {
+				t.Errorf("%s: basis off orthonormal by %g", name, worst)
+			}
+			for i := 0; i < cands.Rows; i++ {
+				y := matrix.CloneVec(cands.RowView(i))
+				for _, j := range mask {
+					y[j] = 0
+				}
+				norm := matrix.Norm2(y)
+				// The coordinates R gives must be Qᵀyᵢ.
+				coord := sp.rf.RowView(i)
+				for a := 0; a < r; a++ {
+					if d := math.Abs(coord[a] - matrix.Dot(sp.cand.RowView(a), y)); d > 1e-12*norm {
+						t.Errorf("%s: candidate %d's coordinate %d off Qᵀyᵢ by %g of its norm", name, i, a, d/norm)
+					}
+				}
+				// Every candidate, Ω zeroed, must lie in the span to the
+				// rank tolerance.
+				for a := 0; a < r; a++ {
+					qa := sp.cand.RowView(a)
+					matrix.AxpyInPlace(-matrix.Dot(qa, y), qa, y)
+				}
+				if res := matrix.Norm2(y) / norm; res > 1e-12 {
+					t.Errorf("%s: candidate %d leaves the frame by %g of its norm", name, i, res)
+				}
 			}
 		}
+	}
+}
+
+// TestFrameDiagMatchesMaterialize holds subspace.diag to the diagonal of
+// materialize's Σ at 1e-12 relative on random frames, k = 0 and r = 0
+// included, with both callers' inputs: the cold fit's Ĉ′_M with its
+// complement value, and buildA's Σ′ with α.
+func TestFrameDiagMatchesMaterialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	ctx := context.Background()
+	var k0, r0 int
+	for trial := 0; trial < 40; trial++ {
+		n := 20 + rng.Intn(30)
+		rows := 1 + rng.Intn(8)
+		k := rng.Intn(n/2 + 1)
+		switch trial % 4 {
+		case 0:
+			k = 0
+		case 1:
+			rows, k = 0, 1+k
+		}
+		known, truth := synthData(rng, rows, n)
+		idx, vals := observe(rng, truth, k)
+		s := newEMState(known, idx, vals, Options{}.withDefaults())
+		s.coldStart()
+		sp := s.sub
+		if sp == nil || !sp.active {
+			t.Fatalf("trial %d (n=%d rows=%d k=%d): no subspace frame", trial, n, rows, k)
+		}
+		if k == 0 {
+			k0++
+		}
+		if sp.q.Cols == 0 {
+			r0++
+		}
+		// One EM iteration moves Σ′ and α off their starting values.
+		e, err := s.eStep(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.mStep(ctx, e); err != nil {
+			t.Fatal(err)
+		}
+		if e, err = s.eStep(ctx); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, n)
+		want := matrix.New(n, n)
+		for _, in := range []struct {
+			name  string
+			m     *matrix.Matrix
+			alpha float64
+		}{{"Ĉ′_M", e.cTarget, e.compTarget}, {"Σ′", sp.sigma, sp.alpha}} {
+			sp.diag(got, in.m, in.alpha)
+			sigma, alpha := sp.sigma, sp.alpha
+			sp.sigma, sp.alpha = in.m, in.alpha
+			sp.materialize(want)
+			sp.sigma, sp.alpha = sigma, alpha
+			for j, v := range got {
+				if w := want.At(j, j); math.Abs(v-w) > 1e-12*math.Abs(w) {
+					t.Fatalf("trial %d (n=%d rows=%d k=%d) %s: diag[%d] = %.17g, materialize %.17g",
+						trial, n, rows, k, in.name, j, v, w)
+				}
+			}
+		}
+	}
+	if k0 == 0 || r0 == 0 {
+		t.Fatalf("k = 0 in %d trials and r = 0 in %d, want both", k0, r0)
 	}
 }

@@ -128,7 +128,8 @@ func (p *Prior) Options() Options { return p.opts }
 // package-level Estimate, minus rebuilding the offline model. Validation
 // matches Estimate too — mismatched lengths, duplicate or out-of-range
 // indices and non-finite values are rejected with the same errors. The fit
-// runs in a session that is discarded afterwards, so nothing of its
+// runs in a session that is released to the prior's free list afterwards,
+// so the next one-shot fit reuses its workspace and nothing of its
 // posterior beyond the Result survives; to read the fitted μ and Σ, fit a
 // session and take its State.
 func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*Result, error) {
@@ -154,6 +155,7 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 		}
 	}
 	s := p.NewSession()
+	defer s.Release() // the Result aliases nothing of the session
 	for i, idx := range obsIdx {
 		if err := s.Add(idx, obsVal[i]); err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -27,6 +26,11 @@ import (
 //	GET  /v1/estimate?tenant=NAME
 //	GET  /v1/plan?tenant=NAME&work=W&deadline=T
 //
+// /v1/estimate answers {"perf","power","idle_power","rung","windows"} with
+// the estimates the planner uses. A power entry the fit left unusable as a
+// reading is null: the planner holds it at +Inf, which JSON cannot carry,
+// and so avoids that configuration.
+//
 // Backpressure is visible in status codes: 429 with Retry-After when a
 // shard queue or the session cap is full, 503 once the server is draining.
 func (s *Server) Handler() http.Handler {
@@ -42,31 +46,38 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// onceWriter forwards writes until the first failure, then swallows the
-// rest: once part of a reply is lost there is no way to resynchronize the
-// stream, so truncating beats interleaving later fragments.
-type onceWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (o *onceWriter) Write(p []byte) (int, error) {
-	if o.err != nil {
-		return 0, o.err
-	}
-	n, err := o.w.Write(p)
-	if err != nil {
-		o.err = err
-	}
-	return n, err
-}
-
+// writeJSON encodes v as json.Encoder does (a trailing newline included),
+// then sends it with status. The body is encoded before any status is
+// written, so a value encoding/json refuses becomes a 500 with a JSON error
+// body instead of a 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(&onceWriter{w: w}).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		mEncodeErrors.Inc()
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: "service: encoding reply: " + err.Error()}) // a string always encodes
 	}
+	writeRaw(w, status, append(body, '\n'))
+}
+
+// estimateVector is a published estimate vector on the wire: each finite
+// entry exactly as encoding/json renders a float64, each non-finite one as
+// null.
+type estimateVector []float64
+
+func (v estimateVector) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 2+20*len(v))
+	b = append(b, '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var ok bool
+		if b, ok = appendJSONFloat(b, x); !ok {
+			b = append(b, "null"...)
+		}
+	}
+	return append(b, ']'), nil
 }
 
 // writeRaw sends a pre-encoded JSON body (a memoized plan reply or a pooled
@@ -321,8 +332,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"perf":       resp.perfEst,
-		"power":      resp.powerEst,
+		"perf":       estimateVector(resp.perfEst),
+		"power":      estimateVector(resp.powerEst),
 		"idle_power": resp.idlePower,
 		"rung":       resp.rung,
 		"windows":    resp.windows,

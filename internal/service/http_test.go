@@ -70,14 +70,24 @@ func serveInProcess(h http.Handler, method, target string, body []byte) *httptes
 
 // tenantView is what an out-of-range observe must leave alone: the
 // tenant's published estimates, rung and window count, as /v1/estimate
-// reports them.
+// reports them. The reply must be JSON.
 func tenantView(t testing.TB, h http.Handler, tenant string) string {
 	t.Helper()
 	rec := serveInProcess(h, http.MethodGet, "/v1/estimate?tenant="+tenant, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("estimate %s: %d %s", tenant, rec.Code, rec.Body.Bytes())
+	if rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+		t.Fatalf("estimate %s: %d %q", tenant, rec.Code, rec.Body.Bytes())
 	}
 	return rec.Body.String()
+}
+
+// viewRung returns the rung a tenantView reports.
+func viewRung(t testing.TB, view string) string {
+	t.Helper()
+	var v struct{ Rung string }
+	if err := json.Unmarshal([]byte(view), &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Rung
 }
 
 // observeWindow is a valid window for the fixture's tenant: the first k
@@ -156,26 +166,121 @@ func TestObserveDropsReadingPastCeiling(t *testing.T) {
 	requireSameVector(t, "power", est[0][1], est[1][1])
 }
 
-// FuzzObserveBody drives /v1/observe in process, through Server.Handler
-// and httptest.NewRecorder, against one registered tenant that already
-// holds estimates. No body may panic, every reply must be JSON, and a body
-// that decodes as an observe request with equal non-zero lengths and any
-// index outside [0, n) must get 400 and leave the tenant's estimates, rung
-// and window count as they were.
-func FuzzObserveBody(f *testing.F) {
-	fx := newFixture(f)
+// alphaInProcess starts a one-shard server over fx, registers tenant
+// "alpha" under kmeans and fits its first window, the fixture's first 12
+// configurations at their true readings. It returns the server's handler,
+// for serveInProcess.
+func alphaInProcess(tb testing.TB, fx *fixture) http.Handler {
+	tb.Helper()
 	cfg := fx.config()
 	cfg.Shards = 1
 	s, err := New(cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Cleanup(func() {
+	tb.Cleanup(func() {
 		if err := s.Close(context.Background()); err != nil {
-			f.Errorf("Close: %v", err)
+			tb.Errorf("Close: %v", err)
 		}
 	})
 	h := s.Handler()
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/register", map[string]any{"tenant": "alpha", "class": "kmeans", "idle_power": fx.idle}},
+		{"/v1/observe", observeWindow(fx, "alpha", 12)},
+	} {
+		b, err := json.Marshal(req.body)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rec := serveInProcess(h, http.MethodPost, req.path, b); rec.Code != http.StatusOK {
+			tb.Fatalf("%s: %d %s", req.path, rec.Code, rec.Body.Bytes())
+		}
+	}
+	return h
+}
+
+// unusablePowerWindow is a well-formed window whose fit leaves some power
+// estimates unusable as readings, so the published power vector holds +Inf
+// entries (control.SanitizeEstimates).
+const unusablePowerWindow = `{"tenant":"alpha","obs_idx":[0,1,10,11],"perf":[1,1,1,1],"power":[1,1,100,0.1]}`
+
+// TestEstimateServesUnusablePowerAsNull: after a window that leaves unusable
+// power estimates, /v1/estimate answers 200 with a JSON body whose unusable
+// entries are null and whose finite entries keep encoding/json's bytes.
+// encoding/json refuses +Inf, and the handler used to have sent its 200
+// header before the encoder failed, leaving an empty body.
+func TestEstimateServesUnusablePowerAsNull(t *testing.T) {
+	h := alphaInProcess(t, newFixture(t))
+	if rec := serveInProcess(h, http.MethodPost, "/v1/observe", []byte(unusablePowerWindow)); rec.Code != http.StatusOK {
+		t.Fatalf("observe: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	rec := serveInProcess(h, http.MethodGet, "/v1/estimate?tenant=alpha", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("estimate: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	var reply struct {
+		Perf  json.RawMessage
+		Power []*float64
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("estimate reply %q: %v", rec.Body.Bytes(), err)
+	}
+	var finite []float64
+	for _, p := range reply.Power {
+		if p != nil {
+			finite = append(finite, *p)
+		}
+	}
+	if len(finite) == len(reply.Power) {
+		t.Fatal("no power entry is null: the window no longer leaves unusable estimates")
+	}
+	if len(finite) == 0 {
+		t.Fatal("every power entry is null")
+	}
+	var perf []float64
+	if err := json.Unmarshal(reply.Perf, &perf); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range [][]float64{perf, finite} {
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(estimateVector(v)); !bytes.Equal(got, want) {
+			t.Fatalf("finite entries render as\n%s\nencoding/json renders\n%s", got, want)
+		}
+	}
+	if want, _ := json.Marshal(perf); !bytes.Equal(reply.Perf, want) {
+		t.Fatalf("served perf\n%s\nencoding/json renders\n%s", reply.Perf, want)
+	}
+}
+
+// TestWriteJSONRefusedValueIs500: a reply encoding/json refuses is a 500
+// with a JSON error body, not a 200 with an empty one.
+func TestWriteJSONRefusedValueIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var body errorBody
+	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+		t.Fatalf("refused value: %d %q, want 500 with a JSON error", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// FuzzObserveBody drives /v1/observe in process, through Server.Handler
+// and httptest.NewRecorder, against one registered tenant that already
+// holds estimates. No body may panic, every reply must be JSON, and after
+// every body the tenant's /v1/estimate reply must be JSON too. A body that
+// decodes as an observe request with equal non-zero lengths and any index
+// outside [0, n) must get 400 and leave the tenant's estimates, rung and
+// window count as they were. A well-formed window (the known tenant, equal
+// non-zero lengths, distinct in-range indices) must get no 5xx and leave
+// the tenant's rung as it was, whatever its readings.
+func FuzzObserveBody(f *testing.F) {
+	fx := newFixture(f)
+	h := alphaInProcess(f, fx)
 	post := func(body []byte) *httptest.ResponseRecorder {
 		return serveInProcess(h, http.MethodPost, "/v1/observe", body)
 	}
@@ -186,14 +291,7 @@ func FuzzObserveBody(f *testing.F) {
 		}
 		return b
 	}
-	if rec := serveInProcess(h, http.MethodPost, "/v1/register",
-		seed(map[string]any{"tenant": "alpha", "class": "kmeans", "idle_power": fx.idle})); rec.Code != http.StatusOK {
-		f.Fatalf("register: %d %s", rec.Code, rec.Body.Bytes())
-	}
 	valid := observeWindow(fx, "alpha", 12)
-	if rec := post(seed(valid)); rec.Code != http.StatusOK {
-		f.Fatalf("first window: %d %s", rec.Code, rec.Body.Bytes())
-	}
 
 	n := fx.space.N()
 	with := func(edit func(b *observeBody)) []byte {
@@ -217,6 +315,7 @@ func FuzzObserveBody(f *testing.F) {
 		with(func(b *observeBody) {
 			b.ObsIdx, b.Perf, b.Power = append(b.ObsIdx, 20), append(b.Perf, 1.797e308), append(b.Power, fx.truePower[20])
 		}),
+		[]byte(unusablePowerWindow),
 		[]byte(`{"tenant":"alpha","obs_idx":[0,1,2,3],"perf":[1,2,3,4],"power":[1,2,3,"x"]}`),
 		[]byte(`{"tenant":"alpha","obs_idx":[1.5],"perf":[1],"power":[1]}`),
 		[]byte(`{"tenant":"alpha"`),
@@ -227,29 +326,37 @@ func FuzzObserveBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req observeBody
-		outOfRange := false
+		outOfRange, wellFormed := false, false
 		if json.Unmarshal(body, &req) == nil && len(req.ObsIdx) > 0 &&
 			len(req.ObsIdx) == len(req.Perf) && len(req.ObsIdx) == len(req.Power) {
+			seen := make(map[int]bool, len(req.ObsIdx))
 			for _, idx := range req.ObsIdx {
 				outOfRange = outOfRange || idx < 0 || idx >= n
+				seen[idx] = true
 			}
+			wellFormed = req.Tenant == "alpha" && !outOfRange && len(seen) == len(req.ObsIdx)
 		}
-		var before string
-		if outOfRange {
-			before = tenantView(t, h, "alpha")
-		}
+		before := tenantView(t, h, "alpha")
 		rec := post(body)
 		if !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("status %d reply is not JSON: %q", rec.Code, rec.Body.Bytes())
 		}
-		if !outOfRange {
-			return
-		}
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("out-of-range index: %d %s, want 400", rec.Code, rec.Body.Bytes())
-		}
-		if after := tenantView(t, h, "alpha"); after != before {
-			t.Fatalf("out-of-range observe changed the tenant:\nbefore %s\nafter  %s", before, after)
+		after := tenantView(t, h, "alpha")
+		switch {
+		case outOfRange:
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("out-of-range index: %d %s, want 400", rec.Code, rec.Body.Bytes())
+			}
+			if after != before {
+				t.Fatalf("out-of-range observe changed the tenant:\nbefore %s\nafter  %s", before, after)
+			}
+		case wellFormed:
+			if rec.Code >= 500 {
+				t.Fatalf("well-formed window: %d %s", rec.Code, rec.Body.Bytes())
+			}
+			if rb, ra := viewRung(t, before), viewRung(t, after); ra != rb {
+				t.Fatalf("well-formed window moved the tenant from rung %s to %s", rb, ra)
+			}
 		}
 	})
 }
