@@ -198,11 +198,11 @@ func (em *Session) initSubspace() bool {
 	f.mu = growVec(f.mu, d)
 	sp.mean = growVec(sp.mean, d)
 	if rows > 0 {
-		sp.coords(sp.mean, em.prior.colMean)
+		sp.project(sp.mean, em.prior.colMean)
 	}
 	switch {
 	case em.opts.InitMu != nil:
-		sp.coords(f.mu, em.opts.InitMu)
+		sp.project(f.mu, em.opts.InitMu)
 	case em.opts.ZeroInit || rows == 0:
 		for i := range f.mu {
 			f.mu[i] = 0
@@ -317,18 +317,6 @@ func subtractRows(v []float64, a *matrix.Matrix, t []float64) {
 	}
 	for ; c < len(t); c++ {
 		matrix.AxpyInPlace(-t[c], a.RowView(c), v)
-	}
-}
-
-// coords writes Pᵀv, v's frame coordinates, into dst: the observed
-// entries, then v's components along Q's columns.
-func (sp *subspace) coords(dst, v []float64) {
-	k := len(sp.omega)
-	for a, j := range sp.omega {
-		dst[a] = v[j]
-	}
-	for c := k; c < len(dst); c++ {
-		dst[c] = matrix.Dot(sp.cand.RowView(c-k), v)
 	}
 }
 

@@ -80,8 +80,8 @@ func (v estimateVector) MarshalJSON() ([]byte, error) {
 	return append(b, ']'), nil
 }
 
-// writeRaw sends a pre-encoded JSON body (a memoized plan reply or a pooled
-// observe buffer).
+// writeRaw sends a pre-encoded JSON body: a memoized plan reply, a pooled
+// observe buffer or writeJSON's encoding.
 func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
