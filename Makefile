@@ -63,8 +63,8 @@ cluster-smoke:
 # symmetry-aware E-step, the §6.7 overhead fit, the allocation-free E-step,
 # the warm-vs-cold multi-window recalibration pair, one steady-state frozen
 # window, the first frozen refit after a cold fit and a perf+power cold
-# calibration from fresh sessions at the paper's n = 1024, and the
-# metrics-on/off EM iteration pair
+# calibration from fresh sessions at the paper's n = 1024, one planner build
+# plus plan over the paper space, and the metrics-on/off EM iteration pair
 # that pins the observability overhead) and records them in BENCH_em.json so
 # later changes have a trajectory. A second pass re-measures the parallel
 # kernels at 2/4/8 workers (GOMAXPROCS raised to match, -matrix-workers
@@ -76,7 +76,7 @@ cluster-smoke:
 # (node-epochs per second, cap-violation rate, J/beat).
 WORKER_BENCH = 'BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkMul512Parallel'
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkColdCalibrateLarge|BenchmarkEMIterationMetrics' \
+	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkColdCalibrateLarge|BenchmarkPlannerPaper|BenchmarkEMIterationMetrics' \
 		-benchmem -timeout=60m . ./internal/core ./internal/matrix \
 		| $(GO) run ./cmd/benchjson -out BENCH_em.json
 	for w in 2 4 8; do \

@@ -328,6 +328,39 @@ func BenchmarkScheduleHull(b *testing.B) {
 	}
 }
 
+// BenchmarkPlannerPaper measures one plan as a recalibrated controller pays
+// it at the paper's n = 1024: pareto.NewPlanner's hull over kmeans'
+// paper-space vectors with seeded 1% multiplicative noise (an estimate-like
+// cloud, not the exact ground truth), then one MinimizeEnergyInto at 60% of
+// the fastest rate. make bench records it as planner_paper_ms.
+func BenchmarkPlannerPaper(b *testing.B) {
+	app, err := Benchmark("kmeans")
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := PaperSpace()
+	perf, power := app.PerfVector(space), app.PowerVector(space)
+	rng := rand.New(rand.NewSource(1))
+	maxRate := 0.0
+	for i := range perf {
+		perf[i] *= 1 + 0.01*rng.NormFloat64()
+		power[i] *= 1 + 0.01*rng.NormFloat64()
+		maxRate = max(maxRate, perf[i])
+	}
+	var plan pareto.Plan
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl, err := pareto.NewPlanner(perf, power, app.IdlePower)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := pl.MinimizeEnergyInto(0.6*maxRate*10, 10, &plan); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkScheduleSimplex measures the general simplex on the same
 // instance (power above idle, slack objective, as the hull solves it).
 func BenchmarkScheduleSimplex(b *testing.B) {

@@ -10,7 +10,8 @@
 // custom ReportMetric columns) plus a headline block with the numbers the
 // perf work tracks across PRs: the full-size EM fit, the full-size Cholesky
 // factorization, the steady-state E-step allocation count, the warm refit
-// pair, and one steady-state warm window at the paper's n = 1024.
+// pair, one steady-state warm window at the paper's n = 1024, and one
+// planner build plus plan over the paper space.
 //
 // With -merge, benchjson instead reads the existing record at -out and adds
 // (or replaces) one multi-worker column keyed by -matrix-workers: the
@@ -124,6 +125,7 @@ var headlineKeys = map[string]struct{ key, field string }{
 	"BenchmarkMultiWindowWarmLarge":    {"multi_window_warm_large_ms", "ns"},
 	"BenchmarkFirstFrozenRefitLarge":   {"first_frozen_refit_large_ms", "ns"},
 	"BenchmarkColdCalibrateLarge":      {"cold_calibrate_large_ms", "ns"},
+	"BenchmarkPlannerPaper":            {"planner_paper_ms", "ns"},
 }
 
 // headline picks the headline metrics out of a parsed run: milliseconds per

@@ -34,9 +34,12 @@ BenchmarkMul512Parallel-4  	      10	  5000000 ns/op
 PASS
 `
 
-// Core bench fixture: the small and paper-size warm windows share a name
-// prefix and must land on separate headline keys.
+// Headline fixture: the small and paper-size warm windows share a name
+// prefix and must land on separate headline keys; the planner row comes
+// from the root package's run.
 const coreBenchOutput = `goos: linux
+pkg: leo
+BenchmarkPlannerPaper-2           	   13044	     85890 ns/op	   27584 B/op	       3 allocs/op
 pkg: leo/internal/core
 BenchmarkMultiWindowWarm-2        	    3000	    412345 ns/op	    2200 B/op	       9 allocs/op
 BenchmarkMultiWindowWarmLarge-2   	     200	   5123456 ns/op	   17000 B/op	       9 allocs/op
@@ -205,6 +208,7 @@ func TestHeadline(t *testing.T) {
 		"first_frozen_refit_large_ms": 3.75,
 		"cold_calibrate_large_ms":     8,
 		"estep_allocs_per_op":         0,
+		"planner_paper_ms":            0.08589,
 	}
 	if len(h) != len(want) {
 		t.Fatalf("headline has %d keys, want %d: %v", len(h), len(want), h)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"leo/internal/baseline"
@@ -687,7 +688,17 @@ func (c *Controller) perfRanking() []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool { return c.perfEst[idx[a]] > c.perfEst[idx[b]] })
+	// No index tie-break: tied estimates keep the unstable pdqsort's order,
+	// which sort.Slice gives identically for the same answers.
+	slices.SortFunc(idx, func(a, b int) int {
+		if c.perfEst[a] > c.perfEst[b] {
+			return -1
+		}
+		if c.perfEst[a] < c.perfEst[b] {
+			return 1
+		}
+		return 0
+	})
 	return idx
 }
 

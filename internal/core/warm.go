@@ -73,7 +73,6 @@ type warmCache struct {
 // prior's database. Never written after buildA publishes it, so any number
 // of sessions over the same parameters may hold the same instance. The
 // factor of A is not kept: nothing after buildA solves against it.
-// paramsDigest fingerprints the exact parameters it was built at.
 type frozenOps struct {
 	cHat    *matrix.Matrix // d×d: Ĉ′, Ĉ in frame coordinates (Ĉ itself when d = n)
 	cComp   float64        // c⊥ = σ²α/(α+σ²), Ĉ on the complement (zero when d = n)
@@ -81,8 +80,6 @@ type frozenOps struct {
 	ll0     float64        // Σᵢ (yᵢ−ȳ)ᵀA⁻¹(yᵢ−ȳ)
 	diag    []float64      // n: diag(Σ)
 	logDetA float64        // log|Σ+σ²I|
-
-	paramsDigest uint64 // FNV over (prior digest, σ², α, Ω, Q, Σ′)
 }
 
 // invalidate drops everything: the next frozen fit rebuilds from scratch.
@@ -93,7 +90,9 @@ func (wc *warmCache) invalidate() {
 
 // frozenParamsDigest fingerprints the exact parameters a frozenOps set is a
 // function of: the prior's digest, σ², and the posterior's frame — α, Ω, Q
-// and Σ′ (the dense Σ, with no Ω or Q, in the identity frame).
+// and Σ′ (the dense Σ, with no Ω or Q, in the identity frame). Only seed
+// transfer reads it, so FrozenOps pays it at export and AdoptFrozenOps at
+// adoption; buildA, which every first frozen refit runs, does not.
 func (em *Session) frozenParamsDigest() uint64 {
 	h := fnvOffset
 	h = fnvU64(h, em.prior.Digest())
@@ -188,7 +187,6 @@ func (em *Session) buildA() error {
 	for j := range ops.zbar {
 		ops.zbar[j] *= inv
 	}
-	ops.paramsDigest = em.frozenParamsDigest()
 	em.ws.wc.ops = ops
 	return nil
 }
@@ -215,14 +213,17 @@ func (sp *subspace) applyC(dst []float64, ops *frozenOps, v []float64) {
 // re-deriving the identical bits. Opaque outside core; obtain via
 // Session.FrozenOps, install via Session.AdoptFrozenOps.
 type FrozenOps struct {
-	ops *frozenOps
+	ops    *frozenOps
+	digest uint64 // frozenParamsDigest of the parameters ops was built at
 }
 
 // FrozenOps returns the session's current frozen-fit operator cache,
 // building it first when the session does not have one. It requires a warm
 // session over a populated prior (the operators are a function of the
 // fitted posterior). The returned set stays bit-identical to what the next
-// frozen refit would compute on its own.
+// frozen refit would compute on its own. The session's parameters are the
+// ones the cached set was built at (anything that changes them drops the
+// cache), so the digest taken here fingerprints the set.
 func (s *Session) FrozenOps() (*FrozenOps, error) {
 	if !s.warm {
 		return nil, fmt.Errorf("core: FrozenOps needs a warm session")
@@ -235,7 +236,7 @@ func (s *Session) FrozenOps() (*FrozenOps, error) {
 			return nil, err
 		}
 	}
-	return &FrozenOps{ops: s.ws.wc.ops}, nil
+	return &FrozenOps{ops: s.ws.wc.ops, digest: s.frozenParamsDigest()}, nil
 }
 
 // AdoptFrozenOps installs a shared operator cache, skipping the rebuild a
@@ -247,7 +248,7 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 	if o == nil || o.ops == nil || !s.warm {
 		return false
 	}
-	if o.ops.paramsDigest != s.frozenParamsDigest() {
+	if o.digest != s.frozenParamsDigest() {
 		return false
 	}
 	if wc := &s.ws.wc; wc.ops == nil {

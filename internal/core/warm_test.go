@@ -667,3 +667,68 @@ func TestSubspaceFrameBitsPinned(t *testing.T) {
 		t.Fatalf("subspace-frame fit sequence digest %#016x, want %#016x", h, want)
 	}
 }
+
+// TestFrozenOpsTransfer pins class-seed operator sharing, whose parameter
+// digest FrozenOps takes at export: a session restored from the donor's
+// state adopts the donor's export and its next frozen refit carries the
+// bits of a session that rebuilt the operators itself, while a set exported
+// at other parameters is declined, by another session and by the donor once
+// a cold refit has moved its posterior.
+func TestFrozenOpsTransfer(t *testing.T) {
+	prior, truth := warmTestSetup(t)
+	n := prior.Configurations()
+	rng := rand.New(rand.NewSource(47))
+	ctx := context.Background()
+	fitOn := func(s *Session, mask []int) *Result {
+		t.Helper()
+		s.ClearObservations()
+		for _, idx := range mask {
+			if err := s.Add(idx, truth[idx]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Fit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	donor := prior.NewSession()
+	fitOn(donor, profile.RandomMask(n, 20, rng))
+	ops, err := donor.FrozenOps()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := donor.State()
+
+	adopted, rebuilt := prior.NewSession(), prior.NewSession()
+	for _, s := range []*Session{adopted, rebuilt} {
+		if err := s.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !adopted.AdoptFrozenOps(ops) {
+		t.Fatal("a session restored from the donor's state declined the donor's operators")
+	}
+	next := profile.RandomMask(n, 20, rng)
+	resA, resR := fitOn(adopted, next), fitOn(rebuilt, next)
+	if !adopted.frozen || adopted.ws.wc.ops != ops.ops {
+		t.Fatal("the adopted refit did not run frozen on the donor's operator set")
+	}
+	if rebuilt.ws.wc.ops == ops.ops {
+		t.Fatal("the rebuilding session shares the donor's operator set")
+	}
+	sameResult(t, "adopted vs rebuilt frozen refit", resA, resR, adopted.State(), rebuilt.State())
+
+	other := prior.NewSession()
+	fitOn(other, profile.RandomMask(n, 20, rng))
+	if other.AdoptFrozenOps(ops) {
+		t.Fatal("a session cold-fitted on other observations adopted the donor's operators")
+	}
+	donor.ForgetPosterior()
+	fitOn(donor, profile.RandomMask(n, 20, rng))
+	if donor.AdoptFrozenOps(ops) {
+		t.Fatal("the donor adopted its own export after a cold refit moved its posterior")
+	}
+}

@@ -15,7 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ErrInfeasible is returned when no configuration (or mix) can complete the
@@ -47,14 +47,26 @@ func Frontier(perf, power []float64) []Point {
 	// Sort by perf descending, power ascending; sweep keeping the running
 	// minimum power. A point is dominated iff some point with >= perf has
 	// <= power (other than itself, ties handled by ordering).
-	sort.Slice(pts, func(a, b int) bool {
-		if pts[a].Perf != pts[b].Perf {
-			return pts[a].Perf > pts[b].Perf
+	slices.SortFunc(pts, func(a, b Point) int {
+		if a.Perf != b.Perf {
+			if a.Perf > b.Perf {
+				return -1
+			}
+			return 1
 		}
-		if pts[a].Power != pts[b].Power {
-			return pts[a].Power < pts[b].Power
+		if a.Power != b.Power {
+			if a.Power < b.Power {
+				return -1
+			}
+			return 1
 		}
-		return pts[a].Index < pts[b].Index
+		if a.Index < b.Index {
+			return -1
+		}
+		if a.Index > b.Index {
+			return 1
+		}
+		return 0
 	})
 	var out []Point
 	best := math.Inf(1)
@@ -79,30 +91,51 @@ func LowerHull(pts []Point) []Point {
 	if len(pts) == 0 {
 		return nil
 	}
-	sorted := append([]Point(nil), pts...)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].Perf != sorted[b].Perf {
-			return sorted[a].Perf < sorted[b].Perf
+	return lowerHull(append([]Point(nil), pts...))
+}
+
+// lowerHull is LowerHull over a buffer it may reorder and overwrite: pts is
+// sorted in place and the hull is built over its prefix, then copied out,
+// so the result never pins the n-point buffer.
+func lowerHull(pts []Point) []Point {
+	// Perf, then Power, and no Index tie-break: which point of an exact
+	// (perf, power) tie the dedup keeps is the unstable pdqsort's choice,
+	// which sort.Slice makes identically for the same answers. The
+	// comparisons stay explicit because cmp.Compare orders NaN, which here
+	// is neither smaller nor larger than anything.
+	slices.SortFunc(pts, func(a, b Point) int {
+		if a.Perf != b.Perf {
+			if a.Perf < b.Perf {
+				return -1
+			}
+			return 1
 		}
-		return sorted[a].Power < sorted[b].Power
+		if a.Power < b.Power {
+			return -1
+		}
+		if a.Power > b.Power {
+			return 1
+		}
+		return 0
 	})
 	// Drop duplicate-perf points, keeping the cheapest.
-	dedup := sorted[:0]
-	for _, p := range sorted {
+	dedup := pts[:0]
+	for _, p := range pts {
 		if len(dedup) > 0 && dedup[len(dedup)-1].Perf == p.Perf {
 			continue
 		}
 		dedup = append(dedup, p)
 	}
-	// Andrew's monotone chain, lower boundary only.
-	var hull []Point
+	// Andrew's monotone chain, lower boundary only, in place: the hull never
+	// holds more points than the chain has read.
+	hull := dedup[:0]
 	for _, p := range dedup {
 		for len(hull) >= 2 && cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
 			hull = hull[:len(hull)-1]
 		}
 		hull = append(hull, p)
 	}
-	return hull
+	return append([]Point(nil), hull...)
 }
 
 // cross returns the z-component of (b−a)×(c−a); > 0 means a→b→c turns
@@ -195,13 +228,4 @@ func (p *Plan) TrueEnergy(truePower []float64, idlePower float64) float64 {
 		e += truePower[a.Index] * a.Time
 	}
 	return e
-}
-
-// TotalTime returns allocated plus idle time.
-func (p *Plan) TotalTime() float64 {
-	t := p.IdleTime
-	for _, a := range p.Allocations {
-		t += a.Time
-	}
-	return t
 }

@@ -41,14 +41,11 @@ func newPlanner(perf, power []float64, idlePower float64) *Planner {
 		}
 		pts = append(pts, Point{Index: i, Perf: perf[i], Power: power[i]})
 	}
-	return &Planner{hull: LowerHull(pts), idlePower: idlePower}
+	return &Planner{hull: lowerHull(pts), idlePower: idlePower}
 }
 
 // IdlePower returns the idle power the planner was built with.
 func (pl *Planner) IdlePower() float64 { return pl.idlePower }
-
-// Hull returns the planner's lower-hull vertices (aliased, do not mutate).
-func (pl *Planner) Hull() []Point { return pl.hull }
 
 // MinimizeEnergy answers one (w, t) demand from the precomputed hull.
 func (pl *Planner) MinimizeEnergy(w, t float64) (*Plan, error) {

@@ -189,9 +189,12 @@ func RandomMask(n, k int, rng *rand.Rand) []int {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("profile: mask size %d out of range [0,%d]", k, n))
 	}
-	perm := rng.Perm(n)[:k]
-	sort.Ints(perm)
-	return perm
+	// Copy the k drawn indices out of the permutation so a held mask does
+	// not pin all n of its ints.
+	mask := make([]int, k)
+	copy(mask, rng.Perm(n))
+	sort.Ints(mask)
+	return mask
 }
 
 // UniformMask returns k indices evenly spaced across [0, n), the policy of

@@ -3,6 +3,8 @@ package profile
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"leo/internal/apps"
@@ -237,6 +239,32 @@ func TestRandomMask(t *testing.T) {
 		}
 		seen[idx] = true
 		prev = idx
+	}
+}
+
+// TestRandomMaskOwnsItsIndices pins that a mask holds only its k indices:
+// it must equal the historical sorted prefix of one rng.Perm(n), drawn from
+// the same seed, and its capacity must be k, not the permutation's n.
+func TestRandomMaskOwnsItsIndices(t *testing.T) {
+	for _, c := range []struct{ n, k int }{{1024, 20}, {128, 20}, {32, 6}, {5, 0}, {5, 5}} {
+		for seed := int64(1); seed <= 4; seed++ {
+			want := rand.New(rand.NewSource(seed)).Perm(c.n)[:c.k]
+			sort.Ints(want)
+			rng := rand.New(rand.NewSource(seed))
+			mask := RandomMask(c.n, c.k, rng)
+			if !slices.Equal(mask, want) {
+				t.Fatalf("n=%d k=%d seed %d: mask %v, want %v", c.n, c.k, seed, mask, want)
+			}
+			if cap(mask) != c.k {
+				t.Fatalf("n=%d k=%d seed %d: mask capacity %d, want %d", c.n, c.k, seed, cap(mask), c.k)
+			}
+			// The generator advanced exactly as far as the one Perm call did.
+			ref := rand.New(rand.NewSource(seed))
+			ref.Perm(c.n)
+			if got, want := rng.Int63(), ref.Int63(); got != want {
+				t.Fatalf("n=%d k=%d seed %d: next draw %d, want %d", c.n, c.k, seed, got, want)
+			}
+		}
 	}
 }
 
