@@ -66,28 +66,19 @@ cluster-smoke:
 # calibration from fresh sessions at the paper's n = 1024, one planner build
 # plus plan over the paper space, and the metrics-on/off EM iteration pair
 # that pins the observability overhead) and records them in BENCH_em.json so
-# later changes have a trajectory. A second pass re-measures the parallel
-# kernels at 2/4/8 workers (GOMAXPROCS raised to match, -matrix-workers
-# capping the pool — results are bit-identical at any width, only the wall
-# clock moves) and merges each column into the same record. A final pass
-# replays the synthetic fleet against the estimation server over real HTTP and
-# merges the service column (windows refit per second, p99 plan latency), then
-# runs the cluster coordinator benchmark and merges the cluster column
+# later changes have a trajectory. GOMAXPROCS is left at the machine's width.
+# Two more passes merge their rows into the same record: the synthetic fleet
+# replayed against the estimation server over real HTTP (windows refit per
+# second, plans per second, p99 plan latency), then the cluster coordinator
 # (node-epochs per second, cap-violation rate, J/beat).
-WORKER_BENCH = 'BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkMul512Parallel'
 bench:
-	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512Parallel|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkColdCalibrateLarge|BenchmarkPlannerPaper|BenchmarkEMIterationMetrics' \
+	$(GO) test -run=NONE -bench='BenchmarkLEOOverheadFull|BenchmarkEMFitLarge|BenchmarkCholesky1024|BenchmarkCholeskyInverseInto1024|BenchmarkSyrkWoodbury1024x25|BenchmarkEStepOnly|BenchmarkEstimateSmall$$|BenchmarkCholesky512|BenchmarkMul512$$|BenchmarkMultiWindowCold|BenchmarkMultiWindowWarm$$|BenchmarkMultiWindowWarmLarge|BenchmarkFirstFrozenRefitLarge|BenchmarkColdCalibrateLarge|BenchmarkPlannerPaper|BenchmarkEMIterationMetrics' \
 		-benchmem -timeout=60m . ./internal/core ./internal/matrix \
 		| $(GO) run ./cmd/benchjson -out BENCH_em.json
-	for w in 2 4 8; do \
-		GOMAXPROCS=$$w $(GO) test -run=NONE -bench=$(WORKER_BENCH) -benchmem -timeout=30m \
-			./internal/matrix -args -matrix-workers=$$w \
-			| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge -matrix-workers $$w || exit 1; \
-	done
 	$(GO) test -run=NONE -bench='^BenchmarkServiceThroughput$$' -timeout=30m ./internal/service \
-		| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge -service
+		| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge
 	$(GO) test -run=NONE -bench='^BenchmarkClusterEpoch$$' -timeout=30m ./internal/cluster \
-		| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge -cluster
+		| $(GO) run ./cmd/benchjson -out BENCH_em.json -merge
 
 # bench-smoke compiles and single-steps every benchmark (-short skips the
 # full-size matrix kernels; the full-size fits run, one step costs tens of

@@ -13,29 +13,15 @@
 // pair, one steady-state warm window at the paper's n = 1024, and one
 // planner build plus plan over the paper space.
 //
-// With -merge, benchjson instead reads the existing record at -out and adds
-// (or replaces) one multi-worker column keyed by -matrix-workers: the
-// parallel-kernel timings re-measured with the pool capped at that width.
-// The base record — headline, benchmark list, environment — is left alone,
-// so the sweep composes with a prior single-core run:
-//
-//	GOMAXPROCS=4 go test -run=NONE -bench=... -benchmem ./internal/matrix \
-//	    -args -matrix-workers=4 | benchjson -merge -matrix-workers 4
-//
-// With -merge -service, the stdin run is the estimation-service throughput
-// benchmark instead, and its custom metrics become the record's service
-// column — fleet windows refit per second and the 99th-percentile plan
-// latency:
+// With -merge, benchjson instead reads the existing record at -out and folds
+// the stdin rows into its benchmark list by name: a row replaces the record's
+// row of the same name, and a row with a new name is appended. The headline
+// is recomputed from the merged list; the environment is left alone. So the
+// service and cluster benchmarks, which report their throughput as custom
+// metrics, compose with the base run:
 //
 //	go test -run=NONE -bench=BenchmarkServiceThroughput ./internal/service \
-//	    | benchjson -merge -service
-//
-// With -merge -cluster, the stdin run is the cluster coordinator benchmark,
-// and its custom metrics become the record's cluster column — node-epochs
-// simulated per second, the cap-violation rate, and energy per heartbeat:
-//
-//	go test -run=NONE -bench=BenchmarkClusterEpoch ./internal/cluster \
-//	    | benchjson -merge -cluster
+//	    | benchjson -merge
 package main
 
 import (
@@ -70,45 +56,18 @@ type record struct {
 	GoOS   string `json:"goos"`
 	GoArch string `json:"goarch"`
 	// NumCPU is the CPU count visible to the measuring process — capped by
-	// the container/affinity mask, so it is what the single-core numbers ran
-	// on. CPUsPresent is the machine's physical CPU count from
+	// the container/affinity mask, so it is what the numbers ran on.
+	// CPUsPresent is the machine's physical CPU count from
 	// /sys/devices/system/cpu/present (falling back to NumCPU off Linux):
-	// in a pinned container the two diverge, and the multi-worker column is
-	// only meaningful relative to the former... the present count says how
-	// wide the sweep could scale on this machine's actual silicon.
+	// in a pinned container the two diverge.
 	NumCPU      int `json:"num_cpu"`
 	CPUsPresent int `json:"cpus_present"`
 	// GoMaxProcs is the scheduler width the run was measured under
 	// (benchjson inherits the same GOMAXPROCS environment as the piped
-	// `go test` run). The perf-tracked numbers are recorded at
-	// GOMAXPROCS=1 so trajectories compare single-core work, not fan-out.
-	GoMaxProcs int `json:"gomaxprocs"`
-	// MatrixWorkers echoes the matrix-kernel worker cap the run used
-	// (-matrix-workers; 0 = uncapped, all of GOMAXPROCS).
-	MatrixWorkers int                `json:"matrix_workers"`
-	Headline      map[string]float64 `json:"headline"`
-	// MultiWorker holds one column per -merge run, keyed by the worker cap
-	// ("2", "4", "8"): the parallel-kernel ms/op re-measured with the pool
-	// at that width and GOMAXPROCS raised to match. Results are bit-identical
-	// at any width (the kernels' determinism contract); only the wall clock
-	// moves. Values are the kernel timings (float64); when the machine has
-	// fewer CPUs present than the worker cap, the column additionally carries
-	// "cpus_present_insufficient": true — the timings are then pure scheduler
-	// noise (w goroutines interleaved on < w CPUs) and trajectory tooling
-	// must not diff them.
-	MultiWorker map[string]map[string]any `json:"multi_worker,omitempty"`
-	// Service is the estimation-server throughput column (-merge -service):
-	// sessions_per_sec (tenant-windows refit per wall-clock second),
-	// p99_plan_ms (client-observed 99th-percentile plan latency), and
-	// plans_per_sec (plan queries answered per wall-clock second) from
-	// BenchmarkServiceThroughput.
-	Service map[string]float64 `json:"service,omitempty"`
-	// Cluster is the cluster-coordinator throughput column (-merge -cluster):
-	// node_epochs_per_sec (simulated node-epochs per wall-clock second),
-	// cap_violations_per_epoch (global-cap violation rate of the benchmark
-	// scenario), and j_per_beat (energy per completed heartbeat) from
-	// BenchmarkClusterEpoch.
-	Cluster    map[string]float64 `json:"cluster,omitempty"`
+	// `go test` run). `make bench` pins none, so it reads the CPUs the
+	// process may use.
+	GoMaxProcs int                `json:"gomaxprocs"`
+	Headline   map[string]float64 `json:"headline"`
 	Benchmarks []result           `json:"benchmarks"`
 }
 
@@ -149,118 +108,29 @@ func headline(results []result) map[string]float64 {
 	return out
 }
 
-// workerKeys names the parallel kernels the multi-worker sweep re-measures.
-var workerKeys = map[string]string{
-	"BenchmarkCholesky1024":            "cholesky_1024_ms",
-	"BenchmarkCholeskyInverseInto1024": "cholesky_inverse_1024_ms",
-	"BenchmarkSyrkWoodbury1024x25":     "syrk_woodbury_1024_ms",
-	"BenchmarkMul512Parallel":          "mul_512_ms",
-}
-
-// serviceKeys maps BenchmarkServiceThroughput's ReportMetric units to the
-// service-column fields they feed.
-var serviceKeys = map[string]string{
-	"sessions/s":  "sessions_per_sec",
-	"p99-plan-ms": "p99_plan_ms",
-	"plans/s":     "plans_per_sec",
-}
-
-// serviceColumn extracts the service column from a parsed run, or errors if
-// the throughput benchmark (or its custom metrics) is missing.
-func serviceColumn(results []result) (map[string]float64, error) {
-	for _, r := range results {
-		if r.Name != "BenchmarkServiceThroughput" {
+// mergeRows folds rows into base by name: a row replaces the base row of
+// the same name, and a row with a new name is appended.
+func mergeRows(base, rows []result) []result {
+	at := make(map[string]int, len(base))
+	for i, r := range base {
+		at[r.Name] = i
+	}
+	for _, r := range rows {
+		if i, ok := at[r.Name]; ok {
+			base[i] = r
 			continue
 		}
-		col := map[string]float64{}
-		for unit, key := range serviceKeys {
-			v, ok := r.Metrics[unit]
-			if !ok {
-				return nil, fmt.Errorf("BenchmarkServiceThroughput reported no %q metric", unit)
-			}
-			col[key] = v
-		}
-		return col, nil
+		at[r.Name] = len(base)
+		base = append(base, r)
 	}
-	return nil, fmt.Errorf("no BenchmarkServiceThroughput row on stdin (%d benchmarks parsed)", len(results))
-}
-
-// clusterKeys maps BenchmarkClusterEpoch's ReportMetric units to the
-// cluster-column fields they feed. j_per_beat is optional: a scenario that
-// completes no work reports no J/beat, which is still a valid run.
-var clusterKeys = []struct {
-	unit, key string
-	required  bool
-}{
-	{"node-epochs/s", "node_epochs_per_sec", true},
-	{"cap-violations/epoch", "cap_violations_per_epoch", true},
-	{"J/beat", "j_per_beat", false},
-}
-
-// clusterColumn extracts the cluster column from a parsed run, or errors if
-// the coordinator benchmark (or a required metric) is missing.
-func clusterColumn(results []result) (map[string]float64, error) {
-	for _, r := range results {
-		if r.Name != "BenchmarkClusterEpoch" {
-			continue
-		}
-		col := map[string]float64{}
-		for _, k := range clusterKeys {
-			v, ok := r.Metrics[k.unit]
-			if !ok {
-				if k.required {
-					return nil, fmt.Errorf("BenchmarkClusterEpoch reported no %q metric", k.unit)
-				}
-				continue
-			}
-			col[k.key] = v
-		}
-		return col, nil
-	}
-	return nil, fmt.Errorf("no BenchmarkClusterEpoch row on stdin (%d benchmarks parsed)", len(results))
-}
-
-// workerColumn extracts the multi-worker column from a parsed run, or errors
-// if none of the sweep kernels are present. A sweep wider than the machine's
-// present CPU count measures scheduler interleaving, not parallel speedup, so
-// such columns are annotated "cpus_present_insufficient": true for trajectory
-// tooling to exclude.
-func workerColumn(results []result, workers, present int) (map[string]any, error) {
-	col := map[string]any{}
-	for _, r := range results {
-		if key, ok := workerKeys[r.Name]; ok {
-			col[key] = r.NsPerOp / 1e6
-		}
-	}
-	if len(col) == 0 {
-		return nil, fmt.Errorf("no multi-worker kernels (%d benchmarks parsed, none in the sweep set)", len(results))
-	}
-	if present > 0 && present < workers {
-		col["cpus_present_insufficient"] = true
-	}
-	return col, nil
+	return base
 }
 
 func main() {
 	out := flag.String("out", "BENCH_em.json", "output path for the JSON record")
-	matrixWorkers := flag.Int("matrix-workers", 0,
-		"matrix-kernel worker cap the benchmarked run used (0 = uncapped), echoed into the record")
 	merge := flag.Bool("merge", false,
-		"merge stdin into the existing record at -out as the multi-worker column keyed by -matrix-workers")
-	service := flag.Bool("service", false,
-		"with -merge: stdin is the service throughput benchmark; merge it as the record's service column")
-	clusterFlag := flag.Bool("cluster", false,
-		"with -merge: stdin is the cluster coordinator benchmark; merge it as the record's cluster column")
+		"fold stdin's rows into the existing record at -out by benchmark name")
 	flag.Parse()
-	if *service && !*merge {
-		fatal(fmt.Errorf("-service requires -merge (the service column composes with an existing base record)"))
-	}
-	if *clusterFlag && !*merge {
-		fatal(fmt.Errorf("-cluster requires -merge (the cluster column composes with an existing base record)"))
-	}
-	if *clusterFlag && *service {
-		fatal(fmt.Errorf("-cluster and -service are mutually exclusive (one merged column per run)"))
-	}
 
 	results, err := parseBench(os.Stdin)
 	if err != nil {
@@ -274,44 +144,22 @@ func main() {
 	if *merge {
 		data, err := os.ReadFile(*out)
 		if err != nil {
-			fatal(fmt.Errorf("-merge needs an existing base record (run the single-core bench first): %w", err))
+			fatal(fmt.Errorf("-merge needs an existing base record (run the base bench first): %w", err))
 		}
 		if err := json.Unmarshal(data, &rec); err != nil {
 			fatal(fmt.Errorf("parsing existing %s: %w", *out, err))
 		}
-		switch {
-		case *service:
-			col, err := serviceColumn(results)
-			if err != nil {
-				fatal(err)
-			}
-			rec.Service = col
-		case *clusterFlag:
-			col, err := clusterColumn(results)
-			if err != nil {
-				fatal(err)
-			}
-			rec.Cluster = col
-		default:
-			col, err := workerColumn(results, *matrixWorkers, cpusPresent())
-			if err != nil {
-				fatal(err)
-			}
-			if rec.MultiWorker == nil {
-				rec.MultiWorker = map[string]map[string]any{}
-			}
-			rec.MultiWorker[strconv.Itoa(*matrixWorkers)] = col
-		}
+		rec.Benchmarks = mergeRows(rec.Benchmarks, results)
+		rec.Headline = headline(rec.Benchmarks)
 	} else {
 		rec = record{
-			GoOS:          runtime.GOOS,
-			GoArch:        runtime.GOARCH,
-			NumCPU:        runtime.NumCPU(),
-			CPUsPresent:   cpusPresent(),
-			GoMaxProcs:    runtime.GOMAXPROCS(0),
-			MatrixWorkers: *matrixWorkers,
-			Headline:      headline(results),
-			Benchmarks:    results,
+			GoOS:        runtime.GOOS,
+			GoArch:      runtime.GOARCH,
+			NumCPU:      runtime.NumCPU(),
+			CPUsPresent: cpusPresent(),
+			GoMaxProcs:  runtime.GOMAXPROCS(0),
+			Headline:    headline(results),
+			Benchmarks:  results,
 		}
 	}
 

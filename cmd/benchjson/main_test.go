@@ -3,7 +3,6 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -26,12 +25,6 @@ pkg: leo/internal/cluster
 BenchmarkClusterEpoch-8 	       9	 123456789 ns/op	         0.1250 cap-violations/epoch	        10.49 J/beat	      8578 node-epochs/s
 PASS
 ok  	leo/internal/cluster	1.8s
-`
-
-const kernelBenchOutput = `goos: linux
-BenchmarkCholesky1024-4    	       3	 14663837 ns/op	       0 B/op	       0 allocs/op
-BenchmarkMul512Parallel-4  	      10	  5000000 ns/op
-PASS
 `
 
 // Headline fixture: the small and paper-size warm windows share a name
@@ -67,136 +60,41 @@ func parseFixture(t *testing.T, out string) []result {
 	return results
 }
 
-func TestServiceColumn(t *testing.T) {
-	results := parseFixture(t, serviceBenchOutput)
-	if len(results) != 1 {
-		t.Fatalf("parsed %d benchmarks, want 1", len(results))
-	}
-	col, err := serviceColumn(results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := col["sessions_per_sec"], 482.25; got != want {
-		t.Errorf("sessions_per_sec = %v, want %v", got, want)
-	}
-	if got, want := col["p99_plan_ms"], 12.50; got != want {
-		t.Errorf("p99_plan_ms = %v, want %v", got, want)
-	}
-	if got, want := col["plans_per_sec"], 3858.0; got != want {
-		t.Errorf("plans_per_sec = %v, want %v", got, want)
-	}
-	if len(col) != 3 {
-		t.Errorf("service column has %d fields, want 3: %v", len(col), col)
-	}
-}
+// TestMergeFoldsRowsByName merges the service and cluster runs into a base
+// run, as make bench does: each lands as its own row with every custom
+// metric kept, and a re-measured row replaces its namesake in place.
+func TestMergeFoldsRowsByName(t *testing.T) {
+	base := parseFixture(t, coreBenchOutput)
+	merged := mergeRows(base, parseFixture(t, serviceBenchOutput))
+	merged = mergeRows(merged, parseFixture(t, clusterBenchOutput))
+	rerun := parseFixture(t, "BenchmarkEStepOnly-2 700 1500000 ns/op 0 B/op 0 allocs/op\nPASS\n")
+	merged = mergeRows(merged, rerun)
 
-func TestServiceColumnRejectsWrongRun(t *testing.T) {
-	// A kernel run piped through -service by mistake must fail loudly, not
-	// write an empty column.
-	results := parseFixture(t, kernelBenchOutput)
-	if _, err := serviceColumn(results); err == nil {
-		t.Fatal("serviceColumn accepted a run without BenchmarkServiceThroughput")
-	} else if !strings.Contains(err.Error(), "BenchmarkServiceThroughput") {
-		t.Errorf("error %q does not name the missing benchmark", err)
+	if got, want := len(merged), 8; got != want {
+		t.Fatalf("merged %d rows, want %d", got, want)
 	}
-
-	// And a throughput row missing its metrics (e.g. a -benchtime=1x run
-	// that errored before ReportMetric) is equally loud.
-	partial := parseFixture(t, "BenchmarkServiceThroughput-8 1 1000 ns/op\nPASS\n")
-	if _, err := serviceColumn(partial); err == nil {
-		t.Fatal("serviceColumn accepted a row without the custom metrics")
+	rows := map[string]result{}
+	for _, r := range merged {
+		rows[r.Name] = r
 	}
-}
-
-func TestClusterColumn(t *testing.T) {
-	results := parseFixture(t, clusterBenchOutput)
-	col, err := clusterColumn(results)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string]map[string]float64{
+		"BenchmarkServiceThroughput": {"sessions/s": 482.25, "p99-plan-ms": 12.50, "plans/s": 3858},
+		"BenchmarkClusterEpoch":      {"node-epochs/s": 8578, "cap-violations/epoch": 0.1250, "J/beat": 10.49},
 	}
-	if got, want := col["node_epochs_per_sec"], 8578.0; got != want {
-		t.Errorf("node_epochs_per_sec = %v, want %v", got, want)
+	for name, metrics := range want {
+		r, ok := rows[name]
+		if !ok {
+			t.Fatalf("%s missing from the merged rows", name)
+		}
+		for unit, v := range metrics {
+			if got := r.Metrics[unit]; got != v {
+				t.Errorf("%s %s = %v, want %v", name, unit, got, v)
+			}
+		}
 	}
-	if got, want := col["cap_violations_per_epoch"], 0.1250; got != want {
-		t.Errorf("cap_violations_per_epoch = %v, want %v", got, want)
-	}
-	if got, want := col["j_per_beat"], 10.49; got != want {
-		t.Errorf("j_per_beat = %v, want %v", got, want)
-	}
-}
-
-func TestClusterColumnRejectsWrongRun(t *testing.T) {
-	// A kernel run piped through -cluster by mistake must fail loudly.
-	if _, err := clusterColumn(parseFixture(t, kernelBenchOutput)); err == nil {
-		t.Fatal("clusterColumn accepted a run without BenchmarkClusterEpoch")
-	} else if !strings.Contains(err.Error(), "BenchmarkClusterEpoch") {
-		t.Errorf("error %q does not name the missing benchmark", err)
-	}
-
-	// A coordinator row missing its required metrics is equally loud.
-	partial := parseFixture(t, "BenchmarkClusterEpoch-8 1 1000 ns/op\nPASS\n")
-	if _, err := clusterColumn(partial); err == nil {
-		t.Fatal("clusterColumn accepted a row without the custom metrics")
-	}
-
-	// J/beat alone is optional: a no-work scenario still merges.
-	noWork := parseFixture(t,
-		"BenchmarkClusterEpoch-8 1 1000 ns/op	 0.00 cap-violations/epoch	 100 node-epochs/s\nPASS\n")
-	col, err := clusterColumn(noWork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := col["j_per_beat"]; ok {
-		t.Error("j_per_beat present in a run that reported none")
-	}
-	if len(col) != 2 {
-		t.Errorf("no-work column has %d fields, want 2: %v", len(col), col)
-	}
-}
-
-func TestWorkerColumn(t *testing.T) {
-	results := parseFixture(t, kernelBenchOutput)
-	col, err := workerColumn(results, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := col["cholesky_1024_ms"], 14663837.0/1e6; got != want {
-		t.Errorf("cholesky_1024_ms = %v, want %v", got, want)
-	}
-	if got, want := col["mul_512_ms"], 5.0; got != want {
-		t.Errorf("mul_512_ms = %v, want %v", got, want)
-	}
-	if _, ok := col["cpus_present_insufficient"]; ok {
-		t.Error("column annotated insufficient on a machine wide enough for the sweep")
-	}
-	// The service run has no sweep kernels; merging it as a worker column
-	// must fail rather than silently dropping the sweep.
-	if _, err := workerColumn(parseFixture(t, serviceBenchOutput), 4, 8); err == nil {
-		t.Fatal("workerColumn accepted a run with no sweep kernels")
-	}
-}
-
-func TestWorkerColumnAnnotatesNarrowMachine(t *testing.T) {
-	// A 4-worker sweep measured on a 1-CPU machine is scheduler noise: the
-	// timings are still recorded (the run happened) but flagged so trajectory
-	// tooling skips them.
-	col, err := workerColumn(parseFixture(t, kernelBenchOutput), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col["cpus_present_insufficient"] != true {
-		t.Errorf("4-worker column on a 1-CPU machine not annotated: %v", col)
-	}
-	if got, want := col["cholesky_1024_ms"], 14663837.0/1e6; got != want {
-		t.Errorf("annotated column dropped the timing: cholesky_1024_ms = %v, want %v", got, want)
-	}
-	// present == 0 means the count could not be read; do not guess.
-	col, err = workerColumn(parseFixture(t, kernelBenchOutput), 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := col["cpus_present_insufficient"]; ok {
-		t.Error("column annotated insufficient with an unknown CPU count")
+	// BenchmarkEStepOnly is the base run's last row, index 5.
+	if r := merged[5]; r.Name != "BenchmarkEStepOnly" || r.NsPerOp != 1500000 {
+		t.Errorf("row 5 is %s at %v ns/op, want the re-measured BenchmarkEStepOnly at 1500000", r.Name, r.NsPerOp)
 	}
 }
 

@@ -34,18 +34,10 @@ func main() {
 		noise     = flag.Float64("noise", 0.01, "relative measurement noise")
 		dump      = flag.Bool("dump", false, "print every configuration's estimate")
 		listApps  = flag.Bool("apps", false, "list benchmark names and exit")
-		workers   = flag.Int("workers", 0, "cores the matrix kernels may use (default: all; results are identical at any value)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 	)
 	obs := cli.RegisterObservability(flag.CommandLine, false)
 	flag.Parse()
-	kernelWorkers, err := cli.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	// Scope -workers to the linear-algebra pool; resizing GOMAXPROCS would
-	// throttle the whole process, not just the kernels the flag describes.
-	leo.SetKernelWorkers(kernelWorkers)
 	if _, err := obs.Start(); err != nil {
 		fatal(err)
 	}

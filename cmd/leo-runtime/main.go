@@ -62,7 +62,6 @@ func main() {
 		phased    = flag.Bool("phased", false, "run the application's phase schedule (§6.6)")
 		faultRate = flag.Float64("fault-rate", 0, "per-event probability of each fault kind (0 disables injection)")
 		faultSeed = flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule")
-		workers   = flag.Int("workers", 0, "cores the matrix kernels may use (default: all; results are identical at any value)")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 
 		stateDir   = flag.String("state-dir", "", "directory for crash-safe estimation state (switches to LEO-only service mode: recover, calibrate -windows windows, plan, snapshot)")
@@ -76,13 +75,6 @@ func main() {
 	)
 	obs := cli.RegisterObservability(flag.CommandLine, true)
 	flag.Parse()
-	kernelWorkers, err := cli.Workers(*workers)
-	if err != nil {
-		fatal(err)
-	}
-	// Scope -workers to the linear-algebra pool; resizing GOMAXPROCS would
-	// throttle the whole process, not just the kernels the flag describes.
-	leo.SetKernelWorkers(kernelWorkers)
 	if _, err := obs.Start(); err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package cli holds the small pieces shared by the four leo binaries:
-// uniform flag validation (-workers, and the serve-mode trio -listen,
-// -shards, -max-sessions) and the observability flag bundle
+// Package cli holds the small pieces shared by the four leo binaries: flag
+// validation (leo-experiments' sweep -workers, and leo-runtime's serve-mode
+// trio -listen, -shards, -max-sessions) and the observability flag bundle
 // (-metrics-addr, -metrics-dump, -events).
 package cli
 
@@ -13,10 +13,9 @@ import (
 	"leo/internal/metrics"
 )
 
-// Workers validates the shared -workers flag value: negative counts are
-// rejected with a clear error, zero selects the component default (all
-// cores for the matrix kernels, GOMAXPROCS for the sweep drivers). Valid
-// values are returned unchanged.
+// Workers validates leo-experiments' -workers flag value, the sweep
+// drivers' task fan-out: negative counts are rejected with a clear error,
+// zero selects GOMAXPROCS. Valid values are returned unchanged.
 func Workers(v int) (int, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("-workers must be >= 0 (0 selects the default), got %d", v)

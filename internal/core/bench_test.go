@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"leo/internal/apps"
@@ -259,18 +258,18 @@ func benchWarmWindow(b *testing.B, space platform.Space) {
 }
 
 // eStepBenchState builds the initialized EM state the iteration benchmarks
-// step through.
-func eStepBenchState(b *testing.B) *Session {
-	b.Helper()
+// step through: an identity frame over the 128-configuration space.
+func eStepBenchState(tb testing.TB) *Session {
+	tb.Helper()
 	space := platform.Small()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	target, _ := db.AppIndex("kmeans")
 	rest, truth, _, err := db.LeaveOneOut(target)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	mask := profile.RandomMask(space.N(), 20, rng)
@@ -280,13 +279,11 @@ func eStepBenchState(b *testing.B) *Session {
 	return em
 }
 
-// BenchmarkEStepOnly times one E-step and feeds the estep_allocs_per_op
-// headline, which reads the zero-allocation contract: GOMAXPROCS(1) forces
-// the inline kernel path, as in TestEMIterationAllocs, because a kernel's
-// goroutine fan-out allocates, and one untimed E-step grows the workspace,
+// BenchmarkEStepOnly times one identity-frame E-step and feeds the
+// estep_allocs_per_op headline, which reads the zero-allocation contract
+// that TestEMIterationAllocs pins. One untimed E-step grows the workspace,
 // whose buffers would otherwise count against the first b.N steps.
 func BenchmarkEStepOnly(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	em := eStepBenchState(b)
 	ctx := context.Background()
 	if _, err := em.eStep(ctx); err != nil {

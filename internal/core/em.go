@@ -10,10 +10,7 @@ import (
 
 // emWorkspace owns every scratch buffer the E- and M-steps need. After the
 // first iteration touches each buffer, eStep and mStep perform zero heap
-// allocations (verified by TestEMIterationAllocs); the only exception is the
-// goroutine fan-out inside the matrix kernels, which allocates O(workers)
-// when the operands are large enough to parallelize and GOMAXPROCS > 1 —
-// see DESIGN.md §7.
+// allocations (verified by TestEMIterationAllocs).
 //
 // The dense buffers are allocated the first time a path reads them, through
 // the accessors below: a session whose cold fits run in a data-subspace

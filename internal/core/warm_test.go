@@ -331,11 +331,8 @@ func TestWarmEstimateAccuracy(t *testing.T) {
 // operator cache warm (latest-wins replacement pattern), one Session.Fit may
 // allocate only the Result it hands back plus the soft non-convergence error
 // — not per-window scratch. The exact figure is pinned so the frozen path
-// can't silently regress toward the old 126 allocs/op. GOMAXPROCS(1) forces
-// the inline kernel path, as in TestEMIterationAllocs — parallel fan-out
-// allocates goroutines.
+// can't silently regress toward the old 126 allocs/op.
 func TestWarmFitAllocBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prior, truth := warmTestSetup(t)
 	rng := rand.New(rand.NewSource(45))
 	ctx := context.Background()
@@ -376,7 +373,6 @@ func TestWarmFitAllocBudget(t *testing.T) {
 // refit forms no n×n target posterior covariance. The "paper size" case
 // extends the budget to every step at n = 1024.
 func TestFitBytesBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prior, truth := warmTestSetup(t)
 	n := prior.Configurations()
 	rng := rand.New(rand.NewSource(46))

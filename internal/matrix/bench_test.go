@@ -20,7 +20,7 @@ func BenchmarkMul128(b *testing.B) {
 	}
 }
 
-func BenchmarkMul512Parallel(b *testing.B) {
+func BenchmarkMul512(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	x := randomMatrix(rng, 512, 512)
 	y := randomMatrix(rng, 512, 512)

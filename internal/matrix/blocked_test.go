@@ -9,8 +9,8 @@ import (
 // blockedSizes straddles every kernel threshold: the degenerate n=1, the
 // 4-row register-block remainder (2, 3), both sides of the Cholesky panel
 // width (63, 64, 65), a multiple-of-tile size (128), its neighbors (96,
-// 127), one past the GEMM column tile (160), and an odd size big enough to
-// cross parallelMinWork on multi-core runners (200).
+// 127), one past the GEMM column tile (160), and a size past three panels of
+// the factorization (200).
 var blockedSizes = []int{1, 2, 3, 63, 64, 65, 96, 127, 128, 160, 200}
 
 const kernelTol = 1e-10
@@ -156,12 +156,12 @@ func TestSolveBatchMatchesColumnSolves(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		b := randomMatrix(rng, n, 6)
-		x := ch.SolveBatch(b)
+		x := ch.Solve(b)
 		for c := 0; c < 6; c++ {
 			want := ch.SolveVec(b.Col(c))
 			for r, w := range want {
 				if math.Abs(x.At(r, c)-w) > kernelTol {
-					t.Fatalf("SolveBatch n=%d col %d row %d: %g vs %g", n, c, r, x.At(r, c), w)
+					t.Fatalf("Solve n=%d col %d row %d: %g vs %g", n, c, r, x.At(r, c), w)
 				}
 			}
 		}

@@ -66,9 +66,8 @@ func (c *Cholesky) Factorize(a *Matrix) error { return c.FactorizeShift(a, 0) }
 // It copies a (plus shift·I) into the workspace and runs the blocked
 // right-looking algorithm: factor a cholTile-wide diagonal block, solve the
 // panel below it, then apply the rank-cholTile update to the trailing
-// submatrix with rows fanned out across goroutines. Each element of the
-// trailing matrix accumulates its panel contribution in a fixed order, so
-// the result is bit-identical for every worker count.
+// submatrix. Each element of the trailing matrix accumulates its panel
+// contribution in a fixed order (DESIGN.md §7).
 func (c *Cholesky) FactorizeShift(a *Matrix, shift float64) error {
 	if a.Rows != c.n || a.Cols != c.n {
 		panic(fmt.Sprintf("matrix: Factorize got %dx%d for workspace size %d", a.Rows, a.Cols, c.n))
@@ -132,22 +131,9 @@ func cholFactorDiag(data []float64, n, j0, jb int) error {
 }
 
 // cholPanelSolve computes L21 = A21 L11⁻ᵀ for the rows below the diagonal
-// block: each row solves a jb-wide lower-triangular system independently, so
-// rows parallelize freely.
+// block: each row solves a jb-wide lower-triangular system independently.
 func cholPanelSolve(data []float64, n, j0, jb int) {
-	lo := j0 + jb
-	rows := n - lo
-	if useParallel(rows, rows*jb*jb/2) {
-		parallelRange(rows, func(rlo, rhi int) {
-			cholPanelSolveRange(data, n, j0, jb, lo+rlo, lo+rhi)
-		})
-		return
-	}
-	cholPanelSolveRange(data, n, j0, jb, lo, lo+rows)
-}
-
-func cholPanelSolveRange(data []float64, n, j0, jb, ilo, ihi int) {
-	for i := ilo; i < ihi; i++ {
+	for i := j0 + jb; i < n; i++ {
 		irow := data[i*n:]
 		for j := j0; j < j0+jb; j++ {
 			jrow := data[j*n+j0 : j*n+j]
@@ -165,30 +151,14 @@ func cholPanelSolveRange(data []float64, n, j0, jb, ilo, ihi int) {
 // flops live. It runs the GEMM's 3×2 register block (six independent
 // accumulator chains hide the FP-add latency a single running dot would
 // serialize on, and unlike a 4×4 block they fit the register file — DESIGN.md
-// §7), falling back to scalar dots along the diagonal and at partition
-// edges. Every element subtracts one jb-length dot product accumulated in
+// §7), falling back to scalar dots along the diagonal and on the last one or
+// two rows. Every element subtracts one jb-length dot product accumulated in
 // ascending panel order on both paths, so the bits never depend on which
-// goroutine — or which path — produced them.
+// path produced them.
 func cholTrailingUpdate(data []float64, n, j0, jb int) {
 	lo := j0 + jb
-	rows := n - lo
-	// Triangular region: rows near the bottom carry more work, but contiguous
-	// ranges keep each goroutine on adjacent memory; the imbalance is at most
-	// 2× and only on the last panels.
-	if useParallel(rows, rows*rows/2*jb) {
-		parallelRange(rows, func(rlo, rhi int) {
-			cholTrailingRange(data, n, j0, jb, lo+rlo, lo+rhi)
-		})
-		return
-	}
-	cholTrailingRange(data, n, j0, jb, lo, lo+rows)
-}
-
-// cholTrailingRange updates rows [ilo, end) of the trailing submatrix.
-func cholTrailingRange(data []float64, n, j0, jb, ilo, end int) {
-	lo := j0 + jb
-	i := ilo
-	for ; i+3 <= end; i += 3 {
+	i := lo
+	for ; i+3 <= n; i += 3 {
 		p0 := data[i*n+j0 : i*n+j0+jb]
 		p1 := data[(i+1)*n+j0 : (i+1)*n+j0+jb][:len(p0)]
 		p2 := data[(i+2)*n+j0 : (i+2)*n+j0+jb][:len(p0)]
@@ -225,7 +195,7 @@ func cholTrailingRange(data []float64, n, j0, jb, ilo, end int) {
 		cholTrailingRowScalar(data, n, j0, jb, i+1, cc)
 		cholTrailingRowScalar(data, n, j0, jb, i+2, cc)
 	}
-	for ; i < end; i++ {
+	for ; i < n; i++ {
 		cholTrailingRowScalar(data, n, j0, jb, i, lo)
 	}
 }
@@ -361,14 +331,10 @@ func (c *Cholesky) solveInPlace(x []float64) {
 	}
 }
 
-// Solve solves A X = B for X, column by column, in parallel for large B.
-func (c *Cholesky) Solve(b *Matrix) *Matrix { return c.SolveBatch(b) }
-
-// SolveBatch solves A X = B for X (B holds one right-hand side per column),
-// allocating the result. The columns are solved independently across
-// goroutines via SolveTInto on a transposed copy, so each right-hand side is
-// contiguous in memory.
-func (c *Cholesky) SolveBatch(b *Matrix) *Matrix {
+// Solve solves A X = B for X (B holds one right-hand side per column),
+// allocating the result. It runs SolveTInto on a transposed copy, so each
+// right-hand side is contiguous in memory.
+func (c *Cholesky) Solve(b *Matrix) *Matrix {
 	if b.Rows != c.n {
 		panic(fmt.Sprintf("matrix: Solve rows %d != size %d", b.Rows, c.n))
 	}
@@ -380,9 +346,8 @@ func (c *Cholesky) SolveBatch(b *Matrix) *Matrix {
 // SolveTInto treats every row of b as a right-hand side: it writes A⁻¹ b_i
 // into row i of dst, i.e. dst = (A⁻¹ Bᵀ)ᵀ = B A⁻¹ (A is symmetric). b.Cols
 // must equal the system size; dst must share b's shape and may be b itself.
-// Rows solve independently in parallel. This is the allocation-free path for
-// multi-RHS solves against matrices whose transpose the caller would
-// otherwise have to materialize.
+// This is the allocation-free path for multi-RHS solves against matrices
+// whose transpose the caller would otherwise have to materialize.
 func (c *Cholesky) SolveTInto(dst, b *Matrix) *Matrix {
 	if b.Cols != c.n {
 		panic(fmt.Sprintf("matrix: SolveTInto cols %d != size %d", b.Cols, c.n))
@@ -392,22 +357,12 @@ func (c *Cholesky) SolveTInto(dst, b *Matrix) *Matrix {
 	}
 	t := kernelClock()
 	defer kernelDone(t, mSolveCalls, mSolveNs)
-	if useParallel(b.Rows, b.Rows*c.n*c.n) {
-		parallelRange(b.Rows, func(lo, hi int) {
-			c.solveTRange(dst, b, lo, hi)
-		})
-		return dst
-	}
-	c.solveTRange(dst, b, 0, b.Rows)
-	return dst
-}
-
-func (c *Cholesky) solveTRange(dst, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := 0; i < b.Rows; i++ {
 		row := dst.RowView(i)
 		copy(row, b.RowView(i))
 		c.solveInPlace(row)
 	}
+	return dst
 }
 
 // ForwardSolveTInto half-solves: it writes L⁻¹bᵢ into row i of dst, where bᵢ
@@ -416,7 +371,13 @@ func (c *Cholesky) solveTRange(dst, b *Matrix, lo, hi int) {
 // dst = Vᵀ) the correction B A⁻¹ Bᵀ equals VᵀV — a SYRK, exactly symmetric
 // by construction — instead of a full solve followed by a general (and only
 // approximately symmetric) GEMM. b.Cols must equal the system size; dst must
-// share b's shape and may be b itself. Rows solve independently in parallel.
+// share b's shape and may be b itself.
+//
+// Rows solve four right-hand sides per pass: each row of L is loaded once
+// and feeds four independent chains, where one row at a time serializes on a
+// single chain's FP-add latency. Every chain still starts from its own bᵢ
+// entry and subtracts in ascending column order, so each row's bits match
+// one-row forward substitution.
 func (c *Cholesky) ForwardSolveTInto(dst, b *Matrix) *Matrix {
 	if b.Cols != c.n {
 		panic(fmt.Sprintf("matrix: ForwardSolveTInto cols %d != size %d", b.Cols, c.n))
@@ -426,25 +387,9 @@ func (c *Cholesky) ForwardSolveTInto(dst, b *Matrix) *Matrix {
 	}
 	t := kernelClock()
 	defer kernelDone(t, mSolveCalls, mSolveNs)
-	if useParallel(b.Rows, b.Rows*c.n*c.n/2) {
-		parallelRange(b.Rows, func(lo, hi int) {
-			c.forwardSolveTRange(dst, b, lo, hi)
-		})
-		return dst
-	}
-	c.forwardSolveTRange(dst, b, 0, b.Rows)
-	return dst
-}
-
-// forwardSolveTRange solves rows [lo, hi) four right-hand sides per pass:
-// each row of L is loaded once and feeds four independent chains, where one
-// row at a time serializes on a single chain's FP-add latency. Every chain
-// still starts from its own bᵢ entry and subtracts in ascending column order,
-// so each row's bits match one-row forward substitution.
-func (c *Cholesky) forwardSolveTRange(dst, b *Matrix, lo, hi int) {
-	n, data := c.n, c.l.Data
-	i := lo
-	for ; i+4 <= hi; i += 4 {
+	n, data, rows := c.n, c.l.Data, b.Rows
+	i := 0
+	for ; i+4 <= rows; i += 4 {
 		x0 := dst.RowView(i)
 		x1 := dst.RowView(i + 1)[:len(x0)]
 		x2 := dst.RowView(i + 2)[:len(x0)]
@@ -466,7 +411,7 @@ func (c *Cholesky) forwardSolveTRange(dst, b *Matrix, lo, hi int) {
 			x0[j], x1[j], x2[j], x3[j] = s0/d, s1/d, s2/d, s3/d
 		}
 	}
-	for ; i < hi; i++ {
+	for ; i < rows; i++ {
 		x := dst.RowView(i)
 		copy(x, b.RowView(i))
 		for j := 0; j < n; j++ {
@@ -478,6 +423,7 @@ func (c *Cholesky) forwardSolveTRange(dst, b *Matrix, lo, hi int) {
 			x[j] = s / data[j*n+j]
 		}
 	}
+	return dst
 }
 
 // Inverse returns A^{-1} where A = L L'. The result is symmetrized to remove
@@ -507,39 +453,28 @@ func (c *Cholesky) InverseInto(dst *Matrix) *Matrix {
 	// Phase 1: W = L⁻¹, stored transposed — row j of c.inv holds column j of
 	// L⁻¹, so the forward substitution below and the dots of phase 2 both
 	// stream contiguously. Columns are independent forward solves of
-	// L x = e_j; column j only has entries at indices ≥ j and costs
-	// ~(n−j)²/2 flops, hence the weighted partition.
-	if useParallel(n, n*n*n/3) {
-		parallelRangeWeighted(n, func(j int) float64 { d := float64(n - j); return d * d },
-			func(lo, hi int) { c.triInverseCols(lo, hi) })
-	} else {
-		c.triInverseCols(0, n)
-	}
+	// L x = e_j; column j only has entries at indices ≥ j.
+	c.triInverse()
 	// Phase 2: A⁻¹[i][j] = Σ_{k≥i} W[k][i]·W[k][j] for i ≥ j — a dot of the
 	// tails of w's rows i and j, both starting at index i. Row i of the
 	// lower triangle carries i+1 dots of length n−i.
-	if useParallel(n, n*n*n/3) {
-		parallelRangeWeighted(n, func(i int) float64 { return float64(i+1) * float64(n-i) },
-			func(lo, hi int) { c.invProductRows(dst, lo, hi) })
-	} else {
-		c.invProductRows(dst, 0, n)
-	}
+	c.invProduct(dst)
 	mirrorLower(dst)
 	return dst
 }
 
-// triInverseCols fills rows [jlo, jhi) of the transposed triangular inverse
-// scratch: row j gets column j of L⁻¹. Columns advance four at a time (the
-// TRTRI register blocking): each row of L is loaded once and feeds four
-// independent accumulator chains, where the scalar form reloads it per
-// column and serializes on a single chain's FP-add latency. Every element
-// still accumulates its own chain over t ascending with one accumulator —
-// first the ragged head inside the column block, then the shared tail — so
-// the bits match the scalar form (and any partition) exactly.
-func (c *Cholesky) triInverseCols(jlo, jhi int) {
+// triInverse fills the transposed triangular inverse scratch: row j gets
+// column j of L⁻¹. Columns advance four at a time (the TRTRI register
+// blocking): each row of L is loaded once and feeds four independent
+// accumulator chains, where the scalar form reloads it per column and
+// serializes on a single chain's FP-add latency. Every element still
+// accumulates its own chain over t ascending with one accumulator — first
+// the ragged head inside the column block, then the shared tail — so the
+// bits match the scalar form exactly.
+func (c *Cholesky) triInverse() {
 	n, data := c.n, c.l.Data
-	j := jlo
-	for ; j+4 <= jhi; j += 4 {
+	j := 0
+	for ; j+4 <= n; j += 4 {
 		w0 := c.inv.Data[j*n : (j+1)*n]
 		w1 := c.inv.Data[(j+1)*n : (j+2)*n]
 		w2 := c.inv.Data[(j+2)*n : (j+3)*n]
@@ -578,7 +513,7 @@ func (c *Cholesky) triInverseCols(jlo, jhi int) {
 			w3[i] = s3 / d
 		}
 	}
-	c.triInverseColsScalar(j, jhi, n)
+	c.triInverseColsScalar(j, n, n)
 }
 
 // triInverseColsScalar is the unblocked recurrence over columns [jlo, jhi),
@@ -601,41 +536,36 @@ func (c *Cholesky) triInverseColsScalar(jlo, jhi, ihi int) {
 	}
 }
 
-// invProductRows fills rows [ilo, ihi) of dst's lower triangle with the
-// tail dots of phase 2 — the LAUUM product, blocked four columns at a time.
-// Wider 4×4 row/column blocks were measured ~2× slower here: their sixteen
-// accumulator chains exceed the register file and spill, while four chains
-// per row already amortize the wi loads and hide the FP-add latency.
-func (c *Cholesky) invProductRows(dst *Matrix, ilo, ihi int) {
-	for i := ilo; i < ihi; i++ {
-		c.invProductRowTail(dst, i, 0)
-	}
-}
-
-// invProductRowTail fills columns [j, i] of dst's row i: four-chain column
-// blocks (as in the SYRK kernel) with a scalar remainder; every chain
-// reduces t ascending in a single accumulator, so the bits never depend on
-// the blocking or the partition.
-func (c *Cholesky) invProductRowTail(dst *Matrix, i, j int) {
+// invProduct fills dst's lower triangle with the tail dots of phase 2 — the
+// LAUUM product, each row blocked four columns at a time (as in the SYRK
+// kernel) with a scalar remainder. Wider 4×4 row/column blocks were measured
+// ~2× slower here: their sixteen accumulator chains exceed the register file
+// and spill, while four chains per row already amortize the wi loads and
+// hide the FP-add latency. Every chain reduces t ascending in a single
+// accumulator, so the bits never depend on the blocking.
+func (c *Cholesky) invProduct(dst *Matrix) {
 	n := c.n
-	wi := c.inv.Data[i*n+i : (i+1)*n]
-	drow := dst.Data[i*n : i*n+i+1]
-	for ; j+4 <= i+1; j += 4 {
-		w0 := c.inv.Data[j*n+i : (j+1)*n][:len(wi)]
-		w1 := c.inv.Data[(j+1)*n+i : (j+2)*n][:len(wi)]
-		w2 := c.inv.Data[(j+2)*n+i : (j+3)*n][:len(wi)]
-		w3 := c.inv.Data[(j+3)*n+i : (j+4)*n][:len(wi)]
-		var s0, s1, s2, s3 float64
-		for t, v := range wi {
-			s0 += v * w0[t]
-			s1 += v * w1[t]
-			s2 += v * w2[t]
-			s3 += v * w3[t]
+	for i := 0; i < n; i++ {
+		wi := c.inv.Data[i*n+i : (i+1)*n]
+		drow := dst.Data[i*n : i*n+i+1]
+		j := 0
+		for ; j+4 <= i+1; j += 4 {
+			w0 := c.inv.Data[j*n+i : (j+1)*n][:len(wi)]
+			w1 := c.inv.Data[(j+1)*n+i : (j+2)*n][:len(wi)]
+			w2 := c.inv.Data[(j+2)*n+i : (j+3)*n][:len(wi)]
+			w3 := c.inv.Data[(j+3)*n+i : (j+4)*n][:len(wi)]
+			var s0, s1, s2, s3 float64
+			for t, v := range wi {
+				s0 += v * w0[t]
+				s1 += v * w1[t]
+				s2 += v * w2[t]
+				s3 += v * w3[t]
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 		}
-		drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-	}
-	for ; j <= i; j++ {
-		drow[j] = dotUnchecked(wi, c.inv.Data[j*n+i:(j+1)*n])
+		for ; j <= i; j++ {
+			drow[j] = dotUnchecked(wi, c.inv.Data[j*n+i:(j+1)*n])
+		}
 	}
 }
 
@@ -646,12 +576,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.l.Data[i*c.n+i])
 	}
 	return 2 * s
-}
-
-// Det returns det(A). It can overflow to +Inf for large well-scaled systems;
-// prefer LogDet for likelihood computations.
-func (c *Cholesky) Det() float64 {
-	return math.Exp(c.LogDet())
 }
 
 // MulLVec returns L * x; useful for sampling from N(mu, A) via mu + L*z.

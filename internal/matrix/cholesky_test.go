@@ -96,8 +96,9 @@ func TestCholeskySolveMatrix(t *testing.T) {
 	}
 }
 
-// TestCholeskySolveParallelPath exercises the multi-goroutine column solve.
-func TestCholeskySolveParallelPath(t *testing.T) {
+// TestCholeskySolveWide solves as many right-hand sides as the system has
+// rows, at a size past two factorization panels.
+func TestCholeskySolveWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	n := 150
 	a := randomSPD(rng, n)
@@ -109,7 +110,7 @@ func TestCholeskySolveParallelPath(t *testing.T) {
 	}
 	x := ch.Solve(b)
 	if !x.Equal(xTrue, 1e-6) {
-		t.Fatalf("parallel Solve error %g", x.MaxAbsDiff(xTrue))
+		t.Fatalf("wide Solve error %g", x.MaxAbsDiff(xTrue))
 	}
 }
 
@@ -154,9 +155,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	want := math.Log(24)
 	if math.Abs(ch.LogDet()-want) > 1e-12 {
 		t.Fatalf("LogDet = %g, want %g", ch.LogDet(), want)
-	}
-	if math.Abs(ch.Det()-24) > 1e-9 {
-		t.Fatalf("Det = %g, want 24", ch.Det())
 	}
 }
 

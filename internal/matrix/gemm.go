@@ -10,9 +10,7 @@ import (
 // row i of A and row j of Bᵀ. A 3×2 register block amortizes the loads —
 // six multiply-adds per five element reads — and a column tile keeps
 // the active slice of Bᵀ resident in L2 while a block of A rows sweeps it.
-// Rows are fanned out across goroutines (parallelize); each element's
-// reduction order is fixed by its indices, so results are bit-identical for
-// every worker count.
+// Each element's reduction order is fixed by its indices (DESIGN.md §7).
 
 // gemmColTile is the number of Bᵀ rows (output columns) per cache tile:
 // 128 rows × 8 KB keeps the tile ~1 MB, comfortably inside L2.
@@ -92,35 +90,23 @@ func MulTransBInto(dst, a, b *Matrix) *Matrix {
 
 // mulTransB computes dst = a * btᵀ with bt already in transposed layout.
 // Every GEMM entry point funnels through here, so this is where the kernel
-// call/nanosecond metrics are recorded.
+// call/nanosecond metrics are recorded. Within a column tile it walks the A
+// rows in blocks of three and the Bᵀ rows in pairs: a 3×2 register block,
+// the largest whose accumulators, products and Bᵀ values stay in amd64's XMM
+// registers (DESIGN.md §7), so each pair of Bᵀ elements loaded from L2 feeds
+// six output elements without spilling. The last one or two rows run four
+// columns per pass, one chain each.
 func mulTransB(dst, a, bt *Matrix) {
 	t := kernelClock()
 	defer kernelDone(t, mGemmCalls, mGemmNs)
-	mulrows, p, k := a.Rows, bt.Rows, a.Cols
-	if useParallel(mulrows, mulrows*p*k) {
-		parallelRange(mulrows, func(lo, hi int) {
-			mulTransBRange(dst, a, bt, lo, hi)
-		})
-		return
-	}
-	mulTransBRange(dst, a, bt, 0, mulrows)
-}
-
-// mulTransBRange fills rows [lo, hi) of dst. Within a column tile it walks
-// the A rows in blocks of three and the Bᵀ rows in pairs: a 3×2 register
-// block, the largest whose accumulators, products and Bᵀ values stay in
-// amd64's XMM registers (DESIGN.md §7), so each pair of Bᵀ elements loaded
-// from L2 feeds six output elements without spilling. The last one or two
-// rows run four columns per pass, one chain each.
-func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
-	k, p := a.Cols, bt.Rows
+	m, k, p := a.Rows, a.Cols, bt.Rows
 	for jb := 0; jb < p; jb += gemmColTile {
 		je := jb + gemmColTile
 		if je > p {
 			je = p
 		}
-		i := lo
-		for ; i+3 <= hi; i += 3 {
+		i := 0
+		for ; i+3 <= m; i += 3 {
 			a0 := a.Data[i*k : (i+1)*k]
 			a1 := a.Data[(i+1)*k : (i+2)*k][:len(a0)]
 			a2 := a.Data[(i+2)*k : (i+3)*k][:len(a0)]
@@ -160,7 +146,7 @@ func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
 				d0[j], d1[j], d2[j] = c0, c1, c2
 			}
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*p : (i+1)*p]
 			j := jb
@@ -188,8 +174,8 @@ func mulTransBRange(dst, a, bt *Matrix, lo, hi int) {
 // dotUnchecked is Dot without the length check, for kernel interiors where
 // lengths match by construction. It must keep a single accumulator walking t
 // ascending: the register-blocked kernels use the same order, so an element
-// lands on identical bits whether a partition put it on the blocked or
-// remainder path.
+// lands on identical bits whether it falls on the blocked or the remainder
+// path.
 func dotUnchecked(x, y []float64) float64 {
 	y = y[:len(x)]
 	s := 0.0

@@ -5,11 +5,11 @@
 // The package is self-contained (stdlib only) and tuned for the moderate
 // sizes LEO needs (configuration spaces up to a few thousand dimensions).
 // Matrices are stored row-major; the hot kernels — blocked Cholesky, the
-// tiled GEMM, and the multi-RHS solves — fan out across goroutines for large
-// operands while keeping each output element's reduction order fixed, so
-// results are bit-identical at every worker count (see DESIGN.md §7). The
-// *Into variants (MulInto, SubInto, CloneInto, MulVecInto, SolveTInto)
-// write into caller-owned buffers so steady-state loops allocate nothing.
+// tiled GEMM, and the multi-RHS solves — run on the calling goroutine and
+// fix each output element's reduction order by its indices (see DESIGN.md
+// §7). The *Into variants (MulInto, SubInto, CloneInto, MulVecInto,
+// SolveTInto) write into caller-owned buffers so steady-state loops
+// allocate nothing.
 package matrix
 
 import (

@@ -326,11 +326,11 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-// TestMulParallelMatchesSerial forces the parallel path and compares with a
-// reference triple loop.
-func TestMulParallelMatchesSerial(t *testing.T) {
+// TestMulPastColumnTileMatchesReference compares a product wider than one
+// GEMM column tile with a reference triple loop.
+func TestMulPastColumnTileMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n := 160 // 160^3 > parallelMulThreshold
+	n := 160 // more than gemmColTile output columns
 	a := randomMatrix(rng, n, n)
 	b := randomMatrix(rng, n, n)
 	got := a.Mul(b)
@@ -345,7 +345,7 @@ func TestMulParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	if !got.Equal(want, 1e-9) {
-		t.Fatal("parallel Mul disagrees with reference")
+		t.Fatal("Mul disagrees with reference")
 	}
 }
 

@@ -9,9 +9,6 @@ import "fmt"
 // mirror it into the upper triangle. The mirror copies bits, so the result
 // is exactly symmetric by construction; no Symmetrize averaging is needed
 // afterwards.
-// Rows fan out across goroutines with a weighted partition (row i carries
-// i+1 dot products), and each element's reduction order is fixed by its
-// indices, so results are bit-identical at every worker count.
 
 // SyrkInto computes dst = α·a·aᵀ and returns dst. a is m×k, dst is m×m and
 // must not alias a.
@@ -39,7 +36,13 @@ func SymmetricProductInto(dst *Matrix, alpha float64, a, b *Matrix) *Matrix {
 	return syrk(dst, alpha, a, b, false)
 }
 
-// syrk evaluates the lower triangle of α·a·bᵀ (b is a for the Gram kernels).
+// syrk evaluates the lower triangle of α·a·bᵀ (b is a for the Gram kernels)
+// from rows of a (element row) and b (element column), then mirrors it.
+// Columns advance in blocks of four — four independent accumulator chains
+// hide the FP-add latency a single running dot would serialize on — with a
+// scalar remainder up to the diagonal. Both paths accumulate t ascending
+// into a private accumulator, so an element's bits never depend on which
+// path computed it.
 func syrk(dst *Matrix, alpha float64, a, b *Matrix, accum bool) *Matrix {
 	m, k := a.Rows, a.Cols
 	if dst.Rows != m || dst.Cols != m {
@@ -50,27 +53,9 @@ func syrk(dst *Matrix, alpha float64, a, b *Matrix, accum bool) *Matrix {
 	}
 	t := kernelClock()
 	defer kernelDone(t, mSyrkCalls, mSyrkNs)
-	if useParallel(m, m*m/2*k) {
-		parallelRangeWeighted(m, func(i int) float64 { return float64(i + 1) },
-			func(lo, hi int) { syrkRange(dst, alpha, a, b, accum, lo, hi) })
-	} else {
-		syrkRange(dst, alpha, a, b, accum, 0, m)
-	}
-	mirrorLower(dst)
-	return dst
-}
-
-// syrkRange fills rows [lo, hi) of dst's lower triangle from rows of a
-// (element row) and b (element column). Columns advance in
-// blocks of four — four independent accumulator chains hide the FP-add
-// latency a single running dot would serialize on — with a scalar remainder
-// up to the diagonal. Both paths accumulate t ascending into a private
-// accumulator, so an element's bits never depend on which path computed it.
-func syrkRange(dst *Matrix, alpha float64, a, b *Matrix, accum bool, lo, hi int) {
-	k, n := a.Cols, dst.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		ai := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*n : i*n+i+1]
+		drow := dst.Data[i*m : i*m+i+1]
 		j := 0
 		for ; j+4 <= i+1; j += 4 {
 			b0 := b.Data[j*k : (j+1)*k][:len(ai)]
@@ -105,6 +90,8 @@ func syrkRange(dst *Matrix, alpha float64, a, b *Matrix, accum bool, lo, hi int)
 			}
 		}
 	}
+	mirrorLower(dst)
+	return dst
 }
 
 // mirrorTile is mirrorLower's block edge: a 32×32 tile's column-wise writes

@@ -2,9 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"reflect"
-	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -131,77 +128,6 @@ func TestForwardSolveTIntoIsForwardSubstitution(t *testing.T) {
 		ch.ForwardSolveTInto(inPlace, inPlace)
 		if d := maxAbsDiff(inPlace, got); d != 0 {
 			t.Errorf("ForwardSolveTInto n=%d: aliased solve differs by %g", n, d)
-		}
-	}
-}
-
-// TestSymmetricKernelsBitIdenticalAcrossWorkers pins the determinism
-// contract for the new kernels: every output is DeepEqual (exact bits)
-// across worker counts, including counts that do not divide the row count.
-func TestSymmetricKernelsBitIdenticalAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(205))
-	n := 210 // big enough to cross parallelMinWork in every kernel below
-	spd := randomSPD(rng, n)
-	ch, err := NewCholesky(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := randomMatrix(rng, n, 40)
-	rhs := randomMatrix(rng, n, n)
-	base := randomSPD(rng, n)
-	ra := rhs.Mul(a)
-
-	run := func() [][]float64 {
-		return [][]float64{
-			SyrkInto(New(n, n), 1.25, a).Data,
-			SymmetricProductInto(New(n, n), 0.75, ra, a).Data,
-			SyrkAccumInto(base.Clone(), 0.5, a).Data,
-			ch.InverseInto(New(n, n)).Data,
-			ch.ForwardSolveTInto(New(n, n), rhs).Data,
-		}
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(1)
-	serial := run()
-	for _, workers := range []int{2, 3, 7} {
-		runtime.GOMAXPROCS(workers)
-		SetMaxWorkers(workers)
-		got := run()
-		SetMaxWorkers(0)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("kernel results differ between 1 and %d workers", workers)
-		}
-	}
-}
-
-func TestParallelRangeWeightedCoversExactly(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	runtime.GOMAXPROCS(4)
-	weights := []func(i int) float64{
-		func(i int) float64 { return float64(i + 1) },              // triangular
-		func(i int) float64 { return 0 },                           // degenerate: even split
-		func(i int) float64 { return float64(int(1) << (i % 20)) }, // wildly skewed
-	}
-	for wi, weight := range weights {
-		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
-			var mu sync.Mutex
-			covered := make([]int, n)
-			parallelRangeWeighted(n, weight, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("weight %d n=%d: empty range [%d,%d)", wi, n, lo, hi)
-				}
-				mu.Lock()
-				for i := lo; i < hi; i++ {
-					covered[i]++
-				}
-				mu.Unlock()
-			})
-			for i, c := range covered {
-				if c != 1 {
-					t.Fatalf("weight %d n=%d: index %d covered %d times", wi, n, i, c)
-				}
-			}
 		}
 	}
 }

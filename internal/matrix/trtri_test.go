@@ -2,7 +2,6 @@ package matrix
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -37,17 +36,10 @@ func refInverseInto(c *Cholesky, dst *Matrix) *Matrix {
 	return dst
 }
 
-// TestInverseIntoBitIdentical pins the blocked TRTRI/LAUUM kernels to the
-// scalar reference: not close, identical. This is what lets the blocked
-// inverse land without regenerating any golden results — the E-step consumes
-// the same bits it always did. Sizes straddle the 4-wide blocking (remainder
-// columns, sub-block sizes) and the parallel threshold.
 // TestInverseIntoAllocs pins the steady-state allocation behavior: the L⁻¹
 // scratch lives in the Cholesky workspace, so after the first call a loop
-// invoking InverseInto every iteration allocates nothing. GOMAXPROCS(1)
-// forces the inline kernel path, as in the EM-loop allocation tests.
+// invoking InverseInto every iteration allocates nothing.
 func TestInverseIntoAllocs(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	rng := rand.New(rand.NewSource(12))
 	a := randomSPD(rng, 96)
 	ch, err := NewCholesky(a)
@@ -64,6 +56,11 @@ func TestInverseIntoAllocs(t *testing.T) {
 	}
 }
 
+// TestInverseIntoBitIdentical pins the blocked TRTRI/LAUUM kernels to the
+// scalar reference: not close, identical. This is what lets the blocked
+// inverse land without regenerating any golden results — the E-step consumes
+// the same bits it always did. Sizes straddle the 4-wide blocking (remainder
+// columns, sub-block sizes) and the factorization's panel width.
 func TestInverseIntoBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 17, 33, 64, 65, 129} {

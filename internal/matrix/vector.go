@@ -78,15 +78,6 @@ func CloneVec(x []float64) []float64 {
 // Zeros returns a zero vector of length n.
 func Zeros(n int) []float64 { return make([]float64, n) }
 
-// Ones returns a vector of n ones.
-func Ones(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	return out
-}
-
 // Constant returns a vector of n copies of v.
 func Constant(n int, v float64) []float64 {
 	out := make([]float64, n)
@@ -103,14 +94,6 @@ func SumVec(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-// MeanVec returns the arithmetic mean of x; it returns 0 for empty input.
-func MeanVec(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return SumVec(x) / float64(len(x))
 }
 
 // MinVec returns the minimum entry and its index; it panics on empty input.

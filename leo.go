@@ -68,7 +68,6 @@ import (
 	"leo/internal/core"
 	"leo/internal/fault"
 	"leo/internal/machine"
-	"leo/internal/matrix"
 	"leo/internal/pareto"
 	"leo/internal/persist"
 	"leo/internal/platform"
@@ -229,11 +228,6 @@ func NewModelPrior(known *Matrix, opts ModelOptions) (*ModelPrior, error) {
 func NewLEOEstimatorFromPrior(prior *ModelPrior) Estimator {
 	return baseline.NewLEOFromPrior(prior)
 }
-
-// SetKernelWorkers caps the goroutines the linear-algebra kernels fan out
-// across, without resizing the whole process's GOMAXPROCS. n <= 0 removes
-// the cap. Worker count changes wall-clock time only, never results.
-func SetKernelWorkers(n int) { matrix.SetMaxWorkers(n) }
 
 // Matrix is the dense matrix type used for profile data.
 type Matrix = matrixType
