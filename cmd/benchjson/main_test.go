@@ -60,41 +60,82 @@ func parseFixture(t *testing.T, out string) []result {
 	return results
 }
 
-// TestMergeFoldsRowsByName merges the service and cluster runs into a base
-// run, as make bench does: each lands as its own row with every custom
-// metric kept, and a re-measured row replaces its namesake in place.
-func TestMergeFoldsRowsByName(t *testing.T) {
+// mergedRow merges run into the base run, as make bench does, and returns
+// the row named name from the merged list.
+func mergedRow(t *testing.T, run, name string) result {
+	t.Helper()
 	base := parseFixture(t, coreBenchOutput)
-	merged := mergeRows(base, parseFixture(t, serviceBenchOutput))
-	merged = mergeRows(merged, parseFixture(t, clusterBenchOutput))
-	rerun := parseFixture(t, "BenchmarkEStepOnly-2 700 1500000 ns/op 0 B/op 0 allocs/op\nPASS\n")
-	merged = mergeRows(merged, rerun)
-
-	if got, want := len(merged), 8; got != want {
+	merged := mergeRows(base, parseFixture(t, run))
+	if got, want := len(merged), 7; got != want {
 		t.Fatalf("merged %d rows, want %d", got, want)
 	}
-	rows := map[string]result{}
 	for _, r := range merged {
-		rows[r.Name] = r
-	}
-	want := map[string]map[string]float64{
-		"BenchmarkServiceThroughput": {"sessions/s": 482.25, "p99-plan-ms": 12.50, "plans/s": 3858},
-		"BenchmarkClusterEpoch":      {"node-epochs/s": 8578, "cap-violations/epoch": 0.1250, "J/beat": 10.49},
-	}
-	for name, metrics := range want {
-		r, ok := rows[name]
-		if !ok {
-			t.Fatalf("%s missing from the merged rows", name)
-		}
-		for unit, v := range metrics {
-			if got := r.Metrics[unit]; got != v {
-				t.Errorf("%s %s = %v, want %v", name, unit, got, v)
-			}
+		if r.Name == name {
+			return r
 		}
 	}
-	// BenchmarkEStepOnly is the base run's last row, index 5.
-	if r := merged[5]; r.Name != "BenchmarkEStepOnly" || r.NsPerOp != 1500000 {
-		t.Errorf("row 5 is %s at %v ns/op, want the re-measured BenchmarkEStepOnly at 1500000", r.Name, r.NsPerOp)
+	t.Fatalf("%s missing from the merged rows", name)
+	return result{}
+}
+
+// TestServiceColumn checks the service run's throughput metrics, once a
+// column of their own, land in the service row of the merged record.
+func TestServiceColumn(t *testing.T) {
+	r := mergedRow(t, serviceBenchOutput, "BenchmarkServiceThroughput")
+	want := map[string]float64{"sessions/s": 482.25, "p99-plan-ms": 12.50, "plans/s": 3858}
+	for unit, v := range want {
+		if got := r.Metrics[unit]; got != v {
+			t.Errorf("%s = %v, want %v", unit, got, v)
+		}
+	}
+	if len(r.Metrics) != len(want) {
+		t.Errorf("service row has %d metrics, want %d: %v", len(r.Metrics), len(want), r.Metrics)
+	}
+}
+
+// TestClusterColumn checks the coordinator run's metrics, J/beat included,
+// land in the cluster row of the merged record.
+func TestClusterColumn(t *testing.T) {
+	r := mergedRow(t, clusterBenchOutput, "BenchmarkClusterEpoch")
+	want := map[string]float64{"node-epochs/s": 8578, "cap-violations/epoch": 0.1250, "J/beat": 10.49}
+	for unit, v := range want {
+		if got := r.Metrics[unit]; got != v {
+			t.Errorf("%s = %v, want %v", unit, got, v)
+		}
+	}
+	if len(r.Metrics) != len(want) {
+		t.Errorf("cluster row has %d metrics, want %d: %v", len(r.Metrics), len(want), r.Metrics)
+	}
+}
+
+// TestMergeFoldsRowsByName folds the service and cluster runs and a
+// re-measured base row into a base run: new names are appended in order,
+// and the re-measured row replaces its namesake in place.
+func TestMergeFoldsRowsByName(t *testing.T) {
+	merged := parseFixture(t, coreBenchOutput)
+	for _, run := range []string{
+		serviceBenchOutput,
+		clusterBenchOutput,
+		"BenchmarkEStepOnly-2 700 1500000 ns/op 0 B/op 0 allocs/op\nPASS\n",
+	} {
+		merged = mergeRows(merged, parseFixture(t, run))
+	}
+
+	want := []string{
+		"BenchmarkPlannerPaper", "BenchmarkMultiWindowWarm", "BenchmarkMultiWindowWarmLarge",
+		"BenchmarkFirstFrozenRefitLarge", "BenchmarkColdCalibrateLarge", "BenchmarkEStepOnly",
+		"BenchmarkServiceThroughput", "BenchmarkClusterEpoch",
+	}
+	if len(merged) != len(want) {
+		t.Fatalf("merged %d rows, want %d", len(merged), len(want))
+	}
+	for i, name := range want {
+		if merged[i].Name != name {
+			t.Errorf("row %d is %s, want %s", i, merged[i].Name, name)
+		}
+	}
+	if r := merged[5]; r.NsPerOp != 1500000 {
+		t.Errorf("BenchmarkEStepOnly at %v ns/op, want the re-measured 1500000", r.NsPerOp)
 	}
 }
 
