@@ -18,7 +18,6 @@ import (
 
 	"leo/internal/core"
 	"leo/internal/experiments"
-	"leo/internal/lp"
 	"leo/internal/pareto"
 	"leo/internal/platform"
 	"leo/internal/profile"
@@ -297,32 +296,22 @@ func benchEMInit(b *testing.B, zero bool) {
 	}
 }
 
-// scheduleInputs prepares an Eq. (1) instance over the full small space.
-func scheduleInputs(b *testing.B) (perf, power []float64, idle, w, t float64) {
-	b.Helper()
+// BenchmarkScheduleHull measures the closed-form Pareto-hull solution of
+// Eq. (1) over the full small space.
+func BenchmarkScheduleHull(b *testing.B) {
 	app, err := Benchmark("kmeans")
 	if err != nil {
 		b.Fatal(err)
 	}
 	space := SmallSpace()
-	perf = app.PerfVector(space)
-	power = app.PowerVector(space)
+	perf, power := app.PerfVector(space), app.PowerVector(space)
 	maxRate := 0.0
 	for _, v := range perf {
-		if v > maxRate {
-			maxRate = v
-		}
+		maxRate = max(maxRate, v)
 	}
-	return perf, power, app.IdlePower, 0.6 * maxRate * 10, 10
-}
-
-// BenchmarkScheduleHull measures the closed-form Pareto-hull solution of
-// Eq. (1).
-func BenchmarkScheduleHull(b *testing.B) {
-	perf, power, idle, w, t := scheduleInputs(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pareto.MinimizeEnergy(perf, power, idle, w, t); err != nil {
+		if _, err := pareto.MinimizeEnergy(perf, power, app.IdlePower, 0.6*maxRate*10, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,22 +345,6 @@ func BenchmarkPlannerPaper(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := pl.MinimizeEnergyInto(0.6*maxRate*10, 10, &plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkScheduleSimplex measures the general simplex on the same
-// instance (power above idle, slack objective, as the hull solves it).
-func BenchmarkScheduleSimplex(b *testing.B) {
-	perf, power, idle, w, t := scheduleInputs(b)
-	adj := make([]float64, len(power))
-	for i := range adj {
-		adj[i] = power[i] - idle
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := lp.SolveEnergy(perf, adj, w, t); err != nil {
 			b.Fatal(err)
 		}
 	}

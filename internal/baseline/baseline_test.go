@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"leo/internal/apps"
@@ -51,7 +52,7 @@ func TestOfflineIsColumnMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stats.ColumnMeans(sc.known)
-	if matrix.MaxAbsDiffVec(est, want) > 1e-12 {
+	if matrix.Norm2(matrix.SubVec(est, want)) > 1e-12 {
 		t.Fatal("offline estimate is not the column mean")
 	}
 	// Observations must be ignored.
@@ -59,7 +60,7 @@ func TestOfflineIsColumnMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.MaxAbsDiffVec(est, est2) != 0 {
+	if !slices.Equal(est, est2) {
 		t.Fatal("offline estimate must ignore observations")
 	}
 }
@@ -80,7 +81,7 @@ func TestExhaustiveReturnsTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if matrix.MaxAbsDiffVec(est, truth) != 0 {
+	if !slices.Equal(est, truth) {
 		t.Fatal("exhaustive must return the truth")
 	}
 	est[0] = 42

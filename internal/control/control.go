@@ -261,17 +261,6 @@ func (c *Controller) estimateTier(ctx context.Context, tier Tier, w Window) (per
 	return perfEst, powerEst, nil
 }
 
-// checkJitterBudget applies CheckJitter under the controller's budget and
-// accounts any trip before surfacing it as an estimation failure.
-func (c *Controller) checkJitterBudget(sess baseline.Session, metric string) error {
-	jerr := CheckJitter(sess, metric, c.res.JitterBudget)
-	if jerr == nil {
-		return nil
-	}
-	c.noteJitterTrip(jerr)
-	return jerr
-}
-
 // noteJitterTrip feeds a jitter-budget trip into the degradation report,
 // metrics, and the decision log.
 func (c *Controller) noteJitterTrip(e *JitterBudgetError) {

@@ -379,9 +379,9 @@ func TestAttachStateStoreRejections(t *testing.T) {
 	}
 }
 
-// stubHealthSession reports a fixed Health without being a real estimator —
-// the jitter shift at which an engineered ill-conditioned Σ trips depends on
-// round-off, so the budget check is exercised directly instead.
+// stubHealthSession reports a fixed Health over any session: the jitter
+// shift at which an engineered ill-conditioned Σ trips depends on round-off,
+// so the tests set the shift directly.
 type stubHealthSession struct {
 	baseline.Session
 	health core.Health
@@ -389,39 +389,77 @@ type stubHealthSession struct {
 
 func (s *stubHealthSession) Health() core.Health { return s.health }
 
-// TestJitterBudgetCheck pins the controller-side budget decision: shift
-// beyond budget trips (counted in the report and surfaced as an estimation
-// failure), shift within budget passes, a negative budget disables the check
-// entirely, and sessions that cannot report health are left alone.
+// TestJitterBudgetCheck pins CheckJitter's four decisions: a shift beyond
+// the budget trips, a shift within it (up to equality) passes, a negative
+// budget disables the check, and a session that cannot report health is
+// left alone.
 func TestJitterBudgetCheck(t *testing.T) {
-	r := newRig(t, "kmeans", 0)
-	c := r.controller(t, "LEO", 1)
 	sess := &stubHealthSession{health: core.Health{JitterEvents: 4, JitterShift: 1e-3}}
-
-	// Default budget is 1e-6: a 1e-3 cumulative shift trips.
-	if err := c.checkJitterBudget(sess, "performance"); err == nil {
+	jerr := CheckJitter(sess, "performance", 1e-6)
+	if jerr == nil {
 		t.Fatal("shift beyond budget did not trip")
 	}
-	if got := c.Report().JitterTrips; got != 1 {
-		t.Fatalf("JitterTrips = %d, want 1", got)
+	if want := (JitterBudgetError{Metric: "performance", Shift: 1e-3, Budget: 1e-6, Events: 4}); *jerr != want {
+		t.Fatalf("trip = %+v, want %+v", *jerr, want)
 	}
-	// Budget above the accumulated shift: clean.
-	c.SetResilience(Resilience{JitterBudget: 1})
-	if err := c.checkJitterBudget(sess, "performance"); err != nil {
-		t.Fatalf("shift within budget tripped: %v", err)
+	for _, budget := range []float64{1e-3, 1} {
+		if jerr := CheckJitter(sess, "performance", budget); jerr != nil {
+			t.Fatalf("shift within budget %g tripped: %v", budget, jerr)
+		}
 	}
-	// Negative budget disables the check regardless of shift.
-	c.SetResilience(Resilience{JitterBudget: -1})
-	if err := c.checkJitterBudget(sess, "performance"); err != nil {
-		t.Fatalf("disabled budget tripped: %v", err)
+	if jerr := CheckJitter(sess, "performance", -1); jerr != nil {
+		t.Fatalf("disabled budget tripped: %v", jerr)
 	}
-	// A session without health reporting is never tripped.
-	c.SetResilience(Resilience{})
-	plain := baseline.AdaptSession(baseline.NewExhaustive(r.truePerf), 0)
-	if err := c.checkJitterBudget(plain, "performance"); err != nil {
-		t.Fatalf("health-blind session tripped: %v", err)
+	plain := baseline.AdaptSession(baseline.NewExhaustive([]float64{1, 2, 3}), 0)
+	if jerr := CheckJitter(plain, "performance", 0); jerr != nil {
+		t.Fatalf("health-blind session tripped: %v", jerr)
 	}
-	if got := c.Report().JitterTrips; got != 1 {
-		t.Fatalf("JitterTrips = %d after clean checks, want 1", got)
+}
+
+// jitteryEstimator serves truth through sessions that report a fixed
+// jitter shift, so every window fitted on them crosses a smaller budget.
+type jitteryEstimator struct {
+	truth []float64
+	shift float64
+}
+
+func (e *jitteryEstimator) Name() string { return "Jittery" }
+func (e *jitteryEstimator) Estimate([]int, []float64) ([]float64, error) {
+	return e.truth, nil
+}
+func (e *jitteryEstimator) NewSession(context.Context) (baseline.Session, error) {
+	return &stubHealthSession{
+		Session: baseline.AdaptSession(e, 0),
+		health:  core.Health{JitterEvents: 1, JitterShift: e.shift},
+	}, nil
+}
+
+// TestJitterTripsDegradeController drives the accounting the controller
+// runs: FitWindow fails each window of a tier whose sessions report a
+// shift beyond the budget, estimateTier counts every failed attempt as a
+// jitter trip, and after MaxEstimationFailures of them the controller
+// degrades to its fallback, as for any estimation failure.
+func TestJitterTripsDegradeController(t *testing.T) {
+	r := newRig(t, "kmeans", 0)
+	c, err := New("test", r.mach,
+		&jitteryEstimator{truth: r.truePerf, shift: 1e-3},
+		&jitteryEstimator{truth: r.truePower, shift: 1e-3},
+		DefaultSamples, testRand(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddFallbacks(r.oracleTier("oracle"), Tier{Name: "race-to-idle"}); err != nil {
+		t.Fatal(err)
+	}
+	c.SetResilience(Resilience{MaxEstimationFailures: 3})
+	if err := c.Calibrate(); err != nil {
+		t.Fatalf("ladder bottomed out: %v", err)
+	}
+	if got := c.CurrentTier(); got != "oracle" {
+		t.Fatalf("CurrentTier = %q, want oracle", got)
+	}
+	rep := c.Report()
+	if rep.JitterTrips != 3 || rep.EstimationFailures != 3 || rep.Fallbacks != 1 {
+		t.Fatalf("want 3 jitter trips, 3 estimation failures and 1 fallback, got %+v", rep)
 	}
 }

@@ -109,7 +109,7 @@ func TestFitBatchMatchesIndividualFits(t *testing.T) {
 
 	// Window 2: one more observation each, warm refits over the frozen cache.
 	for i := 0; i < nTenants; i++ {
-		extra := (idx[i][0] + 7 + i) % prior.Configurations()
+		extra := (idx[i][0] + 7 + i) % prior.n
 		v := val[i][0] * 1.01
 		if err := batched[i].Add(extra, v); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"leo/internal/apps"
@@ -54,7 +55,7 @@ func TestEstimateKmeansMotivatingExample(t *testing.T) {
 	}
 	// LEO must place the performance peak near 8 cores (the paper's
 	// headline qualitative claim).
-	_, peak := matrix.MaxVec(res.Estimate)
+	peak := slices.Index(res.Estimate, slices.Max(res.Estimate))
 	if peakThreads := peak + 1; peakThreads < 6 || peakThreads > 10 {
 		t.Fatalf("LEO places kmeans peak at %d threads, want near 8", peakThreads)
 	}

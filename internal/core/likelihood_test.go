@@ -27,7 +27,7 @@ func TestLogLikelihoodTargetOnly(t *testing.T) {
 	// space: y ~ N(μ_1, Σ_11 + σ²).
 	known := matrix.New(0, 3)
 	mu := []float64{1, 2, 3}
-	sigma := matrix.Diag([]float64{4, 9, 16})
+	sigma := matrix.NewFromRows([][]float64{{4, 0, 0}, {0, 9, 0}, {0, 0, 16}})
 	ll, err := LogLikelihood(known, []int{1}, []float64{5}, mu, sigma, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestLogLikelihoodValidation(t *testing.T) {
 
 func TestLogLikelihoodPeaksAtTrueMean(t *testing.T) {
 	known, _, _ := kmeansLOO(t)
-	sigma := matrix.Identity(32).Scale(100)
+	sigma := matrix.Identity(32).ScaleInPlace(100)
 	colMean := make([]float64, 32)
 	for c := 0; c < 32; c++ {
 		s := 0.0

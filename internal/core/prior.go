@@ -114,12 +114,6 @@ func (p *Prior) coldSigma() *matrix.Matrix {
 	return p.sigma0
 }
 
-// Configurations returns n, the width of the configuration space.
-func (p *Prior) Configurations() int { return p.n }
-
-// Applications returns the number of fully observed applications (M−1).
-func (p *Prior) Applications() int { return p.known.Rows }
-
 // Options returns the fit options every session derived from this prior uses
 // (with defaults applied).
 func (p *Prior) Options() Options { return p.opts }

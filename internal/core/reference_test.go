@@ -72,7 +72,8 @@ func refPosterior(mu []float64, sigma *matrix.Matrix, s2 float64, idx []int, val
 		for b, ib := range idx {
 			r[b] = y[b] - mu[ib]
 		}
-		z[a] = matrix.AddVec(mu, sk.MulVec(r))
+		z[a] = sk.MulVec(r)
+		matrix.AxpyInPlace(1, mu, z[a])
 	}
 	c := sigma.Sub(matrix.MulTransBInto(matrix.New(n, n), sk, s))
 	return z, c.Symmetrize(), nil
@@ -166,7 +167,8 @@ func refMStep(known *matrix.Matrix, obsIdx []int, obsVal []float64, e *refE, opt
 			c = e.cM
 		}
 		d := matrix.SubVec(z, mu)
-		sigma.AddInPlace(c).AddScaledOuter(1, d, d)
+		matrix.AxpyInPlace(1, c.Data, sigma.Data)
+		sigma.AddScaledOuter(1, d, d)
 	}
 	if opts.StrictPaperSigma {
 		sigma.ScaleInPlace(1/(m+1)).AddScaledOuter(opts.Pi, mu, mu).AddDiagonal(1)

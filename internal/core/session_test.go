@@ -108,7 +108,7 @@ func TestSessionAddSemantics(t *testing.T) {
 	if err := s.Add(-1, 1); err == nil {
 		t.Fatal("negative index must be rejected")
 	}
-	if err := s.Add(prior.Configurations(), 1); err == nil {
+	if err := s.Add(prior.n, 1); err == nil {
 		t.Fatal("out-of-range index must be rejected")
 	}
 	if err := s.Add(0, math.NaN()); err == nil {

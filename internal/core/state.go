@@ -232,28 +232,6 @@ func (s *Session) holdFrame(st *SessionState) {
 // see Prior.Digest.
 func (s *Session) PriorDigest() uint64 { return s.prior.Digest() }
 
-// PriorState is the serializable identity of a Prior: the offline database
-// and the options. Everything the Prior precomputes (column means, Σ₀, the
-// running sum of squares) is a pure function of these two.
-type PriorState struct {
-	Known *matrix.Matrix
-	Opts  Options
-}
-
-// State captures the prior's rebuildable identity (deep copy).
-func (p *Prior) State() *PriorState {
-	return &PriorState{Known: p.known.Clone(), Opts: p.opts}
-}
-
-// RestorePrior rebuilds a Prior from captured state; the result is
-// functionally identical to the original (same digest, same sessions).
-func RestorePrior(st *PriorState) (*Prior, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: nil prior state")
-	}
-	return NewPrior(st.Known, st.Opts)
-}
-
 // Digest fingerprints the prior: the database's shape and exact bits plus
 // every option that affects a fit, folded through FNV-1a. Persisted session
 // state records it so a snapshot taken against one prior is never restored

@@ -232,7 +232,7 @@ func TestStateRestoreRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := prior.Configurations()
+	n := prior.n
 	donor := prior.NewSession()
 	for i, idx := range obsIdx {
 		if err := donor.Add(idx, obsVal[i]); err != nil {
@@ -334,35 +334,6 @@ func rangeMissing(n int, skip []int) []int {
 		}
 	}
 	return out
-}
-
-// TestPriorStateRoundTrip: a prior rebuilt from its captured state has the
-// same digest and produces bit-identical fits.
-func TestPriorStateRoundTrip(t *testing.T) {
-	known, obsIdx, obsVal := sessionFixture(t)
-	prior, err := NewPrior(known, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := RestorePrior(prior.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prior.Digest() != rebuilt.Digest() {
-		t.Fatalf("digest changed across restore: %x != %x", prior.Digest(), rebuilt.Digest())
-	}
-	want, err := prior.Estimate(context.Background(), obsIdx, obsVal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rebuilt.Estimate(context.Background(), obsIdx, obsVal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitEqual(t, got, want, "prior round trip")
-	if _, err := RestorePrior(nil); err == nil {
-		t.Fatal("RestorePrior(nil) accepted")
-	}
 }
 
 // TestPriorDigestSensitivity: the digest must move when the database bits or

@@ -76,9 +76,9 @@ func TestEstimateScaleRobustAccuracy(t *testing.T) {
 	mask := profile.UniformMask(32, 6)
 	obs := profile.Observe(truth, mask, 0, nil)
 	for _, c := range []float64{0.1, 1, 10, 1000} {
-		scaledKnown := known.Scale(c)
-		scaledVals := matrix.ScaleVec(c, obs.Values)
-		scaledTruth := matrix.ScaleVec(c, truth)
+		scale := func(x []float64) []float64 { return matrix.NewFromRows([][]float64{x}).ScaleInPlace(c).Data }
+		scaledKnown := known.Clone().ScaleInPlace(c)
+		scaledVals, scaledTruth := scale(obs.Values), scale(truth)
 		res, err := Estimate(scaledKnown, obs.Indices, scaledVals, Options{})
 		if err != nil {
 			t.Fatalf("scale %g: %v", c, err)
@@ -96,7 +96,7 @@ func TestEstimateScaleRobustAccuracy(t *testing.T) {
 // — including k = 0, where the variance is diag(Σ) itself.
 func TestFrozenVarianceMatchesDense(t *testing.T) {
 	prior, truth := warmTestSetup(t)
-	n := prior.Configurations()
+	n := prior.n
 	rng := rand.New(rand.NewSource(47))
 	ctx := context.Background()
 	s := prior.NewSession()

@@ -104,7 +104,7 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	ctx := context.Background()
 	s := prior.NewSession()
-	mask := profile.RandomMask(prior.Configurations(), 20, rng)
+	mask := profile.RandomMask(prior.n, 20, rng)
 	for _, idx := range mask {
 		if err := s.Add(idx, truth[idx]); err != nil {
 			t.Fatal(err)
@@ -115,7 +115,7 @@ func TestWarmFitFreezesSigma(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldSt := s.State()
-	mask2 := profile.RandomMask(prior.Configurations(), 20, rng)
+	mask2 := profile.RandomMask(prior.n, 20, rng)
 	s.ClearObservations()
 	for _, idx := range mask2 {
 		if err := s.Add(idx, truth[idx]); err != nil {
@@ -156,7 +156,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([
 	rng := rand.New(rand.NewSource(42))
 	ctx := context.Background()
 	s := prior.NewSession()
-	n := prior.Configurations()
+	n := prior.n
 	perm := rng.Perm(n)
 	var out []*Result
 	var states []*SessionState
@@ -230,7 +230,7 @@ func TestWarmRestoreBitIdentity(t *testing.T) {
 	prior, truth := warmTestSetup(t)
 	rng := rand.New(rand.NewSource(43))
 	ctx := context.Background()
-	n := prior.Configurations()
+	n := prior.n
 	perm := rng.Perm(n)
 
 	live := prior.NewSession()
@@ -284,7 +284,7 @@ func TestWarmEstimateAccuracy(t *testing.T) {
 	prior, truth := warmTestSetup(t)
 	rng := rand.New(rand.NewSource(44))
 	ctx := context.Background()
-	n := prior.Configurations()
+	n := prior.n
 	s := prior.NewSession()
 	var warm, cold *Result
 	for w := 0; w < 4; w++ {
@@ -336,7 +336,7 @@ func TestWarmFitAllocBudget(t *testing.T) {
 	prior, truth := warmTestSetup(t)
 	rng := rand.New(rand.NewSource(45))
 	ctx := context.Background()
-	n := prior.Configurations()
+	n := prior.n
 	s := prior.NewSession()
 	mask := profile.RandomMask(n, 20, rng)
 	for _, idx := range mask {
@@ -374,7 +374,7 @@ func TestWarmFitAllocBudget(t *testing.T) {
 // extends the budget to every step at n = 1024.
 func TestFitBytesBudget(t *testing.T) {
 	prior, truth := warmTestSetup(t)
-	n := prior.Configurations()
+	n := prior.n
 	rng := rand.New(rand.NewSource(46))
 	ctx := context.Background()
 	masks := make([][]int, 4)
@@ -452,7 +452,7 @@ func fitBytesBudgetPaperSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := prior.Configurations()
+	n := prior.n
 	budget := uint64(8 * n * n)
 	rng := rand.New(rand.NewSource(50))
 	masks := [][]int{profile.RandomMask(n, 20, rng), profile.RandomMask(n, 20, rng)}
@@ -672,7 +672,7 @@ func TestSubspaceFrameBitsPinned(t *testing.T) {
 // a cold refit has moved its posterior.
 func TestFrozenOpsTransfer(t *testing.T) {
 	prior, truth := warmTestSetup(t)
-	n := prior.Configurations()
+	n := prior.n
 	rng := rand.New(rand.NewSource(47))
 	ctx := context.Background()
 	fitOn := func(s *Session, mask []int) *Result {

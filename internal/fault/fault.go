@@ -217,9 +217,6 @@ func (p *Plan) Actuate(idx int) Actuation {
 	return ActOK
 }
 
-// Blacklisted reports whether configuration idx is statically offlined.
-func (p *Plan) Blacklisted(idx int) bool { return p != nil && p.blacklist[idx] }
-
 // Power filters one wall-power reading: dropout delivers NaN, a stuck meter
 // repeats the previous delivered reading, a spike multiplies the value.
 func (p *Plan) Power(v float64) float64 {

@@ -25,9 +25,6 @@ func TestNilPlanIsInert(t *testing.T) {
 	if p.Total() != 0 || p.Counts() != nil {
 		t.Fatal("nil plan reports injected faults")
 	}
-	if p.Blacklisted(0) {
-		t.Fatal("nil plan blacklists")
-	}
 }
 
 func TestZeroRatePlanIsInert(t *testing.T) {
@@ -151,11 +148,11 @@ func TestBlacklistAlwaysFails(t *testing.T) {
 			t.Fatalf("clean actuation = %v", got)
 		}
 	}
-	if !p.Blacklisted(5) || p.Blacklisted(4) {
-		t.Fatal("Blacklisted membership wrong")
-	}
 	if p.Counts()[ConfigBlacklist] != 10 {
 		t.Fatalf("blacklist hits not counted: %v", p.Counts())
+	}
+	if p.Actuate(5) != ActFail || p.Actuate(4) != ActOK {
+		t.Fatal("blacklist membership wrong")
 	}
 }
 

@@ -64,16 +64,6 @@ func RackSchedule(seed int64, racks int, horizon, meanBetween, meanDown float64)
 	return out, nil
 }
 
-// Down reports whether rack is inside an outage at time t.
-func (o Outages) Down(rack int, t float64) bool {
-	for _, ro := range o {
-		if ro.Rack == rack && t >= ro.Start && t < ro.End {
-			return true
-		}
-	}
-	return false
-}
-
 // DownDuring reports whether rack's downtime overlaps [t0, t1) at all. A
 // coordinator treats a node as unavailable for any epoch its rack is down
 // in, even partially — a node that browns out mid-epoch delivers no work.
@@ -84,15 +74,4 @@ func (o Outages) DownDuring(rack int, t0, t1 float64) bool {
 		}
 	}
 	return false
-}
-
-// Downtime sums rack's total seconds down over [0, horizon).
-func (o Outages) Downtime(rack int) float64 {
-	var sum float64
-	for _, ro := range o {
-		if ro.Rack == rack {
-			sum += ro.End - ro.Start
-		}
-	}
-	return sum
 }

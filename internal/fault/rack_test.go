@@ -84,23 +84,11 @@ func TestRackScheduleBounds(t *testing.T) {
 
 func TestOutageQueries(t *testing.T) {
 	o := Outages{{Rack: 0, Start: 10, End: 20}, {Rack: 1, Start: 15, End: 18}}
-	if !o.Down(0, 10) || !o.Down(0, 19.9) {
-		t.Fatal("Down misses an active outage")
-	}
-	if o.Down(0, 20) || o.Down(0, 5) || o.Down(2, 12) {
-		t.Fatal("Down fires outside the outage")
-	}
 	if !o.DownDuring(0, 19, 25) || !o.DownDuring(1, 0, 16) {
 		t.Fatal("DownDuring misses a partial overlap")
 	}
 	if o.DownDuring(0, 20, 30) || o.DownDuring(0, 0, 10) {
 		t.Fatal("DownDuring fires on touching-but-disjoint windows")
-	}
-	if got := o.Downtime(0); got != 10 {
-		t.Fatalf("Downtime(0) = %g, want 10", got)
-	}
-	if got := o.Downtime(2); got != 0 {
-		t.Fatalf("Downtime(2) = %g, want 0", got)
 	}
 }
 

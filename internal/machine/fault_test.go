@@ -41,8 +41,8 @@ func TestNoPlanBitIdentical(t *testing.T) {
 		if sa != sb {
 			t.Fatalf("step %d diverged: %+v vs %+v", i, sa, sb)
 		}
-		if pa, pb := a.ReadPower(), b.ReadPower(); pa != pb {
-			t.Fatalf("step %d ReadPower diverged: %g vs %g", i, pa, pb)
+		if pa, pb := a.MeasurePower(a.Config()), b.MeasurePower(b.Config()); pa != pb {
+			t.Fatalf("step %d MeasurePower diverged: %g vs %g", i, pa, pb)
 		}
 	}
 	if a.Energy() != b.Energy() || a.Work() != b.Work() || a.Elapsed() != b.Elapsed() {

@@ -169,45 +169,6 @@ func (m *Machine) Run(duration float64) Sample {
 	}
 }
 
-// RunLogged executes like Run but also returns the wall-power meter's
-// readings over the window: one noisy sample per PowerSamplePeriod (the
-// paper's WattsUp meter reports at 1 s intervals, §6.1), with a final
-// partial-period sample if the duration is not a multiple of the period.
-func (m *Machine) RunLogged(duration float64) (Sample, []float64) {
-	if duration <= 0 {
-		panic(fmt.Sprintf("machine: non-positive run duration %g", duration))
-	}
-	var readings []float64
-	var agg Sample
-	remaining := duration
-	for remaining > 1e-12 {
-		step := PowerSamplePeriod
-		if step > remaining {
-			step = remaining
-		}
-		s := m.Run(step)
-		readings = append(readings, s.Power)
-		agg.Duration += s.Duration
-		agg.Heartbeats += s.Heartbeats
-		agg.Energy += s.Energy
-		remaining -= step
-	}
-	agg.Config = m.cur
-	agg.PerfRate = agg.Heartbeats / agg.Duration
-	agg.Power = agg.Energy / agg.Duration
-	return agg, readings
-}
-
-// RunWork executes until the given number of heartbeats completes in the
-// current configuration, returning the sample for that span.
-func (m *Machine) RunWork(beats float64) Sample {
-	if beats <= 0 {
-		panic(fmt.Sprintf("machine: non-positive work %g", beats))
-	}
-	rate := m.app.PhasePerformance(m.space, m.cur, m.phase)
-	return m.Run(beats / rate)
-}
-
 // Idle parks the machine for duration seconds, consuming idle power only.
 // Race-to-idle depends on this accounting (§6.2).
 func (m *Machine) Idle(duration float64) float64 {
@@ -234,26 +195,6 @@ func (m *Machine) MeasurePower(c platform.Config) float64 {
 	return m.faults.Power(m.noisy(m.app.Power(m.space, c)))
 }
 
-// ReadPower samples the wall-power meter at the currently applied
-// configuration, without advancing time — the WattsUp poll a runtime issues
-// between windows. Subject to the same meter faults as MeasurePower.
-func (m *Machine) ReadPower() float64 {
-	return m.faults.Power(m.noisy(m.app.Power(m.space, m.cur)))
-}
-
-// Probe runs configuration index i for the probe duration and returns
-// (perfRate, power) measurements; this is the sampling step LEO performs
-// online, and it does advance simulated time and energy.
-func (m *Machine) Probe(i int, duration float64) (perfRate, power float64, err error) {
-	prev := m.cur
-	if err := m.ApplyIndex(i); err != nil {
-		return 0, 0, err
-	}
-	s := m.Run(duration)
-	m.cur = prev
-	return s.PerfRate, s.Power, nil
-}
-
 // Elapsed returns the simulated seconds since boot.
 func (m *Machine) Elapsed() float64 { return m.simTime }
 
@@ -262,10 +203,6 @@ func (m *Machine) Energy() float64 { return m.energy }
 
 // Work returns the true total heartbeats completed since boot.
 func (m *Machine) Work() float64 { return m.work }
-
-// HeartbeatRate returns the windowed heartbeat rate from the application's
-// heartbeat monitor.
-func (m *Machine) HeartbeatRate() float64 { return m.monitor.Rate() }
 
 // BeatAge returns the simulated seconds since the monitor last received a
 // heartbeat batch, or +Inf when none has arrived yet. A watchdog uses this

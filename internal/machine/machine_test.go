@@ -99,21 +99,6 @@ func TestRunAccumulates(t *testing.T) {
 	}
 }
 
-func TestRunWork(t *testing.T) {
-	m := newTestMachine(t, 0)
-	if err := m.Apply(platform.Config{Threads: 4, Speed: 3, MemCtrls: 1}); err != nil {
-		t.Fatal(err)
-	}
-	s := m.RunWork(100)
-	if math.Abs(s.Heartbeats-100) > 1e-9 {
-		t.Fatalf("RunWork completed %g beats", s.Heartbeats)
-	}
-	wantDur := 100 / m.App().Performance(m.Space(), m.Config())
-	if math.Abs(s.Duration-wantDur) > 1e-9 {
-		t.Fatalf("RunWork duration %g, want %g", s.Duration, wantDur)
-	}
-}
-
 func TestIdleEnergy(t *testing.T) {
 	m := newTestMachine(t, 0)
 	e := m.Idle(20)
@@ -159,31 +144,6 @@ func TestMeasurePerfDoesNotAdvanceTime(t *testing.T) {
 	}
 }
 
-func TestProbeAdvancesAndRestores(t *testing.T) {
-	m := newTestMachine(t, 0)
-	orig := platform.Config{Threads: 2, Speed: 1, MemCtrls: 1}
-	if err := m.Apply(orig); err != nil {
-		t.Fatal(err)
-	}
-	perf, power, err := m.Probe(700, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.Space().ConfigAt(700)
-	if perf != m.App().Performance(m.Space(), c) || power != m.App().Power(m.Space(), c) {
-		t.Fatal("Probe measurements wrong")
-	}
-	if m.Config() != orig {
-		t.Fatal("Probe must restore the previous configuration")
-	}
-	if m.Elapsed() != 1.0 {
-		t.Fatalf("Probe must advance time, Elapsed = %g", m.Elapsed())
-	}
-	if _, _, err := m.Probe(-1, 1); err == nil {
-		t.Fatal("invalid probe index must... panic or error")
-	}
-}
-
 func TestPhaseSwitching(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m, err := New(platform.Paper(), apps.MustByName("fluidanimate"), 0, rng)
@@ -215,84 +175,11 @@ func TestSetPhasePanicsOutOfRange(t *testing.T) {
 	m.SetPhase(1) // kmeans has a single phase
 }
 
-func TestHeartbeatRate(t *testing.T) {
-	m := newTestMachine(t, 0)
-	if err := m.Apply(platform.Config{Threads: 8, Speed: 15, MemCtrls: 2}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		m.Run(1)
-	}
-	want := m.App().Performance(m.Space(), m.Config())
-	if r := m.HeartbeatRate(); math.Abs(r-want)/want > 0.1 {
-		t.Fatalf("HeartbeatRate = %g, want ~%g", r, want)
-	}
-}
-
-func TestRunLoggedReadings(t *testing.T) {
-	m := newTestMachine(t, 0.02)
-	if err := m.Apply(platform.Config{Threads: 8, Speed: 10, MemCtrls: 2}); err != nil {
-		t.Fatal(err)
-	}
-	agg, readings := m.RunLogged(5.5)
-	// 5 full one-second samples plus a final half-second one.
-	if len(readings) != 6 {
-		t.Fatalf("got %d readings for 5.5 s", len(readings))
-	}
-	if math.Abs(agg.Duration-5.5) > 1e-9 {
-		t.Fatalf("aggregate duration %g", agg.Duration)
-	}
-	truth := m.App().Power(m.Space(), m.Config())
-	varies := false
-	for _, r := range readings {
-		if math.Abs(r-truth)/truth > 0.2 {
-			t.Fatalf("reading %g too far from true power %g", r, truth)
-		}
-		if r != readings[0] {
-			varies = true
-		}
-	}
-	if !varies {
-		t.Fatal("noisy meter readings should vary")
-	}
-	// Aggregate energy is exact (true power × time).
-	if math.Abs(agg.Energy-truth*5.5) > 1e-6 {
-		t.Fatalf("aggregate energy %g", agg.Energy)
-	}
-}
-
-func TestRunLoggedMatchesRunAccounting(t *testing.T) {
-	a := newTestMachine(t, 0)
-	b := newTestMachine(t, 0)
-	cfg := platform.Config{Threads: 4, Speed: 3, MemCtrls: 1}
-	if err := a.Apply(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Apply(cfg); err != nil {
-		t.Fatal(err)
-	}
-	sa := a.Run(3)
-	sb, _ := b.RunLogged(3)
-	if math.Abs(sa.Energy-sb.Energy) > 1e-9 || math.Abs(sa.Heartbeats-sb.Heartbeats) > 1e-9 {
-		t.Fatalf("logged run diverges: %+v vs %+v", sa, sb)
-	}
-}
-
-func TestRunLoggedPanics(t *testing.T) {
-	m := newTestMachine(t, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.RunLogged(0)
-}
-
 func TestReset(t *testing.T) {
 	m := newTestMachine(t, 0)
 	m.Run(5)
 	m.Reset()
-	if m.Elapsed() != 0 || m.Energy() != 0 || m.Work() != 0 || m.HeartbeatRate() != 0 {
+	if m.Elapsed() != 0 || m.Energy() != 0 || m.Work() != 0 || !math.IsInf(m.BeatAge(), 1) {
 		t.Fatal("Reset incomplete")
 	}
 }

@@ -577,21 +577,3 @@ func (c *Cholesky) LogDet() float64 {
 	}
 	return 2 * s
 }
-
-// MulLVec returns L * x; useful for sampling from N(mu, A) via mu + L*z.
-func (c *Cholesky) MulLVec(x []float64) []float64 {
-	if len(x) != c.n {
-		panic(fmt.Sprintf("matrix: MulLVec length %d != size %d", len(x), c.n))
-	}
-	n, data := c.n, c.l.Data
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := data[i*n : i*n+i+1]
-		s := 0.0
-		for k, v := range row {
-			s += v * x[k]
-		}
-		out[i] = s
-	}
-	return out
-}

@@ -76,8 +76,8 @@ func TestCholeskySolveVec(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := ch.SolveVec(b)
-	if MaxAbsDiffVec(x, xTrue) > 1e-8 {
-		t.Fatalf("SolveVec error %g", MaxAbsDiffVec(x, xTrue))
+	if d := Norm2(SubVec(x, xTrue)); d > 1e-8 {
+		t.Fatalf("SolveVec error %g", d)
 	}
 }
 
@@ -147,7 +147,7 @@ func TestCholeskyInverseProperty(t *testing.T) {
 }
 
 func TestCholeskyLogDet(t *testing.T) {
-	d := Diag([]float64{2, 3, 4})
+	d := NewFromRows([][]float64{{2, 0, 0}, {0, 3, 0}, {0, 0, 4}})
 	ch, err := NewCholesky(d)
 	if err != nil {
 		t.Fatal(err)
@@ -155,24 +155,6 @@ func TestCholeskyLogDet(t *testing.T) {
 	want := math.Log(24)
 	if math.Abs(ch.LogDet()-want) > 1e-12 {
 		t.Fatalf("LogDet = %g, want %g", ch.LogDet(), want)
-	}
-}
-
-func TestCholeskyMulLVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := randomSPD(rng, 9)
-	ch, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := ch.MulLVec(x)
-	want := ch.L().MulVec(x)
-	if MaxAbsDiffVec(got, want) > 1e-12 {
-		t.Fatal("MulLVec disagrees with explicit L*x")
 	}
 }
 

@@ -57,16 +57,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal and zeros elsewhere.
-func Diag(d []float64) *Matrix {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.Data[i*n+i] = v
-	}
-	return m
-}
-
 // At returns element (r, c).
 func (m *Matrix) At(r, c int) float64 {
 	m.checkIndex(r, c)
@@ -95,15 +85,6 @@ func (m *Matrix) Row(r int) []float64 {
 // RowView returns row r as a slice aliasing the matrix storage.
 func (m *Matrix) RowView(r int) []float64 {
 	return m.Data[r*m.Cols : (r+1)*m.Cols]
-}
-
-// Col returns a copy of column c.
-func (m *Matrix) Col(c int) []float64 {
-	out := make([]float64, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.Data[r*m.Cols+c]
-	}
-	return out
 }
 
 // SetRow copies v into row r.
@@ -168,30 +149,12 @@ func (m *Matrix) Add(other *Matrix) *Matrix {
 	return out
 }
 
-// AddInPlace sets m = m + other and returns m.
-func (m *Matrix) AddInPlace(other *Matrix) *Matrix {
-	m.checkSameShape(other, "AddInPlace")
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
-	return m
-}
-
 // Sub returns m - other.
 func (m *Matrix) Sub(other *Matrix) *Matrix {
 	m.checkSameShape(other, "Sub")
 	out := m.Clone()
 	for i, v := range other.Data {
 		out.Data[i] -= v
-	}
-	return out
-}
-
-// Scale returns s * m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
 	}
 	return out
 }
@@ -278,15 +241,6 @@ func (m *Matrix) Trace() float64 {
 		t += m.Data[i*m.Cols+i]
 	}
 	return t
-}
-
-// FrobeniusNorm returns sqrt(sum of squared entries).
-func (m *Matrix) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns the max absolute elementwise difference between m and

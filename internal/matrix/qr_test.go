@@ -35,8 +35,8 @@ func TestQRSolveOverdetermined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if MaxAbsDiffVec(x, coef) > 1e-8 {
-		t.Fatalf("recovered coefficients off by %g", MaxAbsDiffVec(x, coef))
+	if d := Norm2(SubVec(x, coef)); d > 1e-8 {
+		t.Fatalf("recovered coefficients off by %g", d)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestQRPolynomialFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{1, 2, 3}
-	if MaxAbsDiffVec(x, want) > 1e-9 {
+	if Norm2(SubVec(x, want)) > 1e-9 {
 		t.Fatalf("coefficients = %v", x)
 	}
 }

@@ -49,7 +49,7 @@ func TestSymmetricProductIntoMatchesGEMM(t *testing.T) {
 			g = g.Add(g.Transpose())
 			a := p.Mul(g)
 			got := SymmetricProductInto(New(m, m), 0.5, a, p)
-			want := MulTransBInto(New(m, m), a, p).Scale(0.5)
+			want := MulTransBInto(New(m, m), a, p).ScaleInPlace(0.5)
 			if d := maxAbsDiff(got, want); d > kernelTol {
 				t.Errorf("SymmetricProductInto m=%d k=%d: max diff %g", m, k, d)
 			}

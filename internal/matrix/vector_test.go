@@ -31,17 +31,11 @@ func TestNorm2(t *testing.T) {
 	}
 }
 
-func TestAddSubScaleVec(t *testing.T) {
+func TestSubVec(t *testing.T) {
 	x := []float64{1, 2}
 	y := []float64{10, 20}
-	if s := AddVec(x, y); s[0] != 11 || s[1] != 22 {
-		t.Fatalf("AddVec = %v", s)
-	}
 	if d := SubVec(y, x); d[0] != 9 || d[1] != 18 {
 		t.Fatalf("SubVec = %v", d)
-	}
-	if sc := ScaleVec(3, x); sc[0] != 3 || sc[1] != 6 {
-		t.Fatalf("ScaleVec = %v", sc)
 	}
 	if x[0] != 1 || y[0] != 10 {
 		t.Fatal("vector ops must not mutate inputs")
@@ -65,39 +59,10 @@ func TestCloneVecIndependence(t *testing.T) {
 	}
 }
 
-func TestZerosOnesConstant(t *testing.T) {
-	if z := Zeros(3); len(z) != 3 || z[1] != 0 {
-		t.Fatalf("Zeros = %v", z)
-	}
+func TestConstant(t *testing.T) {
 	if c := Constant(2, 7.5); c[0] != 7.5 || c[1] != 7.5 {
 		t.Fatalf("Constant = %v", c)
 	}
-}
-
-func TestSumMean(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	if SumVec(x) != 10 {
-		t.Fatalf("Sum = %g", SumVec(x))
-	}
-}
-
-func TestMinMaxVec(t *testing.T) {
-	x := []float64{3, 1, 4, 1, 5}
-	if v, i := MinVec(x); v != 1 || i != 1 {
-		t.Fatalf("Min = %g at %d", v, i)
-	}
-	if v, i := MaxVec(x); v != 5 || i != 4 {
-		t.Fatalf("Max = %g at %d", v, i)
-	}
-}
-
-func TestMinVecEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MinVec(nil)
 }
 
 func TestCauchySchwarzProperty(t *testing.T) {
@@ -127,7 +92,11 @@ func TestTriangleInequalityProperty(t *testing.T) {
 			x[i] = r.NormFloat64()
 			y[i] = r.NormFloat64()
 		}
-		return Norm2(AddVec(x, y)) <= Norm2(x)+Norm2(y)+1e-9
+		sum := make([]float64, n)
+		for i := range sum {
+			sum[i] = x[i] + y[i]
+		}
+		return Norm2(sum) <= Norm2(x)+Norm2(y)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -152,53 +152,6 @@ func (h *Histogram) Buckets() (bounds []float64, cumulative []uint64) {
 	return bounds, cumulative
 }
 
-// Quantile estimates the q-th quantile (clamped to [0,1]) from the
-// cumulative buckets, Prometheus histogram_quantile style: the containing
-// bucket is found by rank and the value linearly interpolated within its
-// bounds. Estimates inherit bucket-layout resolution — good enough for the
-// p99 gauges the serving layer publishes, not for exact order statistics.
-// With no observations it returns NaN; a rank landing in the +Inf bucket
-// returns the highest finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i := range h.buckets {
-		n := h.buckets[i].Load()
-		cum += n
-		if float64(cum) < rank {
-			continue
-		}
-		if i == len(h.bounds) {
-			// +Inf bucket: no finite upper bound to interpolate toward.
-			if len(h.bounds) == 0 {
-				return math.NaN()
-			}
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		if n == 0 {
-			return hi
-		}
-		prev := cum - n
-		return lo + (hi-lo)*(rank-float64(prev))/float64(n)
-	}
-	return math.NaN() // unreachable: cum == total >= rank by the last bucket
-}
-
 // ExponentialBuckets returns n strictly increasing bounds starting at start
 // and growing by factor — the standard latency-histogram shape. It panics on
 // invalid shapes (start <= 0, factor <= 1, n < 1): bucket layouts are

@@ -8,7 +8,8 @@
 // The optimal schedule time-shares between at most two configurations that
 // are adjacent vertices of the lower convex hull of the (performance, power)
 // cloud augmented with the idle point — exactly the vertex structure of the
-// LP, which internal/lp cross-checks.
+// LP. The package tests hold both planning modes to an exhaustive
+// enumeration of those two-variable vertices.
 package pareto
 
 import (

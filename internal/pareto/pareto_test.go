@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"leo/internal/apps"
-	"leo/internal/lp"
 	"leo/internal/platform"
 )
 
@@ -275,10 +274,32 @@ func TestMinimizeEnergyValidation(t *testing.T) {
 	}
 }
 
-// TestHullMatchesSimplex cross-checks the closed-form hull walk against the
-// general simplex on Eq. (1) with the idle point folded in, over random
-// instances and demands.
-func TestHullMatchesSimplex(t *testing.T) {
+// pairOracle solves Eq. (1) by enumeration, sharing no code with the
+// planner. The variables are the configurations plus idle (rate 0, idle
+// power). With two equality constraints (work w, time t) an optimal vertex
+// of the LP uses at most two of them, so the least energy over every pair
+// whose closed-form times are non-negative is the optimum.
+func pairOracle(perf, power []float64, idle, w, t float64) float64 {
+	rate, pow := append([]float64{0}, perf...), append([]float64{idle}, power...)
+	best := math.Inf(1)
+	for i := range rate {
+		for j := i + 1; j < len(rate); j++ {
+			if rate[i] == rate[j] {
+				continue
+			}
+			// t_i + t_j = t and rate_i·t_i + rate_j·t_j = w.
+			tj := (w - rate[i]*t) / (rate[j] - rate[i])
+			if ti := t - tj; ti >= 0 && tj >= 0 {
+				best = min(best, pow[i]*ti+pow[j]*tj)
+			}
+		}
+	}
+	return best
+}
+
+// TestHullMatchesPairOracle holds the closed-form hull walk to the exact
+// pair enumeration over random instances and demands.
+func TestHullMatchesPairOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(20)
@@ -302,19 +323,9 @@ func TestHullMatchesSimplex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		// Simplex on power-above-idle with free slack, then add idle·T.
-		adj := make([]float64, n)
-		for i := range adj {
-			adj[i] = power[i] - idle
-		}
-		_, obj, err := lp.SolveEnergy(perf, adj, w, deadline)
-		if err != nil {
-			t.Fatalf("trial %d: simplex failed: %v", trial, err)
-		}
-		want := obj + idle*deadline
-		if math.Abs(plan.Energy-want) > 1e-6*(1+want) {
-			t.Fatalf("trial %d: hull %.9g vs simplex %.9g", trial, plan.Energy, want)
+		want := pairOracle(perf, power, idle, w, deadline)
+		if math.Abs(plan.Energy-want) > 1e-12*want {
+			t.Fatalf("trial %d: hull %.17g vs oracle %.17g", trial, plan.Energy, want)
 		}
 	}
 }

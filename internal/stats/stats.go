@@ -1,13 +1,10 @@
-// Package stats provides the statistical primitives used by LEO: summary
-// statistics, the paper's accuracy metric (Eq. 5), Gaussian and multivariate
-// Gaussian distributions, and the normal-inverse-Wishart prior from the
-// hierarchical model (Eq. 2).
+// Package stats provides the statistical primitives used by LEO: the
+// paper's accuracy metric (Eq. 5), the mean, and the per-configuration
+// column means of a profile database (the Offline estimator's prediction).
 package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"leo/internal/matrix"
 )
@@ -57,126 +54,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Variance returns the population variance of x (0 for fewer than 2 values).
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// StdDev returns the population standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// RMSE returns the root-mean-square error between estimate and truth.
-func RMSE(estimate, truth []float64) float64 {
-	if len(estimate) != len(truth) {
-		panic(fmt.Sprintf("stats: RMSE length mismatch %d vs %d", len(estimate), len(truth)))
-	}
-	if len(truth) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, y := range truth {
-		d := estimate[i] - y
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(truth)))
-}
-
-// MAE returns the mean absolute error between estimate and truth.
-func MAE(estimate, truth []float64) float64 {
-	if len(estimate) != len(truth) {
-		panic(fmt.Sprintf("stats: MAE length mismatch %d vs %d", len(estimate), len(truth)))
-	}
-	if len(truth) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i, y := range truth {
-		s += math.Abs(estimate[i] - y)
-	}
-	return s / float64(len(truth))
-}
-
-// Median returns the median of x (0 for empty input). The input is not
-// modified.
-func Median(x []float64) float64 {
-	return Percentile(x, 50)
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of x using linear
-// interpolation between order statistics. The input is not modified.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	if p < 0 || p > 100 {
-		panic(fmt.Sprintf("stats: percentile %g out of [0,100]", p))
-	}
-	sorted := append([]float64(nil), x...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// GeometricMean returns the geometric mean of strictly positive values; it
-// panics if any value is non-positive.
-func GeometricMean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range x {
-		if v <= 0 {
-			panic(fmt.Sprintf("stats: GeometricMean requires positive values, got %g", v))
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(x)))
-}
-
-// Covariance returns the population covariance of x and y.
-func Covariance(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("stats: Covariance length mismatch %d vs %d", len(x), len(y)))
-	}
-	if len(x) < 2 {
-		return 0
-	}
-	mx, my := Mean(x), Mean(y)
-	s := 0.0
-	for i := range x {
-		s += (x[i] - mx) * (y[i] - my)
-	}
-	return s / float64(len(x))
-}
-
-// Correlation returns the Pearson correlation of x and y (0 when either is
-// constant).
-func Correlation(x, y []float64) float64 {
-	sx, sy := StdDev(x), StdDev(y)
-	if sx == 0 || sy == 0 {
-		return 0
-	}
-	return Covariance(x, y) / (sx * sy)
 }
 
 // ColumnMeans returns the per-column mean of an apps×configs matrix — the

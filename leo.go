@@ -19,7 +19,7 @@
 //   - Profile databases and sampling  (internal/profile)
 //   - The LEO model                   (internal/core)
 //   - Baseline estimators             (internal/baseline)
-//   - Energy planning                 (internal/pareto, internal/lp)
+//   - Energy planning                 (internal/pareto)
 //   - Runtime control                 (internal/control)
 //
 // A minimal end-to-end use:
