@@ -103,9 +103,13 @@ func (e *Exhaustive) NewSession(context.Context) (Session, error) {
 // LEO adapts the hierarchical Bayesian model (internal/core) to the
 // Estimator interface. It is a thin wrapper over a *core.Prior fit once at
 // construction: every Estimate call and every session shares that offline
-// model instead of re-deriving it from the database.
+// model instead of re-deriving it from the database. Its sessions borrow
+// their fit scratch from one free list the estimator owns, so a serving
+// tier's tenants share a few scratch sets between them, and the scratch
+// goes with the estimator when it is dropped.
 type LEO struct {
 	prior *core.Prior
+	free  *core.FreeList
 	err   error // deferred construction failure, surfaced on use
 }
 
@@ -115,7 +119,10 @@ type LEO struct {
 // error-on-use contract this constructor has always had.
 func NewLEO(known *matrix.Matrix, opts core.Options) *LEO {
 	prior, err := core.NewPrior(known, opts)
-	return &LEO{prior: prior, err: err}
+	if err != nil {
+		return &LEO{err: err}
+	}
+	return NewLEOFromPrior(prior)
 }
 
 // NewLEOFromPrior wraps an existing shared prior — the path for serving many
@@ -124,7 +131,7 @@ func NewLEOFromPrior(prior *core.Prior) *LEO {
 	if prior == nil {
 		return &LEO{err: fmt.Errorf("baseline: nil prior")}
 	}
-	return &LEO{prior: prior}
+	return &LEO{prior: prior, free: prior.NewFreeList()}
 }
 
 // Name implements Estimator.
@@ -157,7 +164,7 @@ func (l *LEO) NewSession(context.Context) (Session, error) {
 	if l.err != nil {
 		return nil, l.err
 	}
-	return &leoSession{s: l.prior.NewSession()}, nil
+	return &leoSession{s: l.free.NewSession()}, nil
 }
 
 // Oracle is an Exhaustive-style estimator whose truth is recomputed on every

@@ -29,16 +29,6 @@ type Session interface {
 	Reset()
 }
 
-// ReleaseSession returns a session's pooled resources to its estimator for
-// reuse (LEO sessions return their EM workspace to the prior's free list).
-// The session must not be used afterwards. A no-op for session types that
-// pool nothing, so callers can release uniformly.
-func ReleaseSession(sess Session) {
-	if r, ok := sess.(interface{ Release() }); ok {
-		r.Release()
-	}
-}
-
 // validateObs applies the checks every estimator shares: matching lengths,
 // finite values, and — when n > 0 — in-range indices.
 func validateObs(obsIdx []int, obsVal []float64, n int) error {
@@ -158,7 +148,3 @@ func (ls *leoSession) FinishFit(res *core.Result, err error) ([]float64, error) 
 func (ls *leoSession) DropObservations() { ls.s.ClearObservations() }
 
 func (ls *leoSession) Reset() { ls.s.Reset() }
-
-// Release returns the core session to its prior's free list; the session
-// must not be used afterwards. See core.Session.Release.
-func (ls *leoSession) Release() { ls.s.Release() }

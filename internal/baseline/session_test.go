@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"leo/internal/core"
@@ -185,5 +187,77 @@ func TestNewLEOFromPrior(t *testing.T) {
 	}
 	if NewLEOFromPrior(nil).err == nil {
 		t.Fatal("NewLEOFromPrior(nil) must fail on use")
+	}
+}
+
+// TestLEOSessionsShareScratchConcurrently: sessions of one LEO estimator,
+// updated from concurrent goroutines as a server's shards update their
+// tenants, borrow fit scratch from the estimator's one free list and
+// produce exactly the estimates each would alone. Under -race it also
+// shows that no two fits in flight share scratch.
+func TestLEOSessionsShareScratchConcurrently(t *testing.T) {
+	const tenants, windows, n = 6, 3, 48
+	rng := rand.New(rand.NewSource(5))
+	known := matrix.New(8, n)
+	for i := range known.Data {
+		known.Data[i] = 1 + rng.Float64()
+	}
+	obs := make([][][]float64, tenants) // tenant → window → values at 0..5+w
+	for i := range obs {
+		obs[i] = make([][]float64, windows)
+		for w := range obs[i] {
+			obs[i][w] = make([]float64, 6+w)
+			for j := range obs[i][w] {
+				obs[i][w][j] = 1 + rng.Float64()
+			}
+		}
+	}
+	run := func(leo *LEO, i int) ([][]float64, error) {
+		sess, err := leo.NewSession(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		var out [][]float64
+		for _, vals := range obs[i] {
+			idx := make([]int, len(vals))
+			for j := range idx {
+				idx[j] = j * 7 % n
+			}
+			est, err := sess.Update(context.Background(), idx, vals)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, est)
+		}
+		return out, nil
+	}
+	shared := NewLEO(known, core.Options{})
+	got := make([][][]float64, tenants)
+	errs := make([]error, tenants)
+	var wg sync.WaitGroup
+	for i := 0; i < tenants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run(shared, i)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < tenants; i++ {
+		if errs[i] != nil {
+			t.Fatalf("tenant %d: %v", i, errs[i])
+		}
+		want, err := run(NewLEO(known, core.Options{}), i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range want {
+			for j := range want[w] {
+				if math.Float64bits(got[i][w][j]) != math.Float64bits(want[w][j]) {
+					t.Fatalf("tenant %d window %d estimate[%d]: %g concurrent, %g alone",
+						i, w, j, got[i][w][j], want[w][j])
+				}
+			}
+		}
 	}
 }

@@ -11,7 +11,9 @@ type StateCarrier interface {
 	// SessionState captures the restorable state as a deep copy.
 	SessionState() *core.SessionState
 	// RestoreSessionState replaces the session's state with a previously
-	// captured one; on error the session is unchanged.
+	// captured one; on error the session is unchanged. LEO's session keeps
+	// the state's subspace frame by reference (core.Session.Restore), so
+	// the caller must not mutate the state afterwards.
 	RestoreSessionState(*core.SessionState) error
 	// StateDigest fingerprints the model the state is only valid against
 	// (for LEO, the prior's database and options — see core.Prior.Digest).

@@ -176,9 +176,11 @@ func TestFitBatchEmptyAndCanceled(t *testing.T) {
 
 // TestConcurrentSessionsSharedPriorBitIdentical pins the immutability
 // contract the shard design relies on: N goroutines fitting disjoint
-// sessions against one shared Prior — no locks anywhere — must produce
-// results bit-identical to fitting the same sessions serially. Run under
-// -race this also proves the Prior is never written after construction.
+// sessions against one shared Prior, their fits borrowing scratch from one
+// shared free list as an estimator's sessions do from concurrent shards,
+// must produce results bit-identical to fitting the same sessions serially.
+// Run under -race this also proves the Prior is never written after
+// construction and that no two fits in flight share scratch.
 func TestConcurrentSessionsSharedPriorBitIdentical(t *testing.T) {
 	const nTenants = 8
 	known, idx, val := batchFixture(t, nTenants)
@@ -206,12 +208,13 @@ func TestConcurrentSessionsSharedPriorBitIdentical(t *testing.T) {
 
 	concurrent := make([]*Result, nTenants)
 	errs := make([]error, nTenants)
+	fl := prior.NewFreeList()
 	var wg sync.WaitGroup
 	for i := 0; i < nTenants; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := prior.NewSession()
+			s := fl.NewSession()
 			for j, ix := range idx[i][:8] {
 				if errs[i] = s.Add(ix, val[i][j]); errs[i] != nil {
 					return

@@ -8,9 +8,11 @@ import (
 	"leo/internal/matrix"
 )
 
-// emWorkspace owns every scratch buffer the E- and M-steps need. After the
-// first iteration touches each buffer, eStep and mStep perform zero heap
-// allocations (verified by TestEMIterationAllocs).
+// emWorkspace owns every scratch buffer the E- and M-steps need. It is fit
+// scratch (FreeList): a session borrows it for the length of a fit, and
+// after the first iteration through a workspace touches each buffer, eStep
+// and mStep perform zero heap allocations (verified by
+// TestEMIterationAllocs).
 //
 // The dense buffers are allocated the first time a path reads them, through
 // the accessors below: a session whose cold fits run in a data-subspace
@@ -44,10 +46,12 @@ type emWorkspace struct {
 	tObs    []float64 // k: observed-coordinate residual / K⁻¹ solve scratch
 	prev    []float64 // previous estimate (convergence check)
 	hd      []float64 // health watchdog: log-likelihood residual scratch
+	zsum    []float64 // a frozen iteration's Ĉμ, then Σᵢẑᵢ (warm.go)
 
-	// wc caches the frozen-parameter operators consecutive warm fits share;
-	// see warm.go.
-	wc warmCache
+	// fitPrepared marks the frozen fit's per-fit target quantities (chK, Vᵀ
+	// in wT, and vTarget) as current for this Fit's observation set; reset
+	// at every Fit entry.
+	fitPrepared bool
 
 	e eResult // reused E-step output, fields point into the buffers above
 }
@@ -149,7 +153,11 @@ func (ws *emWorkspace) ensureObs(n, k int) {
 // coldStart begins a cold fit. It runs in the data-subspace frame whenever
 // that is smaller than the configuration space (frame.go); a fit whose
 // frame would be full starts in the session's own coordinates (init).
+// Either way the held frame goes first: another session may share it, and
+// the new frame is built in the scratch's own storage.
 func (em *Session) coldStart() {
+	em.sub.unbind()
+	em.held = heldFrame{}
 	if !em.initSubspace() {
 		em.init()
 	}
@@ -162,9 +170,8 @@ func (em *Session) coldStart() {
 // which builds Σ₀ on first use.
 func (em *Session) init() {
 	p := em.prior
-	if em.sub != nil {
-		em.sub.active, em.sub.held = false, false
-	}
+	em.sub.active = false
+	em.mu = growVec(em.mu, em.n)
 	switch {
 	case em.opts.InitMu != nil:
 		copy(em.mu, em.opts.InitMu)
@@ -288,13 +295,17 @@ func (em *Session) run(ctx context.Context, maxIter int) (*Result, error) {
 	estimate := matrix.CloneVec(em.lift(e.zTarget))
 	variance := make([]float64, em.n)
 	switch sp := em.sub; {
-	case sp != nil && sp.active:
-		// μ goes back to the session's own coordinates, where the next
-		// window moves it; Σ stays in the frame, which frozen refits, State
-		// and FrozenOps read (frame.go).
+	case sp.active:
 		sp.diag(variance, e.cTarget, e.compTarget) // Ĉ_M's diagonal
-		sp.lift(em.mu, sp.mu)
-		sp.active, sp.held = false, true
+		sp.active = false
+		if !em.oneShot {
+			// μ goes back to the session's own coordinates, where the next
+			// window moves it; Σ stays in the frame, which the session now
+			// holds for frozen refits, State and FrozenOps (frame.go).
+			em.mu = growVec(em.mu, em.n)
+			sp.lift(em.mu, sp.mu)
+			em.held = sp.take()
+		}
 	case e.cTarget == nil:
 		copy(variance, e.vTarget)
 	default:

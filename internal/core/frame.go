@@ -36,10 +36,17 @@ import "leo/internal/matrix"
 //
 // The fitted posterior stays in its cold fit's frame (DESIGN.md §16): μ is
 // lifted to a dense n-vector, because the next window's observations move
-// it out of V, but Σ = αI + P(Σ′−αI)Pᵀ is kept as (α, Q, Ω, Σ′). Frozen
-// refits never change Σ, so they act on it through that structure
-// (warm.go). No fit forms the dense Σ; SessionState.DenseSigma does, for a
-// caller that wants it (materialize).
+// it out of V, but Σ = αI + P(Σ′−αI)Pᵀ is kept as (α, Q, Ω, Σ′), the
+// session's heldFrame. Frozen refits never change Σ, so they act on it
+// through that structure (warm.go). No fit forms the dense Σ;
+// SessionState.DenseSigma does, for a caller that wants it (materialize).
+//
+// Everything else a frame uses is fit scratch (FreeList): the basis build,
+// the frame's coordinates and workspace, and the frozen refit's per-fit
+// operands live in a subspace the session borrows for one fit. A cold fit
+// builds its frame there, in storage no session holds, and hands Ω, Q and
+// Σ′ to the session when it ends; a frozen refit binds the borrowed
+// subspace to the held frame, which it only reads.
 
 // frameRankTol is the rank tolerance of subspace.basis: a candidate whose
 // residual, once the basis so far is projected out, is at most frameRankTol
@@ -68,19 +75,33 @@ type frame struct {
 // comp is the number of complement directions, zero in the identity frame.
 func (f *frame) comp() int { return f.full - f.n }
 
-// subspace is a session's subspace-frame storage: allocated on its first
-// frame fit, reused (grow-only) by every later one. P = [E_Ω | Q] is never
-// formed: the E_Ω half is index bookkeeping on Ω, and only Q is stored.
+// heldFrame is a fitted posterior's subspace frame, the part of a frame a
+// session keeps between fits: Σ = αI + P(Σ′−αI)Pᵀ with P = [E_Ω | Q]. A
+// cold fit builds it; Restore takes it by reference from the state it
+// restores, so sessions seeded from one state share one frame, and no fit
+// writes through it.
+type heldFrame struct {
+	alpha float64        // Σ's eigenvalue on the complement
+	omega []int          // Ω: the configurations of frame coordinates 0..k−1
+	q     *matrix.Matrix // n×r: Q, zero on Ω's rows
+	sigma *matrix.Matrix // d×d: Σ′
+}
+
+// subspace is a subspace frame's fit scratch, reused (grow-only) by every
+// fit that borrows it. P = [E_Ω | Q] is never formed: the E_Ω half is index
+// bookkeeping on Ω, and only Q is stored. omega, q and the frame's alpha
+// and sigma are either the frame a cold fit is building, in the scratch's
+// own storage, or — while bound — a session's held frame, read-only.
 type subspace struct {
 	frame
-	active bool  // a cold fit is running in this frame
-	held   bool  // the session's posterior Σ is (α, Q, Ω, Σ′) of this frame
-	omega  []int // Ω: the configurations of frame coordinates 0..k−1 (owned)
+	active bool           // a cold fit is running in this frame
+	bound  bool           // omega, q, alpha and sigma are a session's held frame
+	omega  []int          // Ω: the configurations of frame coordinates 0..k−1
+	q      *matrix.Matrix // n×r: Q, zero on Ω's rows
 
 	cand *matrix.Matrix // Qᵀ (r×n): the accepted basis candidates
 	rf   *matrix.Matrix // nc×nc: row i is candidate i's components along Q
 	coef []float64      // one projection pass's coefficients
-	q    *matrix.Matrix // n×r: Q, zero on Ω's rows
 	obs  []int          // 0..k−1, the observations' frame coordinates
 	mean []float64      // d: Pᵀ × the database column means
 	devT *matrix.Matrix // d×rows: centered database coordinates
@@ -98,23 +119,55 @@ type subspace struct {
 	uq     *matrix.Matrix // k′×r: U's Q columns
 }
 
-// subspaceBuf returns the session's subspace-frame storage, allocating it
-// on first use.
-func (em *Session) subspaceBuf() *subspace {
-	if em.sub == nil {
-		em.sub = &subspace{}
-		em.sub.ws = newEMWorkspace(0, em.known.Rows)
+func newSubspace(rows int) *subspace {
+	sp := &subspace{}
+	sp.ws = newEMWorkspace(0, rows)
+	return sp
+}
+
+// bind points the subspace at a session's held frame over n
+// configurations, for a frozen refit or an operator build to read.
+func (sp *subspace) bind(h *heldFrame, n int) {
+	sp.omega, sp.q, sp.alpha, sp.sigma = h.omega, h.q, h.alpha, h.sigma
+	sp.n, sp.full = h.sigma.Rows, n
+	sp.active, sp.bound = false, true
+}
+
+// unbind drops a bound held frame, so that nothing built next in this
+// scratch writes through it.
+func (sp *subspace) unbind() {
+	if sp.bound {
+		sp.omega, sp.q, sp.sigma = nil, nil, nil
+		sp.bound = false
 	}
-	return em.sub
+}
+
+// take hands the frame a cold fit just built to its session: the scratch
+// lets go of Ω, Q and Σ′, and builds the next frame in fresh storage.
+func (sp *subspace) take() heldFrame {
+	h := heldFrame{alpha: sp.alpha, omega: sp.omega, q: sp.q, sigma: sp.sigma}
+	sp.omega, sp.q, sp.sigma = nil, nil, nil
+	return h
 }
 
 // heldFrame returns the subspace frame the session's posterior lives in, or
 // nil when it lives in the identity frame (the dense em.sigma).
-func (em *Session) heldFrame() *subspace {
-	if em.sub != nil && em.sub.held {
-		return em.sub
+func (em *Session) heldFrame() *heldFrame {
+	if em.held.sigma != nil {
+		return &em.held
 	}
 	return nil
+}
+
+// heldSub returns the borrowed subspace bound to the session's held frame,
+// or nil when the posterior lives in the identity frame.
+func (em *Session) heldSub() *subspace {
+	h := em.heldFrame()
+	if h == nil {
+		return nil
+	}
+	em.sub.bind(h, em.n)
+	return em.sub
 }
 
 // sigmaBuf returns the session's dense Σ, allocating it on first use: only
@@ -125,7 +178,7 @@ func (em *Session) sigmaBuf() *matrix.Matrix { return sized(&em.sigma, em.n, em.
 // subspace frame while a cold fit runs in one, otherwise the session's own
 // parameters.
 func (em *Session) frame() *frame {
-	if em.sub != nil && em.sub.active {
+	if em.sub.active {
 		return &em.sub.frame
 	}
 	em.own = frame{n: em.n, full: em.n, known: em.known, mu: em.mu, sigma: em.sigma,
@@ -137,7 +190,7 @@ func (em *Session) frame() *frame {
 // subspace frame (into scratch the next lift overwrites), v′ itself in the
 // identity frame.
 func (em *Session) lift(v []float64) []float64 {
-	if em.sub == nil || !em.sub.active {
+	if !em.sub.active {
 		return v
 	}
 	return em.sub.lift(em.sub.z, v)
@@ -156,9 +209,10 @@ func (sp *subspace) lift(dst, v []float64) []float64 {
 // initSubspace starts a cold fit in the subspace frame: it builds the basis,
 // then the starting parameters exactly as init defines them, in frame
 // coordinates (α₀ = 1). It reports false, leaving the session's parameters
-// untouched, when the frame would span every configuration.
+// untouched, when the frame would span every configuration. The scratch
+// must be unbound: Ω, Q and Σ′ are built in its own storage.
 func (em *Session) initSubspace() bool {
-	sp := em.subspaceBuf()
+	sp := em.sub
 	n, k, rows := em.n, len(em.obsIdx), em.known.Rows
 	r := sp.basis(em.known, em.opts.InitMu, em.obsIdx)
 	d := k + r
@@ -166,7 +220,6 @@ func (em *Session) initSubspace() bool {
 		return false
 	}
 	sp.omega = append(sp.omega[:0], em.obsIdx...)
-	sp.held = false
 	q := sized(&sp.q, n, r)
 	for c := 0; c < r; c++ {
 		for j, v := range sp.cand.RowView(c) {

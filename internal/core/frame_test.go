@@ -229,34 +229,43 @@ func TestFrameFitLeavesDenseBuffersUnallocated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every fit below borrows the prior's own free list's scratch.
 	dense := func(s *Session) string {
-		ws := s.ws
-		for name, m := range map[string]*matrix.Matrix{"Σ": s.sigma, "cFull": ws.cFull, "cTarget": ws.cTarget,
-			"sw": ws.sw, "rhsFull": ws.rhsFull, "zFull": ws.zFull, "dev": ws.dev, "S": ws.s} {
-			if m != nil {
-				return name
+		if s.sigma != nil {
+			return "Σ"
+		}
+		for _, sc := range prior.free.free {
+			ws := sc.ws
+			for name, m := range map[string]*matrix.Matrix{"cFull": ws.cFull, "cTarget": ws.cTarget,
+				"sw": ws.sw, "rhsFull": ws.rhsFull, "zFull": ws.zFull, "dev": ws.dev, "S": ws.s} {
+				if m != nil {
+					return name
+				}
 			}
-		}
-		if ws.chA != nil {
-			return "Σ+σ²I factor"
-		}
-		if s.sub != nil && s.sub.h != nil {
-			return "n×r product Q·G"
+			if ws.chA != nil {
+				return "Σ+σ²I factor"
+			}
+			if sc.sub.h != nil {
+				return "n×r product Q·G"
+			}
 		}
 		return ""
 	}
 
-	// The one-shot fit's session goes back to the free list; the hook
-	// catches it.
+	// The one-shot fit keeps no posterior; the hook catches its session.
 	var oneShot *Session
-	healthTestHook = func(em *Session, iter int) { oneShot = em }
+	framed := false
+	healthTestHook = func(em *Session, iter int) { oneShot, framed = em, em.sub.active }
 	_, err = prior.Estimate(ctx, obsIdx, obsVal)
 	healthTestHook = nil
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oneShot == nil || oneShot.heldFrame() == nil {
-		t.Fatal("one-shot fit did not keep a subspace frame")
+	if oneShot == nil || !framed {
+		t.Fatal("one-shot fit did not run in a subspace frame")
+	}
+	if oneShot.mu != nil || oneShot.heldFrame() != nil {
+		t.Error("one-shot Prior.Estimate kept its posterior")
 	}
 	if name := dense(oneShot); name != "" {
 		t.Errorf("one-shot Prior.Estimate allocated the dense %s", name)

@@ -108,8 +108,8 @@ func (em *Session) checkLL(ll, prev float64, havePrev bool, iter int) error {
 func (em *Session) scanPosterior(e *eResult, iter int) error {
 	f := em.frame()
 	sigma, alpha := f.sigma, f.alpha
-	if sp := em.heldFrame(); sp != nil {
-		sigma, alpha = sp.sigma, sp.alpha
+	if h := em.heldFrame(); h != nil {
+		sigma, alpha = h.sigma, h.alpha
 	}
 	bad := ""
 	switch {

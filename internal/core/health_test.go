@@ -331,7 +331,7 @@ func TestHealthInLoopLLMatchesReference(t *testing.T) {
 	}
 	s.frozen = true
 	s.ws.ensureObs(s.n, len(s.obsIdx))
-	s.ws.wc.fitPrepared = false
+	s.ws.fitPrepared = false
 	check("frozen", s)
 }
 

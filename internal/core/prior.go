@@ -34,9 +34,9 @@ func canceled(cause error) error {
 //
 // A Prior's model is immutable once built and the whole object is safe for
 // concurrent use: any number of goroutines may call NewSession and run the
-// resulting sessions in parallel. The only mutable state is the session free
-// list, which has its own lock, and the lazily built Σ₀, which sigma0Once
-// guards.
+// resulting sessions in parallel. The only mutable state is the prior's own
+// free list of fit scratch, which has its own lock, and the lazily built Σ₀,
+// which sigma0Once guards.
 type Prior struct {
 	opts  Options
 	known *matrix.Matrix // private clone of the (M−1)×n database
@@ -52,11 +52,9 @@ type Prior struct {
 	sigma0Once sync.Once
 	sigma0     *matrix.Matrix // initial Σ: identity + sample covariance
 
-	// Session free list (see Session.Release). A session's EM workspace is a
-	// few n×n matrices — recycling it turns admission in a churning fleet
-	// from megabytes of zeroed allocations into a pointer pop.
-	poolMu sync.Mutex
-	pool   []*Session
+	// The free list NewSession's sessions and Estimate's one-shot fits
+	// borrow their fit scratch from.
+	free *FreeList
 
 	// Cached Digest (the fold walks the whole database; see state.go).
 	digestOnce sync.Once
@@ -83,6 +81,7 @@ func NewPrior(known *matrix.Matrix, opts Options) (*Prior, error) {
 	}
 
 	p := &Prior{opts: opts, known: known.Clone(), n: n}
+	p.free = p.NewFreeList()
 	if p.known.Rows > 0 {
 		p.colMean = stats.ColumnMeans(p.known)
 	}
@@ -122,10 +121,10 @@ func (p *Prior) Options() Options { return p.opts }
 // package-level Estimate, minus rebuilding the offline model. Validation
 // matches Estimate too — mismatched lengths, duplicate or out-of-range
 // indices and non-finite values are rejected with the same errors. The fit
-// runs in a session that is released to the prior's free list afterwards,
-// so the next one-shot fit reuses its workspace and nothing of its
-// posterior beyond the Result survives; to read the fitted μ and Σ, fit a
-// session and take its State.
+// borrows its scratch from the prior's free list and keeps no posterior:
+// nothing of it beyond the Result survives, so the fit leaves μ in its
+// frame and the frame's storage in the scratch, where the next one-shot fit
+// reuses it. To read the fitted μ and Σ, fit a session and take its State.
 func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*Result, error) {
 	if len(obsIdx) != len(obsVal) {
 		return nil, fmt.Errorf("core: %d observation indices but %d values", len(obsIdx), len(obsVal))
@@ -133,97 +132,133 @@ func (p *Prior) Estimate(ctx context.Context, obsIdx []int, obsVal []float64) (*
 	if p.known.Rows == 0 && len(obsIdx) == 0 {
 		return nil, ErrNoData
 	}
-	seen := make(map[int]bool, len(obsIdx))
-	for _, idx := range obsIdx {
+	s := p.NewSession()
+	s.oneShot = true
+	s.obsPos = make(map[int]int, len(obsIdx))
+	for i, idx := range obsIdx {
 		if idx < 0 || idx >= p.n {
 			return nil, fmt.Errorf("core: observation index %d out of range [0,%d)", idx, p.n)
 		}
-		if seen[idx] {
+		if _, dup := s.obsPos[idx]; dup {
 			return nil, fmt.Errorf("core: duplicate observation index %d", idx)
 		}
-		seen[idx] = true
+		s.obsPos[idx] = i
 	}
 	for _, v := range obsVal {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, fmt.Errorf("core: non-finite observation %g", v)
 		}
 	}
-	s := p.NewSession()
-	defer s.Release() // the Result aliases nothing of the session
-	for i, idx := range obsIdx {
-		if err := s.Add(idx, obsVal[i]); err != nil {
-			return nil, err
-		}
-	}
+	// The session dies before Estimate returns and never writes its
+	// observations, so it reads the caller's in place.
+	s.obsIdx, s.obsVal = obsIdx, obsVal
 	return s.Fit(ctx)
 }
 
-// NewSession creates an independent fitting session over this prior. Sessions
-// are cheap relative to a fit (they allocate μ and the EM workspace's
-// vectors, leaving Σ and the dense buffers to the first path that reads
-// them, and compute nothing) and are not safe for concurrent use with
-// themselves — use one per goroutine; the shared Prior is. When the free
-// list holds a released session it is recycled instead, which skips the
-// workspace allocation entirely; a recycled session is indistinguishable
-// from a fresh one (every fit path fully rewrites the parameters before
-// reading them).
-func (p *Prior) NewSession() *Session {
-	p.poolMu.Lock()
-	if k := len(p.pool); k > 0 {
-		s := p.pool[k-1]
-		p.pool[k-1] = nil
-		p.pool = p.pool[:k-1]
-		p.poolMu.Unlock()
-		return s
-	}
-	p.poolMu.Unlock()
-	n := p.n
+// NewSession creates an independent fitting session over this prior whose
+// fits borrow their scratch from the prior's own free list. Only one-shot
+// fits and callers without an estimator of their own reach that list;
+// baseline.LEO opens its sessions through a free list of its own
+// (NewFreeList). See FreeList.NewSession.
+func (p *Prior) NewSession() *Session { return p.free.NewSession() }
+
+// A FreeList lends fit scratch to the sessions opened through it. A session
+// keeps its posterior between fits and nothing else: every buffer a fit
+// writes and no later fit reads (the EM workspaces, the frame build, the
+// frozen refit's per-fit operands) is scratch, which each fit takes from
+// the list at entry and returns at exit. A returned scratch is reused
+// unzeroed by whichever session fits next, as every fit path rewrites what
+// it reads. The list grows only while fits run at once through it, so it
+// holds at most as many scratch sets as it ever lent together, and it dies
+// with its owner: baseline.LEO owns one per estimator. Safe for concurrent
+// use.
+type FreeList struct {
+	prior *Prior
+	mu    sync.Mutex
+	free  []*fitScratch
+}
+
+// NewFreeList returns an empty free list for sessions over p.
+func (p *Prior) NewFreeList() *FreeList { return &FreeList{prior: p} }
+
+// NewSession creates an independent fitting session over the list's prior.
+// Opening one allocates only the observation index and computes nothing: μ
+// arrives with the first fit or Restore, and the fits borrow everything
+// else from the list. Sessions are not safe for concurrent use with
+// themselves — use one per goroutine; the shared Prior and FreeList are.
+func (fl *FreeList) NewSession() *Session {
+	p := fl.prior
 	return &Session{
 		prior:  p,
+		free:   fl,
 		opts:   p.opts,
 		known:  p.known,
-		n:      n,
+		n:      p.n,
 		m:      p.known.Rows + 1,
-		mu:     make([]float64, n),
 		obsPos: make(map[int]int),
-		ws:     newEMWorkspace(n, p.known.Rows),
 	}
 }
 
-// sessionPoolMax bounds each prior's free list; releases past the bound fall
-// to the garbage collector, so a transient registration spike cannot pin its
-// peak working set forever.
-const sessionPoolMax = 256
+// get pops a scratch set, or allocates one when none is free.
+func (fl *FreeList) get() *fitScratch {
+	fl.mu.Lock()
+	if k := len(fl.free); k > 0 {
+		sc := fl.free[k-1]
+		fl.free[k-1] = nil
+		fl.free = fl.free[:k-1]
+		fl.mu.Unlock()
+		return sc
+	}
+	fl.mu.Unlock()
+	return newFitScratch(fl.prior.n, fl.prior.known.Rows)
+}
 
-// Release returns the session to its prior's free list for NewSession to
-// recycle. The session must not be used after Release — treat it like a
-// freed buffer. Releasing is optional (an abandoned session is collected
-// normally); it pays off where sessions churn, e.g. a serving fleet
-// admitting and evicting tenants.
-func (s *Session) Release() {
-	if s == nil || s.prior == nil {
-		return
+// put returns a scratch set, holding no session's frame, to the list.
+func (fl *FreeList) put(sc *fitScratch) {
+	sc.sub.unbind()
+	fl.mu.Lock()
+	fl.free = append(fl.free, sc)
+	fl.mu.Unlock()
+}
+
+// fitScratch is everything a fit writes and no later fit reads.
+type fitScratch struct {
+	ws  *emWorkspace // n-dimensional: the identity frame's and the target's buffers
+	sub *subspace    // the subspace frame's build and d-dimensional buffers
+}
+
+func newFitScratch(n, rows int) *fitScratch {
+	return &fitScratch{ws: newEMWorkspace(n, rows), sub: newSubspace(rows)}
+}
+
+// borrow takes scratch from the session's free list unless the session
+// already holds some, and reports whether it took it; whoever took it
+// returns it with giveBack.
+func (s *Session) borrow() bool {
+	if s.fitScratch != nil {
+		return false
 	}
-	s.Reset()
-	s.health = Health{}
-	s.frozen = false
-	s.sigma2 = 0
-	s.ws.wc.invalidate()
-	p := s.prior
-	p.poolMu.Lock()
-	if len(p.pool) < sessionPoolMax {
-		p.pool = append(p.pool, s)
-	}
-	p.poolMu.Unlock()
+	s.fitScratch = s.free.get()
+	return true
+}
+
+// giveBack returns the session's scratch to its free list.
+func (s *Session) giveBack() {
+	s.free.put(s.fitScratch)
+	s.fitScratch = nil
 }
 
 // Session is one target application's incremental fit against a shared Prior.
-// It accumulates online observations via Add, owns the EM workspace (so
-// repeated fits allocate nothing beyond the first), and warm-starts each Fit
-// from the posterior parameters of the previous one. The zero value is
-// unusable; obtain sessions from Prior.NewSession.
+// It accumulates online observations via Add and warm-starts each Fit from
+// the posterior parameters of the previous one. Between fits it holds that
+// posterior and nothing else — μ, σ², its observations, Σ in its frame and
+// the frozen-refit operators — and each fit borrows its scratch from the
+// free list the session was opened with (FreeList), so repeated fits
+// allocate nothing beyond the first. The zero value is unusable; obtain
+// sessions from Prior.NewSession or FreeList.NewSession.
 type Session struct {
 	prior *Prior
+	free  *FreeList
 	opts  Options
 	known *matrix.Matrix // the prior's database (shared, read-only)
 	n     int            // configurations
@@ -235,32 +270,43 @@ type Session struct {
 
 	// Posterior parameters. Before the first fit (or after ForgetPosterior)
 	// they are seeded from the prior; afterwards they carry the previous
-	// fit's result, which is the warm start. μ is always dense. Σ lives in
-	// the posterior's frame (frame.go): the subspace frame sub when
-	// sub.held is set, otherwise the identity frame, where sigma holds it
-	// densely (allocated by the first path that needs it).
+	// fit's result, which is the warm start. μ is dense, allocated by the
+	// first fit or Restore that writes it. Σ lives in the posterior's frame
+	// (frame.go): the subspace frame held when it is set, otherwise the
+	// identity frame, where sigma holds it densely (allocated by the first
+	// path that needs it).
 	mu     []float64
 	sigma  *matrix.Matrix
 	sigma2 float64
 	warm   bool
+	held   heldFrame
 
-	// sub is the data-subspace frame a cold fit runs in (frame.go),
-	// allocated on the session's first frame fit, and the fitted
-	// posterior's frame afterwards; own is the identity frame over the
-	// session's own parameters, refreshed by frame().
-	sub *subspace
+	// ops is the frozen-refit operator set of the current posterior, built
+	// by the first frozen refit or adopted from a seed donor (warm.go);
+	// anything that changes Σ or σ² drops it.
+	ops *frozenOps
+
+	// own is the identity frame over the session's own parameters,
+	// refreshed by frame().
 	own frame
 
 	health Health
 
 	// frozen marks the current Fit as a frozen-parameter warm refit: Σ and
-	// σ² stay pinned, the E-step runs from the warm operator cache, and the
-	// M-step updates μ only. Recomputed at every Fit entry (see warm.go for
-	// the cache it enables); cleared for the cold refit that rescues a
+	// σ² stay pinned, the E-step runs from the operator set, and the M-step
+	// updates μ only. Recomputed at every Fit entry (see warm.go for the
+	// operators it enables); cleared for the cold refit that rescues a
 	// tripped one.
 	frozen bool
 
-	ws *emWorkspace
+	// oneShot marks Prior.Estimate's session, whose posterior dies with
+	// the call: its cold fit leaves μ unlifted and its frame in the
+	// scratch.
+	oneShot bool
+
+	// The fit scratch, borrowed from free for the length of a fit (and by
+	// FrozenOps to build the operators outside one); nil between fits.
+	*fitScratch
 }
 
 // Add records an observation of the target application: val measured at
@@ -340,13 +386,13 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 	if s.known.Rows == 0 && len(s.obsIdx) == 0 {
 		return nil, ErrNoData
 	}
-	if s.sub != nil {
-		// A frame lives for one fit; whatever the last fit left is stale.
-		s.sub.active = false
+	if s.borrow() {
+		defer s.giveBack()
 	}
-	// The per-fit target preparation is redone for every fit's observation
-	// set.
-	s.ws.wc.fitPrepared = false
+	// A frame lives for one fit; whatever the scratch's last fit left is
+	// stale, and so is its per-fit target preparation.
+	s.sub.active = false
+	s.ws.fitPrepared = false
 	warm := s.warm && s.known.Rows > 0
 	var (
 		res *Result
@@ -387,10 +433,11 @@ func (s *Session) Fit(ctx context.Context) (*Result, error) {
 }
 
 // fitCold runs a cold fit from the prior's starting parameters. It rewrites
-// Σ and σ², so the frozen-refit operator cache dies with it.
+// Σ and σ², so the frozen-refit operators die with it.
 func (s *Session) fitCold(ctx context.Context) (*Result, error) {
 	s.frozen = false
-	s.ws.wc.invalidate()
+	s.ops = nil
+	s.ws.fitPrepared = false
 	s.coldStart()
 	return s.run(ctx, s.opts.MaxIter)
 }

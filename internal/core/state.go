@@ -9,8 +9,8 @@ import (
 
 // SessionState is the serializable snapshot of a Session: the accumulated
 // observations plus — when the session is warm — the posterior parameters
-// the next Fit would warm-start from. Everything else a Session carries
-// (workspaces, Cholesky factors, the prior itself) is deterministically
+// the next Fit would warm-start from. Everything else a fit reads (the
+// frozen-refit operators, its scratch, the prior itself) is deterministically
 // rebuilt, so it is deliberately elided: a restored session's next Fit is
 // bit-identical to the original's because the EM recurrence depends only on
 // (prior, μ, Σ, σ², observations).
@@ -71,13 +71,13 @@ func (s *Session) State() *SessionState {
 	if s.warm {
 		st.Mu = matrix.CloneVec(s.mu)
 		st.Sigma2 = s.sigma2
-		if sp := s.heldFrame(); sp != nil {
-			st.Alpha = sp.alpha
-			st.Omega = append([]int(nil), sp.omega...)
-			if sp.q.Cols > 0 {
-				st.Q = sp.q.Clone()
+		if h := s.heldFrame(); h != nil {
+			st.Alpha = h.alpha
+			st.Omega = append([]int(nil), h.omega...)
+			if h.q.Cols > 0 {
+				st.Q = h.q.Clone()
 			}
-			st.SigmaFrame = sp.sigma.Clone()
+			st.SigmaFrame = h.sigma.Clone()
 		} else {
 			st.SigmaFrame = s.sigma.Clone()
 		}
@@ -163,6 +163,11 @@ func (st *SessionState) validateFrame(n int) error {
 // ones written, not that they describe a usable model. On any validation
 // error the session is left unchanged. A successful restore makes the next
 // Fit bit-identical to what the captured session's next Fit would have been.
+//
+// μ and the observations are copied, but a subspace frame (Omega, Q and
+// SigmaFrame) is kept by reference: every session restored from one state
+// shares its frame, which no fit writes through (a cold fit builds a new
+// one), so the caller must not mutate st afterwards.
 func (s *Session) Restore(st *SessionState) error {
 	if st == nil {
 		return fmt.Errorf("core: nil session state")
@@ -184,48 +189,33 @@ func (s *Session) Restore(st *SessionState) error {
 		}
 	}
 	s.Reset()
-	// The restored parameters need not match the ones the warm operator
-	// cache was built against; the next frozen fit rebuilds it (the cache is
-	// a pure function of the posterior and σ², so the rebuild is
-	// bit-identical to what the captured session computed incrementally).
-	s.ws.wc.invalidate()
+	// The restored parameters need not match the ones the operator set was
+	// built against; the next frozen fit rebuilds it (the set is a pure
+	// function of the posterior and σ², so the rebuild is bit-identical to
+	// what the captured session computed incrementally).
+	s.ops = nil
+	s.held = heldFrame{}
 	for i, idx := range st.ObsIdx {
 		if err := s.Add(idx, st.ObsVal[i]); err != nil {
 			return err
 		}
 	}
 	if st.Warm {
+		s.mu = growVec(s.mu, s.n)
 		copy(s.mu, st.Mu)
 		s.sigma2 = st.Sigma2
 		if st.identity() {
-			if s.sub != nil {
-				s.sub.held = false
-			}
 			matrix.CloneInto(s.sigmaBuf(), st.SigmaFrame)
 		} else {
-			s.holdFrame(st)
+			q := st.Q
+			if q == nil {
+				q = matrix.New(s.n, 0)
+			}
+			s.held = heldFrame{alpha: st.Alpha, omega: st.Omega, q: q, sigma: st.SigmaFrame}
 		}
 		s.warm = true
 	}
 	return nil
-}
-
-// holdFrame installs a validated subspace-frame posterior from st into the
-// session's frame storage.
-func (s *Session) holdFrame(st *SessionState) {
-	sp := s.subspaceBuf()
-	d := st.SigmaFrame.Rows
-	r := d - len(st.Omega)
-	sp.omega = append(sp.omega[:0], st.Omega...)
-	q := sized(&sp.q, s.n, r)
-	if r > 0 {
-		copy(q.Data, st.Q.Data)
-	}
-	f := &sp.frame
-	f.n, f.full, f.alpha = d, s.n, st.Alpha
-	f.ws.resize(d)
-	matrix.CloneInto(sized(&f.sigma, d, d), st.SigmaFrame)
-	sp.active, sp.held = false, true
 }
 
 // PriorDigest returns the digest of the prior this session was opened from;

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"leo/internal/matrix"
@@ -135,6 +136,110 @@ func TestStateDeepCopy(t *testing.T) {
 		sp.omega[0] == -7 || s.obsVal[0] == 1e9 {
 		t.Fatal("State() shares memory with the session")
 	}
+}
+
+// TestSharedFrameStaysReadOnly pins what sharing a restored frame relies
+// on. Sessions restored from one state hold its Ω, Q and Σ′ by reference,
+// and all of them borrow one free list's scratch here. One runs a frozen
+// refit, which binds the scratch to the shared frame; one refits cold; one
+// trips a frozen refit's watchdog and is rescued by a cold fit in the
+// scratch its frozen attempt had bound. After all that, the fourth
+// session's next frozen fit must be Float64bits-equal to that of a session
+// restored from a deep copy of the state, and the state's frame bits must
+// be the ones captured.
+func TestSharedFrameStaysReadOnly(t *testing.T) {
+	known, obsIdx, obsVal := sessionFixture(t)
+	prior, err := NewPrior(known, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	donor := prior.NewSession()
+	addAll(t, donor, obsIdx, obsVal)
+	if _, err := donor.Fit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st := donor.State()
+	if st.Q == nil {
+		t.Fatal("donor's posterior is not in a subspace frame")
+	}
+	qBits, sigmaBits := bitsOf(st.Q.Data), bitsOf(st.SigmaFrame.Data)
+	omega := append([]int(nil), st.Omega...)
+	copied := donor.State()
+
+	fl := prior.NewFreeList()
+	frozen, cold, rescued, other := fl.NewSession(), fl.NewSession(), fl.NewSession(), fl.NewSession()
+	for _, s := range []*Session{frozen, cold, rescued, other} {
+		if err := s.Restore(st); err != nil {
+			t.Fatal(err)
+		}
+		if s.held.sigma != st.SigmaFrame || s.held.q != st.Q {
+			t.Fatal("Restore copied the state's frame")
+		}
+	}
+	ref := prior.NewFreeList().NewSession()
+	if err := ref.Restore(copied); err != nil {
+		t.Fatal(err)
+	}
+	window := func(s *Session, scale float64) *Result {
+		t.Helper()
+		s.ClearObservations()
+		addAll(t, s, obsIdx[:10], obsVal[:10])
+		if err := s.Add(obsIdx[10], scale*obsVal[10]); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Fit(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	window(frozen, 1.1)
+	cold.ForgetPosterior()
+	window(cold, 1.2)
+	if h := cold.heldFrame(); h == nil || h.sigma == st.SigmaFrame || h.q == st.Q {
+		t.Fatal("the cold refit did not build a frame of its own")
+	}
+	poisoned := poisonFrozen(t, rescued)
+	window(rescued, 1.3)
+	healthTestHook = nil
+	if !*poisoned || rescued.Health().Fallbacks != 1 {
+		t.Fatalf("poisoned=%v fallbacks=%d, want a rescued frozen refit", *poisoned, rescued.Health().Fallbacks)
+	}
+
+	got, want := window(other, 1.4), window(ref, 1.4)
+	if !other.frozen || !ref.frozen {
+		t.Fatal("the comparison refits did not run frozen")
+	}
+	gs, ws := other.State(), ref.State()
+	for _, pair := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"estimate", got.Estimate, want.Estimate},
+		{"variance", got.Variance, want.Variance},
+		{"noise", []float64{got.Noise}, []float64{want.Noise}},
+		{"μ", gs.Mu, ws.Mu},
+		{"Σ′", gs.SigmaFrame.Data, ws.SigmaFrame.Data},
+	} {
+		if !slices.Equal(bitsOf(pair.got), bitsOf(pair.want)) {
+			t.Fatalf("frozen fit on the shared frame: %s bits differ from the deep copy's", pair.name)
+		}
+	}
+	if !slices.Equal(bitsOf(st.Q.Data), qBits) || !slices.Equal(bitsOf(st.SigmaFrame.Data), sigmaBits) ||
+		!slices.Equal(st.Omega, omega) {
+		t.Fatal("a fit wrote through the shared frame")
+	}
+}
+
+// bitsOf returns the IEEE 754 bits of every entry of v.
+func bitsOf(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
 }
 
 // TestStateClearObservationsRoundTrip: a session that dropped its

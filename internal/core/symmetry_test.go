@@ -149,11 +149,12 @@ func TestMStepSigma2HandComputed(t *testing.T) {
 	known := matrix.New(2, 3)
 	copy(known.Data, []float64{1, 2, 3, 2, 3, 4})
 	em := &Session{
-		n:      3,
-		known:  known,
-		obsIdx: []int{1},
-		obsVal: []float64{2.5},
-		opts:   Options{}.withDefaults(),
+		n:          3,
+		known:      known,
+		obsIdx:     []int{1},
+		obsVal:     []float64{2.5},
+		opts:       Options{}.withDefaults(),
+		fitScratch: newFitScratch(3, 2),
 	}
 	cFull := matrix.New(3, 3)
 	cFull.Set(0, 0, 0.1)

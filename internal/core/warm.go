@@ -50,29 +50,19 @@ import (
 //
 // Everything cached is a pure function of the posterior's frame (α, Ω, Q,
 // Σ′; Σ itself in the identity frame), σ² and the prior database, so a
-// rebuild from scratch reproduces the same bits; the cache is invalidated
+// rebuild from scratch reproduces the same bits; the session drops its set
 // whenever a cold fit (including the one that rescues a tripped frozen
-// refit) or a Restore may change Σ or σ².
-type warmCache struct {
-	// ops is the A-side operator set, immutable once built (invalidation
-	// drops the pointer; a rebuild allocates fresh). Immutability is what
-	// makes it shareable: a seed-transferred session can adopt its donor's
-	// ops instead of re-deriving the identical bits — see Session.FrozenOps.
-	ops *frozenOps
-
-	zsum []float64 // per-iteration: Ĉμ, then Σᵢẑᵢ
-
-	// fitPrepared marks the per-fit target quantities (chK, Vᵀ in the
-	// workspace's wT, and its vTarget) as current for this Fit's observation
-	// set; reset at every Fit entry.
-	fitPrepared bool
-}
+// refit) or a Restore may change Σ or σ². The per-iteration and per-fit
+// quantities (Ĉμ, the target's factor and Vᵀ) are fit scratch.
 
 // frozenOps is the A-side operator set of a frozen warm fit: every quantity
 // that depends only on the pinned posterior (its frame and σ²) and the
-// prior's database. Never written after buildA publishes it, so any number
-// of sessions over the same parameters may hold the same instance. The
-// factor of A is not kept: nothing after buildA solves against it.
+// prior's database. Never written after buildA publishes it (dropping it
+// drops the pointer; a rebuild allocates fresh), so any number of sessions
+// over the same parameters may hold the same instance: a seed-transferred
+// session adopts its donor's set instead of re-deriving the identical bits
+// (Session.FrozenOps). The factor of A is not kept: nothing after buildA
+// solves against it.
 type frozenOps struct {
 	cHat    *matrix.Matrix // d×d: Ĉ′, Ĉ in frame coordinates (Ĉ itself when d = n)
 	cComp   float64        // c⊥ = σ²α/(α+σ²), Ĉ on the complement (zero when d = n)
@@ -80,12 +70,6 @@ type frozenOps struct {
 	ll0     float64        // Σᵢ (yᵢ−ȳ)ᵀA⁻¹(yᵢ−ȳ)
 	diag    []float64      // n: diag(Σ)
 	logDetA float64        // log|Σ+σ²I|
-}
-
-// invalidate drops everything: the next frozen fit rebuilds from scratch.
-func (wc *warmCache) invalidate() {
-	wc.ops = nil
-	wc.fitPrepared = false
 }
 
 // frozenParamsDigest fingerprints the exact parameters a frozenOps set is a
@@ -98,14 +82,14 @@ func (em *Session) frozenParamsDigest() uint64 {
 	h = fnvU64(h, em.prior.Digest())
 	h = fnvU64(h, math.Float64bits(em.sigma2))
 	sigma := em.sigma
-	if sp := em.heldFrame(); sp != nil {
-		h = fnvU64(h, math.Float64bits(sp.alpha))
-		h = fnvU64(h, uint64(len(sp.omega)))
-		for _, j := range sp.omega {
+	if hf := em.heldFrame(); hf != nil {
+		h = fnvU64(h, math.Float64bits(hf.alpha))
+		h = fnvU64(h, uint64(len(hf.omega)))
+		for _, j := range hf.omega {
 			h = fnvU64(h, uint64(j))
 		}
-		h = fnvMatrix(h, sp.q)
-		sigma = sp.sigma
+		h = fnvMatrix(h, hf.q)
+		sigma = hf.sigma
 	}
 	return fnvMatrix(h, sigma)
 }
@@ -122,10 +106,11 @@ func fnvMatrix(h uint64, m *matrix.Matrix) uint64 {
 
 // buildA computes the A-side operators for the current (frozen) posterior
 // and σ² into a freshly allocated frozenOps (the previous set, if any, may
-// still be shared with other sessions and is never overwritten).
+// still be shared with other sessions and is never overwritten). It runs in
+// borrowed scratch.
 func (em *Session) buildA() error {
 	n, rows, s2 := em.n, em.known.Rows, em.sigma2
-	sp := em.heldFrame()
+	sp := em.heldSub()
 	sigma := em.sigma
 	if sp != nil {
 		sigma = sp.sigma
@@ -187,7 +172,7 @@ func (em *Session) buildA() error {
 	for j := range ops.zbar {
 		ops.zbar[j] *= inv
 	}
-	em.ws.wc.ops = ops
+	em.ops = ops
 	return nil
 }
 
@@ -231,12 +216,15 @@ func (s *Session) FrozenOps() (*FrozenOps, error) {
 	if s.known.Rows == 0 {
 		return nil, fmt.Errorf("core: FrozenOps needs a populated prior")
 	}
-	if s.ws.wc.ops == nil {
+	if s.ops == nil {
+		if s.borrow() {
+			defer s.giveBack()
+		}
 		if err := s.buildA(); err != nil {
 			return nil, err
 		}
 	}
-	return &FrozenOps{ops: s.ws.wc.ops, digest: s.frozenParamsDigest()}, nil
+	return &FrozenOps{ops: s.ops, digest: s.frozenParamsDigest()}, nil
 }
 
 // AdoptFrozenOps installs a shared operator cache, skipping the rebuild a
@@ -251,8 +239,8 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 	if o.digest != s.frozenParamsDigest() {
 		return false
 	}
-	if wc := &s.ws.wc; wc.ops == nil {
-		wc.ops = o.ops
+	if s.ops == nil {
+		s.ops = o.ops
 	}
 	return true
 }
@@ -267,30 +255,30 @@ func (s *Session) AdoptFrozenOps(o *FrozenOps) bool {
 // diagonal (vTarget, in place of cTarget) — the health watchdogs run the
 // same per-iteration scans over them.
 func (em *Session) eStepWarm() (*eResult, error) {
-	ws, wc, n := em.ws, &em.ws.wc, em.n
-	sp := em.heldFrame()
+	ws, n := em.ws, em.n
+	sp := em.heldSub()
 	out := &ws.e
 	*out = eResult{targetObs: len(em.obsIdx)}
-	if wc.ops == nil {
+	if em.ops == nil {
 		if err := em.buildA(); err != nil {
 			return nil, err
 		}
 	}
-	ops := wc.ops
+	ops := em.ops
 	s2 := em.sigma2
 	health := !em.opts.DisableHealthChecks
 
 	// One pass over μ turns cμ = Ĉμ/σ² into Σᵢẑᵢ = rows·(μ − cμ + z̄) and
 	// the rows' likelihood quadratic δᵀ(δ − z̄ + cμ) with δ = ȳ−μ (see the
 	// identities at the top of this file).
-	wc.zsum = growVec(wc.zsum, n)
+	ws.zsum = growVec(ws.zsum, n)
 	if sp != nil {
-		sp.applyC(wc.zsum, ops, em.mu)
+		sp.applyC(ws.zsum, ops, em.mu)
 	} else {
-		matrix.MulVecInto(wc.zsum, ops.cHat, em.mu)
+		matrix.MulVecInto(ws.zsum, ops.cHat, em.mu)
 	}
 	inv, rows := 1/s2, float64(em.known.Rows)
-	zsum, ybar, zbar := wc.zsum[:n], em.prior.colMean[:n], ops.zbar[:n]
+	zsum, ybar, zbar := ws.zsum[:n], em.prior.colMean[:n], ops.zbar[:n]
 	quad := 0.0
 	for j, m := range em.mu {
 		c := zsum[j] * inv
@@ -312,7 +300,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 		out.zTarget = ws.zTarget
 		return out, nil
 	}
-	if !wc.fitPrepared {
+	if !ws.fitPrepared {
 		// Once per fit: the factor of K and the half-solve Vᵀ = S L_K⁻ᵀ with
 		// S = Σ[:,Ω] (from the frame's structure, or through S gathered from
 		// the dense Σ), then the diagonal of Ĉ_M = Σ − VᵀV, whose entry r is
@@ -330,7 +318,7 @@ func (em *Session) eStepWarm() (*eResult, error) {
 			v := ws.wT.RowView(r)
 			ws.vTarget[r] = ops.diag[r] - matrix.Dot(v, v)
 		}
-		wc.fitPrepared = true
+		ws.fitPrepared = true
 	}
 
 	// GP-form posterior mean: ẑ_M = μ + S K⁻¹(y_Ω − μ_Ω) = μ + Vᵀu with

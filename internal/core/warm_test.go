@@ -164,7 +164,7 @@ func runWarmSequence(t *testing.T, prior *Prior, truth []float64, fresh bool) ([
 	fit := func() {
 		t.Helper()
 		if fresh {
-			s.ws.wc.invalidate()
+			s.ops = nil
 		}
 		res, err := s.Fit(ctx)
 		if err != nil {
@@ -367,8 +367,8 @@ func TestWarmFitAllocBudget(t *testing.T) {
 }
 
 // TestFitBytesBudget pins what one Session.Fit allocates in bytes, measured
-// with runtime.MemStats.TotalAlloc over several fits: a cold fit on a
-// recycled session and a steady-state frozen refit each stay below one n×n
+// with runtime.MemStats.TotalAlloc over several fits: a new session's cold
+// fit on recycled scratch and a steady-state frozen refit each stay below one n×n
 // matrix (8·n² bytes). Neither may copy Σ into its Result, and the frozen
 // refit forms no n×n target posterior covariance. The "paper size" case
 // extends the budget to every step at n = 1024.
@@ -406,14 +406,13 @@ func TestFitBytesBudget(t *testing.T) {
 	budget := uint64(8 * n * n)
 
 	s := prior.NewSession()
-	fit(s, masks[0]) // sizes the session's frame workspace
+	fit(s, masks[0]) // sizes the free list's scratch
 	cold := bytesPerFit(func(i int) {
-		s.Release()
 		s = prior.NewSession()
 		fit(s, masks[i%len(masks)])
 	})
 	if cold >= budget {
-		t.Errorf("cold fit on a recycled session allocated %d bytes, budget %d", cold, budget)
+		t.Errorf("cold fit of a new session on recycled scratch allocated %d bytes, budget %d", cold, budget)
 	}
 
 	fit(s, masks[1]) // first warm refit: builds the operator cache
@@ -432,8 +431,11 @@ func TestFitBytesBudget(t *testing.T) {
 // the operators, and a one-shot Prior.Estimate. Two steps have tighter
 // bounds. A cold fit builds its frame with no n×r scratch beyond Q, its
 // basis and its workspace: 795,024 B when the rows' coordinates took a GEMM
-// and the variance diagonal an n×r product, 598,176 B without. A second
-// Prior.Estimate recycles the first one's released session.
+// and the variance diagonal an n×r product, 598,176 B without, and
+// 639,776 B once the first fit, not the session's opening, allocated μ and
+// the workspace's n-vectors. A second Prior.Estimate reuses the scratch,
+// frame storage included, that the first one returned to the prior's free
+// list.
 func fitBytesBudgetPaperSize(t *testing.T) {
 	space := platform.Paper()
 	db, err := profile.Collect(space, apps.Suite(), 0, nil)
@@ -709,10 +711,10 @@ func TestFrozenOpsTransfer(t *testing.T) {
 	}
 	next := profile.RandomMask(n, 20, rng)
 	resA, resR := fitOn(adopted, next), fitOn(rebuilt, next)
-	if !adopted.frozen || adopted.ws.wc.ops != ops.ops {
+	if !adopted.frozen || adopted.ops != ops.ops {
 		t.Fatal("the adopted refit did not run frozen on the donor's operator set")
 	}
-	if rebuilt.ws.wc.ops == ops.ops {
+	if rebuilt.ops == ops.ops {
 		t.Fatal("the rebuilding session shares the donor's operator set")
 	}
 	sameResult(t, "adopted vs rebuilt frozen refit", resA, resR, adopted.State(), rebuilt.State())

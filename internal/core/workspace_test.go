@@ -58,7 +58,7 @@ func TestEMIterationAllocs(t *testing.T) {
 			}
 			em.frozen = true
 			em.ws.ensureObs(em.n, len(em.obsIdx))
-			em.ws.wc.fitPrepared = false
+			em.ws.fitPrepared = false
 		}
 
 		ctx := context.Background()
@@ -177,14 +177,16 @@ func TestEStepWorkspaceMatchesNaive(t *testing.T) {
 }
 
 // newEMState builds a session preloaded with observations, for the tests
-// and benchmarks that drive the E- and M-steps directly. It panics on
-// invalid input.
+// and benchmarks that drive the E- and M-steps directly: it holds its fit
+// scratch for good, as a fit holds it for its length. It panics on invalid
+// input.
 func newEMState(known *matrix.Matrix, obsIdx []int, obsVal []float64, opts Options) *Session {
 	p, err := NewPrior(known, opts)
 	if err != nil {
 		panic(err)
 	}
 	s := p.NewSession()
+	s.borrow()
 	for i, idx := range obsIdx {
 		if err := s.Add(idx, obsVal[i]); err != nil {
 			panic(err)

@@ -2,7 +2,8 @@
 // style of Hoffmann et al. (ICAC 2010), the instrumentation the paper uses
 // for application-specific performance feedback (§6.1). Applications issue
 // heartbeats at work milestones (a frame rendered, a batch clustered); the
-// monitor exposes windowed and lifetime heartbeat rates in beats/second.
+// monitor keeps the time of the newest batch, which is what a watchdog for
+// stuck or stale heartbeat sensors reads.
 //
 // Time is supplied by the caller as float64 seconds so the monitor works
 // identically under simulated and wall-clock time.
@@ -12,97 +13,25 @@ import (
 	"fmt"
 )
 
-// beat records a heartbeat batch.
-type beat struct {
-	time  float64
-	count int64
-}
-
-// Monitor accumulates heartbeats and reports rates over a sliding window of
-// the most recent beats.
+// Monitor records when the most recent heartbeat batch arrived. The zero
+// value has no beats registered.
 type Monitor struct {
-	window     []beat
-	windowSize int
-	total      int64
-	firstTime  float64
-	firstCount int64 // count of the very first batch (the start marker)
-	lastTime   float64
-	started    bool
-	reordered  int64
-}
-
-// DefaultWindow is the default number of beat records kept for windowed
-// rates.
-const DefaultWindow = 20
-
-// NewMonitor creates a monitor with the given window size (number of beat
-// records); size <= 0 selects DefaultWindow.
-func NewMonitor(windowSize int) *Monitor {
-	if windowSize <= 0 {
-		windowSize = DefaultWindow
-	}
-	return &Monitor{windowSize: windowSize}
+	lastTime float64
+	started  bool
 }
 
 // Heartbeat registers count heartbeats at the given time (seconds); count
 // must be positive. Batches may arrive out of order (a delayed delivery on a
 // real system): a timestamp earlier than the newest already registered is
-// clamped to it, so the batch still counts and windowed rates stay finite and
-// non-negative. Reordered() reports how often that happened.
+// clamped to it, so the newest time never moves backwards.
 func (m *Monitor) Heartbeat(now float64, count int64) {
 	if count <= 0 {
 		panic(fmt.Sprintf("heartbeat: count must be positive, got %d", count))
 	}
-	if m.started && now < m.lastTime {
-		now = m.lastTime
-		m.reordered++
+	if !m.started || now > m.lastTime {
+		m.lastTime = now
 	}
-	if !m.started {
-		m.started = true
-		m.firstTime = now
-		m.firstCount = count
-	}
-	m.lastTime = now
-	m.total += count
-	m.window = append(m.window, beat{time: now, count: count})
-	if len(m.window) > m.windowSize {
-		m.window = m.window[len(m.window)-m.windowSize:]
-	}
-}
-
-// Total returns the lifetime heartbeat count.
-func (m *Monitor) Total() int64 { return m.total }
-
-// Rate returns the windowed heartbeat rate (beats/s) over the retained
-// window. It returns 0 until at least two beat records exist, and 0 when the
-// window spans no elapsed time (all beats at one instant carry no rate
-// information — never Inf, which would poison downstream estimates).
-func (m *Monitor) Rate() float64 {
-	if len(m.window) < 2 {
-		return 0
-	}
-	first := m.window[0]
-	last := m.window[len(m.window)-1]
-	dt := last.time - first.time
-	if dt <= 0 {
-		return 0
-	}
-	n := int64(0)
-	for _, b := range m.window[1:] { // beats after the window's start instant
-		n += b.count
-	}
-	return float64(n) / dt
-}
-
-// LifetimeRate returns the rate over the whole observation span, or 0 before
-// the second beat. The first batch marks the start instant and is excluded
-// from the numerator; its count is kept in firstCount so the rate stays exact
-// after the sliding window has dropped the first beat record.
-func (m *Monitor) LifetimeRate() float64 {
-	if !m.started || m.lastTime <= m.firstTime {
-		return 0
-	}
-	return float64(m.total-m.firstCount) / (m.lastTime - m.firstTime)
+	m.started = true
 }
 
 // LastTime returns the timestamp of the most recent beat and whether any
@@ -111,20 +40,8 @@ func (m *Monitor) LastTime() (float64, bool) {
 	return m.lastTime, m.started
 }
 
-// Reordered returns how many beat batches arrived with a timestamp older
-// than an already-registered batch (and were clamped into order).
-func (m *Monitor) Reordered() int64 { return m.reordered }
-
 // Reset clears all state, e.g. at a phase boundary.
 func (m *Monitor) Reset() {
-	m.window = m.window[:0]
-	m.total = 0
-	m.started = false
-	m.firstTime = 0
-	m.firstCount = 0
 	m.lastTime = 0
-	m.reordered = 0
+	m.started = false
 }
-
-// Window returns the number of beat records currently retained.
-func (m *Monitor) Window() int { return len(m.window) }

@@ -25,10 +25,6 @@ import (
 // invalid-configuration errors, which retrying cannot fix.
 var ErrActuation = errors.New("machine: actuation failed")
 
-// PowerSamplePeriod is the wall-power meter's sampling interval; the paper's
-// WattsUp meter reports at 1 s intervals (§6.1).
-const PowerSamplePeriod = 1.0
-
 // Machine simulates one application running on the configurable platform.
 type Machine struct {
 	space platform.Space
@@ -41,7 +37,7 @@ type Machine struct {
 	simTime float64 // seconds since boot
 	energy  float64 // Joules consumed (true, noise-free)
 	work    float64 // heartbeats completed (true, fractional)
-	monitor *heartbeat.Monitor
+	monitor heartbeat.Monitor
 	faults  *fault.Plan // nil ⇒ no fault injection
 }
 
@@ -62,12 +58,11 @@ func New(space platform.Space, app *apps.App, noise float64, rng *rand.Rand) (*M
 		return nil, fmt.Errorf("machine: noise requires a random source")
 	}
 	return &Machine{
-		space:   space,
-		app:     app,
-		noise:   noise,
-		rng:     rng,
-		cur:     platform.Config{Threads: 1, Speed: 0, MemCtrls: 1},
-		monitor: heartbeat.NewMonitor(0),
+		space: space,
+		app:   app,
+		noise: noise,
+		rng:   rng,
+		cur:   platform.Config{Threads: 1, Speed: 0, MemCtrls: 1},
 	}, nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"leo/internal/baseline"
 	"leo/internal/profile"
 	"leo/internal/stream"
 )
@@ -82,7 +81,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 
 	const clients = 4
 	var planLat []time.Duration
-	warmSessionPools(b, f, tenants+cfg.Shards)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -123,35 +121,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		sort.Slice(planLat, func(i, j int) bool { return planLat[i] < planLat[j] })
 		p99 := planLat[(len(planLat)*99+99)/100-1]
 		b.ReportMetric(float64(p99)/float64(time.Millisecond), "p99-plan-ms")
-	}
-}
-
-// warmSessionPools models steady-state tenant churn: it draws count session
-// pairs per class tier and releases them, so the priors' free lists hold
-// recycled workspaces before the timed replay. In a running fleet departed
-// tenants keep the pools stocked; a cold benchmark process has had no
-// departures yet, so admission would otherwise pay a fleet's worth of
-// one-time workspace allocations inside the measured window.
-func warmSessionPools(b *testing.B, f *fixture, count int) {
-	b.Helper()
-	for _, cl := range f.classes {
-		for _, tier := range cl.Tiers {
-			sessions := make([]baseline.Session, 0, 2*count)
-			for i := 0; i < count; i++ {
-				perf, err := tier.Perf.NewSession(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				power, err := tier.Power.NewSession(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sessions = append(sessions, perf, power)
-			}
-			for _, s := range sessions {
-				baseline.ReleaseSession(s)
-			}
-		}
 	}
 }
 

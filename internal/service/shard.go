@@ -269,18 +269,6 @@ func (sh *shard) shutdown() {
 					sh.closeErr = err
 				}
 			}
-			// The shard is done mutating: hand every tenant's sessions back
-			// to their estimators' free lists so a successor server over the
-			// same priors (restart, tests) admits without reallocating.
-			for _, t := range sh.tenants {
-				if t.perfSess != nil {
-					baseline.ReleaseSession(t.perfSess)
-				}
-				if t.powerSess != nil {
-					baseline.ReleaseSession(t.powerSess)
-				}
-				t.perfSess, t.powerSess = nil, nil
-			}
 			return
 		}
 	}
@@ -432,9 +420,8 @@ func (sh *shard) applySeed(t *tenant, seed *classSeed) (bool, error) {
 	return true, nil
 }
 
-// openSessions (re)creates t's per-metric sessions at its current rung,
-// releasing any previous pair to their estimators' free lists. On error the
-// tenant's existing sessions are left in place.
+// openSessions (re)creates t's per-metric sessions at its current rung. On
+// error the tenant's existing sessions are left in place.
 func (sh *shard) openSessions(t *tenant) error {
 	tier := t.class.Tiers[t.rung]
 	perfSess, err := tier.Perf.NewSession(context.Background())
@@ -443,14 +430,7 @@ func (sh *shard) openSessions(t *tenant) error {
 	}
 	powerSess, err := tier.Power.NewSession(context.Background())
 	if err != nil {
-		baseline.ReleaseSession(perfSess)
 		return fmt.Errorf("service: opening %s power session: %w", tier.Name, err)
-	}
-	if t.perfSess != nil {
-		baseline.ReleaseSession(t.perfSess)
-	}
-	if t.powerSess != nil {
-		baseline.ReleaseSession(t.powerSess)
 	}
 	t.perfSess, t.powerSess = perfSess, powerSess
 	return nil
@@ -576,12 +556,9 @@ func (sh *shard) fitShed(r *request, t *tenant, w control.Window, rung int) {
 			var perfEst, powerEst []float64
 			perfEst, powerEst, err = control.FitWindow(context.Background(), perfSess, powerSess, w, sh.srv.cfg.Resilience)
 			mShedWindows.Inc()
-			baseline.ReleaseSession(perfSess)
-			baseline.ReleaseSession(powerSess)
 			sh.finishWindow(r, t, w, perfEst, powerEst, err, rung, true)
 			return
 		}
-		baseline.ReleaseSession(perfSess)
 	}
 	sh.finishWindow(r, t, w, nil, nil, err, rung, true)
 }
@@ -1159,7 +1136,6 @@ func (sh *shard) tierDigest(class string, rung int, metric string) (uint64, bool
 	if err != nil {
 		return 0, false
 	}
-	defer baseline.ReleaseSession(sess)
 	if sc, ok := sess.(baseline.StateCarrier); ok {
 		return sc.StateDigest(), true
 	}
